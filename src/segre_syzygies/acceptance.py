@@ -3,7 +3,8 @@
 Each criterion is a function returning a CriterionResult; run_all executes
 them in order and is shared by the command-line `verify` subcommand and the
 test suite.  All comparisons are exact; the per-criterion time limits are
-part of the contract.
+part of the contract.  Checks raise AssertionError explicitly rather than
+through `assert`, so the gate still fails under `python -O`.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def _run(number: int, name: str, limit: float, fn) -> CriterionResult:
     return CriterionResult(number, name, passed, detail if not passed else "", elapsed, limit)
 
 
+def _check(condition, message: str) -> None:
+    if not condition:
+        raise AssertionError(message)
+
+
 def _mono(*parts):
     return tuple(sorted((tuple(p) for p in parts), key=lambda t: (sum(t), t)))
 
@@ -87,8 +93,9 @@ W2 = (1, 1)
 def criterion_1() -> CriterionResult:
     def check():
         policy = TruncationPolicy(5, 4)
-        assert exp_combination(small_p_exponential_form(1), policy) == f_segre(1, policy), (
-            "exponential form and Euler slice disagree for p=1"
+        _check(
+            exp_combination(small_p_exponential_form(1), policy) == f_segre(1, policy),
+            "exponential form and Euler slice disagree for p=1",
         )
 
     return _run(1, "exponential-form-p1", 1.0, check)
@@ -97,12 +104,10 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     def check():
         star = order_normalize(f_segre(1, TruncationPolicy(4, 2)))
-        assert star.order_component(2).terms == {_mono(W2, W2): Fraction(1)}, "order 2"
-        assert star.order_component(3).terms == {_mono(S2, W2, W2): Fraction(3)}, "order 3"
-        assert star.order_component(4).terms == {
-            _mono(S2, S2, W2, W2): Fraction(6),
-            _mono(W2, W2, W2, W2): Fraction(1),
-        }, "order 4"
+        _check(star.order_component(2).terms == {_mono(W2, W2): Fraction(1)}, "order 2")
+        _check(star.order_component(3).terms == {_mono(S2, W2, W2): Fraction(3)}, "order 3")
+        expected = {_mono(S2, S2, W2, W2): Fraction(6), _mono(W2, W2, W2, W2): Fraction(1)}
+        _check(star.order_component(4).terms == expected, "order 4")
 
     return _run(2, "f1-star-expansion", 1.0, check)
 
@@ -110,12 +115,15 @@ def criterion_2() -> CriterionResult:
 def criterion_3() -> CriterionResult:
     def check():
         policy = TruncationPolicy(5, 5)
-        assert exp_combination(small_p_exponential_form(2), policy) == euler_chi(3, policy), (
-            "p=2 exponential form disagrees with the degree-3 Euler slice"
+        _check(
+            exp_combination(small_p_exponential_form(2), policy) == euler_chi(3, policy),
+            "p=2 exponential form disagrees with the degree-3 Euler slice",
         )
-        assert exp_combination(small_p_exponential_form(3), policy) == euler_chi(
-            4, policy
-        ).scale(-1), "p=3 exponential form disagrees with minus the degree-4 Euler slice"
+        _check(
+            exp_combination(small_p_exponential_form(3), policy)
+            == euler_chi(4, policy).scale(-1),
+            "p=3 exponential form disagrees with minus the degree-4 Euler slice",
+        )
 
     return _run(3, "exponential-forms-p2-p3", 30.0, check)
 
@@ -128,10 +136,10 @@ def criterion_4() -> CriterionResult:
             for d in range(0, 2 * p + 2):
                 lhs = lascoux_leading(p, d)
                 rhs = series.degree_slice(d, order=2)
-                assert lhs == rhs, f"leading-term mismatch at p={p}, d={d}"
+                _check(lhs == rhs, f"leading-term mismatch at p={p}, d={d}")
         lhs = lascoux_leading(4, 5)
         rhs = f4_degree5(TruncationPolicy(2, 5)).degree_slice(5, order=2)
-        assert lhs == rhs, "leading-term mismatch at p=4, d=5"
+        _check(lhs == rhs, "leading-term mismatch at p=4, d=5")
 
     return _run(4, "lascoux-leading-term", 60.0, check)
 
@@ -139,16 +147,16 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     def check():
         r = koszul_homology((2, 2), 1, 2)
-        assert r.dimension == 1 and r.decomposition == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2"
+        _check(r.dimension == 1 and r.decomposition == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
         r = koszul_homology((2, 2, 2), 1, 2)
         expected = {
             ((2,), (1, 1), (1, 1)): 1,
             ((1, 1), (2,), (1, 1)): 1,
             ((1, 1), (1, 1), (2,)): 1,
         }
-        assert r.dimension == 9 and r.decomposition == expected, "(2,2,2) p=1 d=2"
+        _check(r.dimension == 9 and r.decomposition == expected, "(2,2,2) p=1 d=2")
         for d in (3, 4):
-            assert koszul_homology((2, 2), 1, d).dimension == 0, f"(2,2) p=1 d={d}"
+            _check(koszul_homology((2, 2), 1, d).dimension == 0, f"(2,2) p=1 d={d}")
 
     return _run(5, "oracle-ground-truth", 10.0, check)
 
@@ -167,7 +175,7 @@ def criterion_6() -> CriterionResult:
                 if p + 1 <= d <= 2 * p:
                     continue
                 r = koszul_homology(dims, p, d)
-                assert r.dimension == 0, f"non-zero outside support: {dims} p={p} d={d}"
+                _check(r.dimension == 0, f"non-zero outside support: {dims} p={p} d={d}")
 
     return _run(6, "degree-support-sweep", 120.0, check)
 
@@ -181,9 +189,10 @@ def criterion_7() -> CriterionResult:
             for d in range(p + 1, 2 * p + 1):
                 predicted = dimension_on_factors(stars[p], dims, d)
                 actual = koszul_homology(dims, p, d).dimension
-                assert predicted == actual, (
+                _check(
+                    predicted == actual,
                     f"series predicts {predicted}, oracle finds {actual} "
-                    f"at {dims} p={p} d={d}"
+                    f"at {dims} p={p} d={d}",
                 )
 
     return _run(7, "series-oracle-agreement", 120.0, check)
@@ -192,11 +201,11 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     def check():
         dim, decomp = new_syzygy_dimension((2, 2), 1, 2)
-        assert dim == 1 and decomp == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2"
+        _check(dim == 1 and decomp == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
         dim, _ = new_syzygy_dimension((2, 2, 2), 1, 2)
-        assert dim == 0, "(2,2,2) p=1 d=2"
+        _check(dim == 0, "(2,2,2) p=1 d=2")
         dim, _ = new_syzygy_dimension((2, 2, 3), 2, 3)
-        assert dim == 0, "(2,2,3) p=2 d=3"
+        _check(dim == 0, "(2,2,3) p=2 d=3")
 
     return _run(8, "cosocle-new-syzygies", 300.0, check)
 
@@ -208,7 +217,7 @@ def criterion_9() -> CriterionResult:
             for lam in partitions_of(p):
                 closed = tensor_schur_series_closed(lam, policy)
                 recur = tensor_schur_series_recurrence(lam, policy)
-                assert closed == recur, f"two-sided mismatch at {lam}"
+                _check(closed == recur, f"two-sided mismatch at {lam}")
 
     return _run(9, "tensor-schur-two-sided", 30.0, check)
 
@@ -224,14 +233,16 @@ def criterion_10() -> CriterionResult:
                     for nu in labels:
                         base = kronecker_coefficient(lam, mu, nu)
                         for perm in itertools.permutations((lam, mu, nu)):
-                            assert kronecker_coefficient(*perm) == base, (
-                                f"Kronecker symmetry broken at {lam}, {mu}, {nu}"
+                            _check(
+                                kronecker_coefficient(*perm) == base,
+                                f"Kronecker symmetry broken at {lam}, {mu}, {nu}",
                             )
         for n in range(1, 8):
             identity = (1,) * n
             for lam in partitions_of(n):
-                assert mn_character(lam, identity) == dimension_sn(lam), (
-                    f"character at the identity disagrees with hook dimension at {lam}"
+                _check(
+                    mn_character(lam, identity) == dimension_sn(lam),
+                    f"character at the identity disagrees with hook dimension at {lam}",
                 )
 
     return _run(10, "character-infrastructure", 30.0, check)
@@ -253,15 +264,18 @@ def _direct_multinomial_sum(poly, e, d, nterms):
 def criterion_11() -> CriterionResult:
     def check():
         one_t = multinomial_sum_rational(1, (0,), 1)
-        assert one_t.num == [Fraction(1)] and one_t.den == [Fraction(1), Fraction(-1)], "1/(1-t)"
+        _check(one_t.num == [Fraction(1)] and one_t.den == [Fraction(1), Fraction(-1)], "1/(1-t)")
         two_t = multinomial_sum_rational(1, (0, 0), 2)
-        assert two_t.num == [Fraction(1)] and two_t.den == [Fraction(1), Fraction(-2)], "1/(1-2t)"
+        _check(
+            two_t.num == [Fraction(1)] and two_t.den == [Fraction(1), Fraction(-2)],
+            "1/(1-2t)",
+        )
         k1 = multinomial_sum_rational({(1,): 1}, (0,), 1)
-        assert k1.num == [Fraction(0), Fraction(1)] and k1.den == [
-            Fraction(1),
-            Fraction(-2),
-            Fraction(1),
-        ], "t/(1-t)^2"
+        _check(
+            k1.num == [Fraction(0), Fraction(1)]
+            and k1.den == [Fraction(1), Fraction(-2), Fraction(1)],
+            "t/(1-t)^2",
+        )
         for d in (1, 2, 3):
             monomials = [(0,) * d]
             monomials += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
@@ -274,9 +288,10 @@ def criterion_11() -> CriterionResult:
                 for expo in monomials:
                     poly = {expo: Fraction(1)}
                     closed = multinomial_sum_rational(poly, e, d)
-                    assert closed.coefficients(10) == _direct_multinomial_sum(
-                        poly, e, d, 10
-                    ), f"re-expansion mismatch at d={d}, e={e}, poly={poly}"
+                    _check(
+                        closed.coefficients(10) == _direct_multinomial_sum(poly, e, d, 10),
+                        f"re-expansion mismatch at d={d}, e={e}, poly={poly}",
+                    )
 
     return _run(11, "multinomial-sum-closed-forms", 10.0, check)
 
@@ -304,8 +319,8 @@ def criterion_12() -> CriterionResult:
         s, w = ring.variable(0), ring.variable(1)
         coeffs = f1_star_polynomial_coefficients(8)
         rec = rational_reconstruct(coeffs, 3)
-        assert rec is not None, "no rational function found"
-        assert rec.coefficients(8) == coeffs, "re-expansion disagrees with the data"
+        _check(rec is not None, "no rational function found")
+        _check(rec.coefficients(8) == coeffs, "re-expansion disagrees with the data")
         one = ring.one
         lin = [one, -s]
         quad = [one, -2 * s, s * s - w * w]
@@ -313,8 +328,9 @@ def criterion_12() -> CriterionResult:
         for i, a in enumerate(lin):
             for j, b in enumerate(quad):
                 target[i + j] = target[i + j] + a * b
-        assert divides_up_to_unit(rec.den, target, ring), (
-            "denominator does not divide the closed-form denominator"
+        _check(
+            divides_up_to_unit(rec.den, target, ring),
+            "denominator does not divide the closed-form denominator",
         )
 
     return _run(12, "rational-reconstruction-f1", 10.0, check)
@@ -325,7 +341,7 @@ def criterion_13() -> CriterionResult:
         for d in (1, 2, 3):
             coeffs = geometric_torus_coefficients(d, 5)
             values = weyl_series(d, coeffs, 5)
-            assert values == [Fraction(1)] * 5, f"constant-term pairing wrong at d={d}"
+            _check(values == [Fraction(1)] * 5, f"constant-term pairing wrong at d={d}")
 
     return _run(13, "weyl-constant-term", 5.0, check)
 

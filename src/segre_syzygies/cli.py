@@ -15,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import linalg
 from .acceptance import run_all
 from .characters import character_table, kronecker_coefficient
 from .errors import CapacityError, ConsistencyError, UnsupportedError
@@ -144,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact equivariant syzygy invariants of Segre embeddings.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="bound on worker threads (never changes results)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("char-table", help="character table of a symmetric group")
@@ -330,8 +327,6 @@ def run_command(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads != 1:
-        linalg.set_worker_count(args.threads)
     try:
         return run_command(args)
     except CapacityError as exc:

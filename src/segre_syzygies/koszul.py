@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from math import comb, prod
 
 from .errors import CapacityError, ConsistencyError
-from .linalg import map_items, nullspace, rank
-from .partitions import Partition, gl_dimension, kostka
+from .linalg import nullspace, rank
+from .partitions import Partition, compositions, gl_dimension, kostka
 
 DEFAULT_CAPACITY = 200_000
 
@@ -76,25 +76,10 @@ class HomologyReport:
         return "\n".join(lines) + "\n"
 
 
-def _compositions(total: int, length: int):
-    """All length-tuples of non-negative integers summing to total, lex order."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, length - 1):
-            yield (first,) + rest
-
-
-def _sym_basis(dim: int, deg: int) -> list[tuple[int, ...]]:
-    return list(_compositions(deg, dim))
-
-
 def _ring_basis(dims: Dims, i: int) -> list[RingElem]:
     if i < 0:
         return []
-    factors = [_sym_basis(d, i) for d in dims]
+    factors = [list(compositions(i, d)) for d in dims]
     return [tuple(combo) for combo in itertools.product(*factors)]
 
 
@@ -232,9 +217,7 @@ def koszul_homology(
             raise ConsistencyError(f"negative homology dimension at weight {weight}")
         return h
 
-    weights = sorted(mid.by_weight)
-    hs = map_items(block_dimension, weights)
-    weight_table = {w: h for w, h in zip(weights, hs) if h}
+    weight_table = {w: h for w in sorted(mid.by_weight) if (h := block_dimension(w))}
     decomposition = schur_extract(weight_table, dims)
     dimension = sum(weight_table.values())
     check = sum(
@@ -251,7 +234,7 @@ def koszul_homology(
 def _weight_diagram(lam: Partition, dim: int) -> dict[tuple[int, ...], int]:
     """Weight multiplicities of the Schur functor for lam on C^dim."""
     out = {}
-    for comp in _compositions(sum(lam), dim):
+    for comp in compositions(sum(lam), dim):
         k = kostka(lam, comp)
         if k:
             out[comp] = k
@@ -471,8 +454,6 @@ def new_syzygy_dimension(
             raise ConsistencyError(f"old classes exceed cycles at weight {weight}")
         return new_dim
 
-    weights = sorted(mid.by_weight)
-    values = map_items(block_new_dimension, weights)
-    table = {w: v for w, v in zip(weights, values) if v}
+    table = {w: v for w in sorted(mid.by_weight) if (v := block_new_dimension(w))}
     decomposition = schur_extract(table, dims)
     return sum(table.values()), decomposition

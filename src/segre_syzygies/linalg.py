@@ -2,34 +2,13 @@
 
 Ranks are computed by fraction-free (Bareiss) elimination on
 arbitrary-precision integers; kernels by rational Gauss-Jordan with the
-result cleared to integer vectors.  A small worker-pool helper lets callers
-fan independent block computations out over a bounded number of threads
-with a deterministic, order-preserving merge.
+result cleared to integer vectors.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import lcm
-
-_worker_count = 1
-
-
-def set_worker_count(n: int) -> None:
-    global _worker_count
-    if n < 1:
-        raise ValueError("worker count must be at least 1")
-    _worker_count = n
-
-
-def map_items(fn, items):
-    """Apply fn over items, optionally on a bounded thread pool; order preserved."""
-    items = list(items)
-    if _worker_count <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_worker_count) as pool:
-        return list(pool.map(fn, items))
 
 
 def rank(matrix: list[list[int]]) -> int:

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from .errors import ConsistencyError
+
 Partition = tuple[int, ...]
 
 
@@ -58,6 +60,17 @@ def partitions_of(n: int, max_rows: int | None = None) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n, max_rows))
+
+
+def compositions(total: int, length: int):
+    """All length-tuples of non-negative integers summing to total, lex order."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, length - 1):
+            yield (first,) + rest
 
 
 def dimension_sn(lam: Partition) -> int:
@@ -209,7 +222,8 @@ def gl_dimension(lam: Partition, m: int) -> int:
     for i in range(m):
         for j in range(i + 1, m):
             dim *= Fraction(padded[i] - padded[j] + j - i, j - i)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise ConsistencyError(f"Weyl dimension of {lam} on C^{m} is not an integer: {dim}")
     return int(dim)
 
 

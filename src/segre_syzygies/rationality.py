@@ -21,6 +21,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from .errors import ConsistencyError
+from .partitions import compositions
+
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Q, and their fractions
 
@@ -389,7 +392,8 @@ def _poly_exact_div_q(a, b):
         if coeff:
             for j, c in enumerate(b):
                 a[i + j] -= coeff * c
-    assert not _trim(a), "division was not exact"
+    if _trim(a):
+        raise ConsistencyError("polynomial division was not exact")
     return _trim(out)
 
 
@@ -747,19 +751,9 @@ def geometric_torus_coefficients(d: int, n_terms: int) -> list[LaurentPolynomial
     out = []
     for n in range(n_terms):
         out.append(
-            LaurentPolynomial(d, {expo: Fraction(1) for expo in _compositions_of(n, d)})
+            LaurentPolynomial(d, {expo: Fraction(1) for expo in compositions(n, d)})
         )
     return out
-
-
-def _compositions_of(total: int, length: int):
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_of(total - first, length - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

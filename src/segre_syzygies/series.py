@@ -10,11 +10,12 @@ and the two sides of the tensor-Schur identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby, permutations
 from math import factorial
 from typing import NamedTuple
 
 from .characters import character_table, class_data
-from .errors import UnsupportedError
+from .errors import ConsistencyError, UnsupportedError
 from .partitions import (
     Partition,
     check_partition,
@@ -169,10 +170,6 @@ class PartitionSeries:
         return "PartitionSeries(" + " + ".join(bits) + ")"
 
 
-def series_mul(a: PartitionSeries, b: PartitionSeries) -> PartitionSeries:
-    return a * b
-
-
 def order_normalize(a: PartitionSeries) -> PartitionSeries:
     """Multiply each order-n component by n! (pass from averaged to plain counts)."""
     return PartitionSeries(
@@ -180,37 +177,39 @@ def order_normalize(a: PartitionSeries) -> PartitionSeries:
     )
 
 
-def _linear_embedding(x: SymFunc, policy: TruncationPolicy) -> PartitionSeries:
-    terms = {}
-    for lam, c in x.terms.items():
-        if not lam:
-            raise ValueError("exponential arguments must have no constant term")
-        if sum(lam) <= policy.max_part_size:
-            terms[(lam,)] = c
-    return PartitionSeries(policy, terms)
-
-
 def exp_series(x: SymFunc, policy: TruncationPolicy) -> PartitionSeries:
     """exp of a constant-term-free ring element, expanded to the truncation order."""
-    linear = _linear_embedding(x, policy)
-    result = PartitionSeries.one(policy)
-    power = PartitionSeries.one(policy)
-    for n in range(1, policy.max_order + 1):
-        power = power * linear
-        if not power:
-            break
-        result = result + power.scale(Fraction(1, factorial(n)))
-    return result
+    return exp_combination([(1, x)], policy)
 
 
 def exp_combination(
     terms, policy: TruncationPolicy
 ) -> PartitionSeries:
-    """Sum of scaled exponentials of ring elements without constant term."""
-    total = PartitionSeries.zero(policy)
+    """Sum of scaled exponentials of ring elements without constant term.
+
+    The coefficient of the monomial prod X_mu^m_mu in exp(sum x_mu X_mu) is
+    prod x_mu^m_mu / m_mu!, so each admitted monomial is written directly:
+    one pass over the multisets of each element's kept support.
+    """
+    total: dict[Monomial, Fraction] = {}
     for coeff, x in terms:
-        total = total + exp_series(x, policy).scale(coeff)
-    return total
+        if () in x.terms:
+            raise ValueError("exponential arguments must have no constant term")
+        support = sorted(
+            (lam for lam in x.terms if sum(lam) <= policy.max_part_size), key=_part_key
+        )
+        powers = {
+            lam: [x.terms[lam] ** m / factorial(m) for m in range(policy.max_order + 1)]
+            for lam in support
+        }
+        coeff = Fraction(coeff)
+        for n in range(policy.max_order + 1):
+            for mono in combinations_with_replacement(support, n):
+                value = coeff
+                for lam, run in groupby(mono):
+                    value *= powers[lam][sum(1 for _ in run)]
+                total[mono] = total.get(mono, 0) + value
+    return PartitionSeries(policy, total)
 
 
 def euler_chi(k: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSeries:
@@ -392,8 +391,6 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
     average over all assignments of the monomial's partitions to the factors.
     """
     n = len(dims)
-    from itertools import permutations
-
     total = Fraction(0)
     for mono, coeff in series_star.terms.items():
         if len(mono) != n or monomial_degree(mono) != degree:
@@ -408,7 +405,7 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
             perm_sum += prod
         total += coeff * Fraction(perm_sum, factorial(n))
     if total.denominator != 1 or total < 0:
-        raise ValueError(f"series does not evaluate to a dimension: {total}")
+        raise ConsistencyError(f"series does not evaluate to a dimension: {total}")
     return int(total)
 
 

@@ -4,8 +4,13 @@ Comparisons are exact (no tolerances to loosen); each criterion also carries
 a wall-clock budget from the contract, asserted here.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import segre_syzygies
 from segre_syzygies.acceptance import ALL_CRITERIA
 
 
@@ -18,3 +23,34 @@ def test_criterion(criterion):
         f"criterion {result.number} exceeded its budget: "
         f"{result.seconds:.2f}s >= {result.limit:.0f}s"
     )
+
+
+SABOTAGED_CRITERION_5 = """
+import dataclasses
+from segre_syzygies import acceptance
+
+real = acceptance.koszul_homology
+
+
+def off_by_one(*args):
+    report = real(*args)
+    return dataclasses.replace(report, dimension=report.dimension + 1)
+
+
+acceptance.koszul_homology = off_by_one
+print(acceptance.criterion_5().line())
+"""
+
+
+def test_gate_fails_under_optimize_flag():
+    # python -O strips assert statements; the gate must still catch an
+    # oracle that reports every dimension one too high
+    src = Path(segre_syzygies.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGED_CRITERION_5],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src,
+    )
+    assert out.stdout.startswith("FAIL 05"), out.stdout

@@ -136,18 +136,6 @@ def test_text_format(capsys):
     assert "dimension" in out and "1" in out
 
 
-def test_threads_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "--threads", "2", "koszul", "--dims", "2,2,2", "--p", "1", "--d", "2"
-    )
-    assert code == 0
-    assert json.loads(out)["dimension"] == 9
-    # restore the default so other tests stay single-threaded
-    from segre_syzygies import linalg
-
-    linalg.set_worker_count(1)
-
-
 def test_sumlem_negative_shift(capsys):
     code, out, _ = run_cli(capsys, "sumlem", "--e=-1,0", "--d", "2", "--terms", "4")
     assert code == 0

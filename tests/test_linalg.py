@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from segre_syzygies.linalg import map_items, nullspace, rank, set_worker_count
+from segre_syzygies.linalg import nullspace, rank
 
 
 def rank_fraction_oracle(matrix):
@@ -66,19 +64,3 @@ def test_nullspace_random_matrices():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
         if basis:
             assert rank(basis) == len(basis)
-
-
-def test_map_items_thread_pool_is_order_preserving():
-    items = list(range(50))
-    expected = [x * x for x in items]
-    assert map_items(lambda x: x * x, items) == expected
-    set_worker_count(4)
-    try:
-        assert map_items(lambda x: x * x, items) == expected
-    finally:
-        set_worker_count(1)
-
-
-def test_set_worker_count_validates():
-    with pytest.raises(ValueError):
-        set_worker_count(0)

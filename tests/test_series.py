@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segre_syzygies.errors import UnsupportedError
+from segre_syzygies.errors import ConsistencyError, UnsupportedError
 from segre_syzygies.partitions import partitions_of
 from segre_syzygies.schur_ring import SymFunc, boxtimes
 from segre_syzygies.series import (
@@ -108,20 +108,42 @@ def test_exp_additivity():
 
 
 def test_exp_of_boxtimes_matches_power_expansion():
-    # order-n component of exp(x boxtimes y) is the n-th power over n factorial
+    # order-n component of exp(z) is the n-th power of z over n factorial,
+    # taken here by explicit PartitionSeries products
     pol = TruncationPolicy(4, 6)
+
+    def power_components(z):
+        linear = PartitionSeries(pol, {(lam,): c for lam, c in z.terms.items()})
+        power = PartitionSeries.one(pol)
+        out = [power]
+        for n in range(1, pol.max_order + 1):
+            power = (power * linear).scale(Fraction(1, n))
+            out.append(power)
+        return out
+
     x = SymFunc.basis((2,)) + SymFunc.basis((1,)).scale(2)
     y = SymFunc.basis((1, 1))
     z = boxtimes(x, y)
     expz = exp_series(z, pol)
-    linear = PartitionSeries(pol, {(lam,): c for lam, c in z.terms.items()})
-    power = PartitionSeries.one(pol)
-    fact = 1
-    for n in range(0, 5):
-        if n:
-            power = power * linear
-            fact *= n
-        assert expz.order_component(n) == power.scale(Fraction(1, fact))
+    for n, power in enumerate(power_components(z)):
+        assert expz.order_component(n) == power
+
+    # signed, fractional multi-term combination; (4, 3) exceeds max_part_size
+    u = (
+        SymFunc.basis((3,)).scale(Fraction(-2, 3))
+        + SymFunc.basis((2, 1)).scale(Fraction(1, 2))
+        + SymFunc.basis((4, 3))
+    )
+    v = SymFunc.basis((1, 1)).scale(-3) + SymFunc.basis((2,)).scale(Fraction(5, 4))
+    combo = [(Fraction(-3, 2), u), (Fraction(1, 3), v), (Fraction(2), u + v)]
+    got = exp_combination(combo, pol)
+    expected = [PartitionSeries.zero(pol)] * (pol.max_order + 1)
+    for c, w in combo:
+        for n, power in enumerate(power_components(w)):
+            expected[n] = expected[n] + power.scale(c)
+    for n, component in enumerate(expected):
+        assert component
+        assert got.order_component(n) == component
 
 
 def test_euler_chi_examples():
@@ -256,6 +278,12 @@ def test_dimension_on_factors():
     star2 = order_normalize(f_segre(2, TruncationPolicy(2, 3)))
     assert dimension_on_factors(star2, (2, 3), 3) == 2
     assert dimension_on_factors(star2, (3, 2), 3) == 2
+
+
+def test_dimension_on_factors_rejects_non_integer():
+    third = PartitionSeries(TruncationPolicy(1, 1), {((1,),): Fraction(1, 3)})
+    with pytest.raises(ConsistencyError):
+        dimension_on_factors(third, (1,), 1)
 
 
 def test_monomial_degree_mixed_is_none():
