@@ -177,6 +177,16 @@ def _check_capacity(dims: Dims, pieces, capacity: int) -> None:
         )
 
 
+def _slice(dims: Dims, p: int, d: int, capacity: int):
+    """The three pieces (ring degree, wedge degree) of the bidegree (p, d)
+    slice, and their terms, after the argument and capacity checks."""
+    if p < 0 or d < 0:
+        raise ValueError("p and d must be non-negative")
+    pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
+    _check_capacity(dims, pieces, capacity)
+    return pieces, [_Term(dims, i, j) for i, j in pieces]
+
+
 def _differential_matrix(
     source: dict[tuple[RingElem, Wedge], int],
     target: dict[tuple[RingElem, Wedge], int],
@@ -196,13 +206,7 @@ def koszul_homology(
 ) -> HomologyReport:
     """Middle homology of the three-term Koszul slice at bidegree (p, d)."""
     dims = check_dims(dims)
-    if p < 0 or d < 0:
-        raise ValueError("p and d must be non-negative")
-    pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
-    _check_capacity(dims, pieces, capacity)
-    left = _Term(dims, *pieces[0])
-    mid = _Term(dims, *pieces[1])
-    right = _Term(dims, *pieces[2])
+    _, (left, mid, right) = _slice(dims, p, d, capacity)
 
     def block_dimension(weight: Weight) -> int:
         mid_block = mid.by_weight[weight]
@@ -320,12 +324,8 @@ class _MergedMap:
             for block in blocks
         ]
         self.merged_dims = tuple(len(bt) for bt in self.block_tuples)
-        fine_order = {idx: pos for pos, idx in enumerate(_tensor_basis(dims))}
-        self._fine_order = fine_order
+        self._fine_order = {idx: pos for pos, idx in enumerate(_tensor_basis(dims))}
         self._n = len(dims)
-        self._positions = [
-            [x for x in block] for block in blocks
-        ]
 
     def fine_tensor_index(self, merged_idx: TensorIndex) -> TensorIndex:
         fine = [0] * self._n
@@ -355,6 +355,16 @@ class _MergedMap:
 
     def fine_weight(self, r: RingElem, wedge: Wedge) -> Weight:
         return _element_weight(self.map_ring(r), self.map_wedge(wedge)[1], self.dims)
+
+    def by_fine_weight(
+        self, term: _Term
+    ) -> dict[Weight, dict[tuple[RingElem, Wedge], int]]:
+        """A merged term's basis grouped by the fine weight of its image."""
+        groups: dict[Weight, dict[tuple[RingElem, Wedge], int]] = {}
+        for elem in term.basis:
+            group = groups.setdefault(self.fine_weight(*elem), {})
+            group[elem] = len(group)
+        return groups
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -386,31 +396,16 @@ def new_syzygy_dimension(
     dims = check_dims(dims)
     if len(dims) < 2:
         raise ValueError("need at least two tensor factors")
-    if p < 0 or d < 0:
-        raise ValueError("p and d must be non-negative")
-    pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
-    _check_capacity(dims, pieces, capacity)
-    left = _Term(dims, *pieces[0])
-    mid = _Term(dims, *pieces[1])
-    right = _Term(dims, *pieces[2])
+    pieces, (left, mid, right) = _slice(dims, p, d, capacity)
 
     merges = []
     for blocks in _nondiscrete_partitions(len(dims)):
         mm = _MergedMap(dims, blocks)
         _check_capacity(mm.merged_dims, pieces[1:], capacity)
-        merged_mid = _Term(mm.merged_dims, *pieces[1])
-        merged_right = _Term(mm.merged_dims, *pieces[2])
-        # regroup the merged middle term by fine weight
-        fine_groups: dict[Weight, dict[tuple[RingElem, Wedge], int]] = {}
-        for elem in merged_mid.basis:
-            w = mm.fine_weight(*elem)
-            group = fine_groups.setdefault(w, {})
-            group[elem] = len(group)
-        right_groups: dict[Weight, dict[tuple[RingElem, Wedge], int]] = {}
-        for elem in merged_right.basis:
-            w = mm.fine_weight(*elem)
-            group = right_groups.setdefault(w, {})
-            group[elem] = len(group)
+        # the merged middle and right terms, regrouped by fine weight
+        fine_groups, right_groups = [
+            mm.by_fine_weight(_Term(mm.merged_dims, i, j)) for i, j in pieces[1:]
+        ]
         merges.append((mm, fine_groups, right_groups))
 
     def block_new_dimension(weight: Weight) -> int:

@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-Ranks are computed by fraction-free (Bareiss) elimination on
-arbitrary-precision integers; kernels by rational Gauss-Jordan with the
-result cleared to integer vectors.
+One field elimination, `gauss_jordan`, works over any exact field (Fractions,
+or fractions of polynomials) and serves both integer kernels, whose rational
+basis is cleared to integer vectors, and the recurrence solving of rational
+reconstruction.  Ranks stay separate: `rank` uses fraction-free (Bareiss)
+elimination on arbitrary-precision integers, because it is the Koszul
+oracle's hot path, sees only integer blocks, and needs no division.
 """
 
 from __future__ import annotations
@@ -54,28 +57,35 @@ def rank(matrix: list[list[int]]) -> int:
     return r
 
 
-def nullspace(matrix: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer basis of the right kernel of an integer matrix with ncols columns."""
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
+def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
+    """Reduce rows in place to reduced row echelon form on the first ncols columns.
+
+    Entries lie in an exact field; columns past ncols (an augmented side)
+    are carried along but never pivoted.  Returns the pivot columns: row k
+    has a one at column pivots[k] and zeros there elsewhere, and the rows
+    after the last pivot vanish on the first ncols columns.
+    """
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r][c]
+        rows[r] = row = [x / lead for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], row)]
         pivots.append(c)
-        r += 1
+    return pivots
+
+
+def nullspace(matrix: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of the right kernel of an integer matrix with ncols columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
+    pivots = gauss_jordan(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):

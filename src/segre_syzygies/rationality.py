@@ -12,7 +12,10 @@ Three engines live here:
   coefficient ring, with the denominator degree minimized.
 
 Coefficients are Fractions, or sparse multivariate polynomials over the
-rationals when a series has polynomial coefficients.
+rationals when a series has polynomial coefficients.  One sparse class,
+`MPoly`, serves both as those polynomial coefficients and as the torus
+characters of the Weyl pairing (whose exponents may be negative); one
+division, `_poly_divmod`, serves every univariate quotient and remainder.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import cache
 from math import factorial
 
 from .errors import ConsistencyError
+from .linalg import gauss_jordan
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
@@ -29,7 +33,11 @@ from .partitions import compositions
 
 
 class MPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with Fraction coefficients.
+
+    Exponents may be negative, so the same class holds Laurent polynomials
+    (torus characters); `exact_div` and `leading` assume non-negative ones.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -143,7 +151,7 @@ class MPoly:
         for e in sorted(self.terms, key=lambda t: (sum(t), t)):
             c = self.terms[e]
             factors = [
-                names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k
+                names[i] + (f"^{k}" if k != 1 else "") for i, k in enumerate(e) if k
             ]
             if not factors:
                 bits.append(str(c))
@@ -360,41 +368,34 @@ def _poly_derivative(p):
     return _trim([p[i] * i for i in range(1, len(p))])
 
 
-def _poly_mod_q(a, b):
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b over a field (lists, lowest degree first).
+
+    b must have a non-zero leading coefficient.  Each step does one division
+    and len(b) - 1 multiply-subtracts in place; the leading term, which
+    cancels exactly, is never computed.
+    """
     r = list(a)
-    while r and len(r) >= len(b):
-        lead = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        if lead:
-            for i, c in enumerate(b):
-                r[i + shift] -= lead * c
-        r.pop()
-        r = _trim(r)
-    return r
+    low, lead = b[:-1], b[-1]
+    q = [None] * max(len(r) - len(low), 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + len(low)]
+        if c:
+            c = c / lead
+            for i, y in enumerate(low):
+                r[shift + i] -= c * y
+        q[shift] = c
+    return _trim(q), _trim(r[: len(low)])
 
 
 def _poly_gcd_q(a, b):
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _poly_mod_q(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     if a:
         inv = 1 / a[-1]
         a = [c * inv for c in a]
     return a
-
-
-def _poly_exact_div_q(a, b):
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coeff = a[i + len(b) - 1] / b[-1]
-        out[i] = coeff
-        if coeff:
-            for j, c in enumerate(b):
-                a[i + j] -= coeff * c
-    if _trim(a):
-        raise ConsistencyError("polynomial division was not exact")
-    return _trim(out)
 
 
 class RationalFunction:
@@ -418,8 +419,9 @@ class RationalFunction:
         if ring is QQ and num:
             g = _poly_gcd_q(num, den)
             if len(g) > 1:
-                num = _poly_exact_div_q(num, g)
-                den = _poly_exact_div_q(den, g)
+                (num, rn), (den, rd) = _poly_divmod(num, g), _poly_divmod(den, g)
+                if rn or rd:
+                    raise ConsistencyError("polynomial division was not exact")
         if den[0] != ring.one:
             num, den = self._normalize_unit(num, den)
         self.num = num
@@ -604,108 +606,38 @@ def _binomial_in_total(c: int, offset: int, nvars: int) -> dict:
 def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:
     """Multiplicities of (1 - a t) factors, a = 1..d, in the denominator.
 
-    Raises if anything else divides the denominator.
+    Raises ConsistencyError if anything else divides the denominator.
     """
     den = list(rf.den)
     factors: dict[int, int] = {}
     for a in range(1, d + 1):
         while len(den) > 1:
-            quotient, rem = _divmod_linear(den, a)
+            quotient, rem = _poly_divmod(den, [1, -a])
             if rem:
                 break
             den = quotient
             factors[a] = factors.get(a, 0) + 1
     if len(den) != 1:
-        raise ValueError(f"denominator has unexpected factors: {den}")
+        raise ConsistencyError(f"denominator has unexpected factors: {den}")
     return factors
-
-
-def _divmod_linear(p, a: int):
-    """Divide p by (1 - a t); returns (quotient, remainder constant)."""
-    n = len(p) - 1
-    quotient = [Fraction(0)] * n
-    quotient[n - 1] = p[n] / Fraction(-a)
-    for i in range(n - 1, 0, -1):
-        quotient[i - 1] = (quotient[i] - p[i]) / Fraction(a)
-    rem = p[0] - quotient[0]
-    return _trim(quotient), rem
 
 
 # ---------------------------------------------------------------------------
 # torus constant terms and the Weyl pairing
 
 
-class LaurentPolynomial:
-    """Finite Fraction-combination of torus characters (integer exponents)."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for expo, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    expo = tuple(int(x) for x in expo)
-                    if len(expo) != nvars:
-                        raise ValueError("exponent arity mismatch")
-                    cleaned[expo] = c
-        self.terms = cleaned
-
-    @staticmethod
-    def one(nvars: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(nvars, {(0,) * nvars: Fraction(1)})
-
-    @staticmethod
-    def monomial(nvars: int, expo, c=1) -> "LaurentPolynomial":
-        return LaurentPolynomial(nvars, {tuple(expo): Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPolynomial(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(self.nvars, out)
-
-    def scale(self, c):
-        return LaurentPolynomial(
-            self.nvars, {e: v * Fraction(c) for e, v in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"LaurentPolynomial({self.nvars}, {self.terms})"
-
-
-def torus_constant_term(x: LaurentPolynomial) -> Fraction:
+def torus_constant_term(x: MPoly) -> Fraction:
     """Coefficient of the trivial character."""
     return x.terms.get((0,) * x.nvars, Fraction(0))
 
 
-def discriminant_squared(d: int) -> LaurentPolynomial:
+def discriminant_squared(d: int) -> MPoly:
     """Product over i<j of (a_i - a_j) times the same with inverted variables."""
-    result = LaurentPolynomial.one(d)
+    result = MPoly.constant(d, 1)
     for i in range(d):
         for j in range(i + 1, d):
             for sign in (1, -1):
-                diff = LaurentPolynomial(
+                diff = MPoly(
                     d,
                     {
                         tuple(sign if k == i else 0 for k in range(d)): Fraction(1),
@@ -745,15 +677,13 @@ def weyl_series(d: int, torus_coeffs, num_terms: int | None = None) -> list[Frac
     return out
 
 
-def geometric_torus_coefficients(d: int, n_terms: int) -> list[LaurentPolynomial]:
+def geometric_torus_coefficients(d: int, n_terms: int) -> list[MPoly]:
     """Torus coefficients of the standard polynomial algebra on d characters:
     coefficient n is the sum of all degree-n monomials."""
-    out = []
-    for n in range(n_terms):
-        out.append(
-            LaurentPolynomial(d, {expo: Fraction(1) for expo in compositions(n, d)})
-        )
-    return out
+    return [
+        MPoly(d, {expo: Fraction(1) for expo in compositions(n, d)})
+        for n in range(n_terms)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -797,38 +727,16 @@ def rational_reconstruct(coeffs, max_den_degree: int, ring=None):
 
 def _solve_recurrence(fc, mp, window, ring):
     """Solve f_j = sum_i alpha_i f_{j-i} on the window; None if inconsistent."""
-    if mp == 0:
-        return [] if all(not fc[j] for j in window) else None
     rows = [
         [fc[j - i] for i in range(1, mp + 1)] + [fc[j]]
         for j in window
     ]
-    pivots = []
-    r = 0
-    for c in range(mp):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1]:
-            return None
-    zero = ring.to_field(ring.zero)
-    solution = [zero] * mp
-    for row_idx, c in enumerate(pivots):
-        solution[c] = rows[row_idx][-1]
+    pivots = gauss_jordan(rows, mp)
+    if any(row[-1] for row in rows[len(pivots) :]):
+        return None
+    solution = [ring.to_field(ring.zero)] * mp
+    for row, c in zip(rows, pivots):
+        solution[c] = row[-1]
     return solution
 
 
@@ -838,10 +746,4 @@ def divides_up_to_unit(den, target, ring) -> bool:
     target_f = _trim([ring.to_field(c) for c in target])
     if not den_f:
         return False
-    while target_f and len(target_f) >= len(den_f):
-        lead = target_f[-1] / den_f[-1]
-        shift = len(target_f) - len(den_f)
-        for i, c in enumerate(den_f):
-            target_f[i + shift] = target_f[i + shift] - lead * c
-        target_f = _trim(target_f)
-    return not target_f
+    return not _poly_divmod(target_f, den_f)[1]

@@ -5,8 +5,8 @@ from math import prod
 
 import pytest
 
+from segre_syzygies.errors import ConsistencyError
 from segre_syzygies.rationality import (
-    LaurentPolynomial,
     MFrac,
     MPoly,
     PolynomialRing,
@@ -109,24 +109,30 @@ def test_sumlem_pole_locations():
                 assert all(1 <= a <= d for a in factors)
 
 
+def test_pole_factors_reject_unexpected_denominator():
+    # 1 + t^2 has no factor 1 - a t with a real, let alone a in 1..d
+    with pytest.raises(ConsistencyError):
+        denominator_pole_factors(RationalFunction([1], [1, 0, 1]), 2)
+
+
 def test_torus_constant_term():
-    assert torus_constant_term(LaurentPolynomial.one(2)) == 1
-    assert torus_constant_term(LaurentPolynomial.monomial(2, (1, -1))) == 0
-    x = LaurentPolynomial(2, {(1, 0): 1, (0, 1): -1})
-    xbar = LaurentPolynomial(2, {(-1, 0): 1, (0, -1): -1})
+    assert torus_constant_term(MPoly.constant(2, 1)) == 1
+    assert torus_constant_term(MPoly(2, {(1, -1): 1})) == 0
+    x = MPoly(2, {(1, 0): 1, (0, 1): -1})
+    xbar = MPoly(2, {(-1, 0): 1, (0, -1): -1})
     assert torus_constant_term(x * xbar) == 2
     assert torus_constant_term(discriminant_squared(2)) == 2
 
 
 def test_torus_constant_term_linearity_and_orthogonality():
-    a = LaurentPolynomial.monomial(3, (1, 0, -1), Fraction(2, 3))
-    b = LaurentPolynomial.monomial(3, (0, 0, 0), Fraction(7))
+    a = MPoly(3, {(1, 0, -1): Fraction(2, 3)})
+    b = MPoly(3, {(0, 0, 0): Fraction(7)})
     assert torus_constant_term(a + b) == torus_constant_term(a) + torus_constant_term(b)
     for e1 in [(1, 0, 0), (1, -1, 0), (2, 1, -1)]:
-        m1 = LaurentPolynomial.monomial(3, e1)
-        neg = LaurentPolynomial.monomial(3, tuple(-x for x in e1))
+        m1 = MPoly(3, {e1: 1})
+        neg = MPoly(3, {tuple(-x for x in e1): 1})
         assert torus_constant_term(m1 * neg) == 1
-        other = LaurentPolynomial.monomial(3, (0, 1, 0))
+        other = MPoly(3, {(0, 1, 0): 1})
         assert torus_constant_term(m1 * other) == (
             1 if tuple(x + y for x, y in zip(e1, (0, 1, 0))) == (0, 0, 0) else 0
         )
@@ -139,7 +145,7 @@ def test_weyl_series_exponential_module():
 
 
 def test_weyl_series_finite_module():
-    one = [LaurentPolynomial.one(1), LaurentPolynomial(1), LaurentPolynomial(1)]
+    one = [MPoly.constant(1, 1), MPoly(1), MPoly(1)]
     assert weyl_series(1, one, 3) == [Fraction(1), Fraction(0), Fraction(0)]
 
 
@@ -152,7 +158,7 @@ def doubled_torus_coeffs(d, n_terms):
         for v in itertools.product(range(n + 1), repeat=d):
             if sum(v) == n:
                 terms[v] = prod(x + 1 for x in v)
-        out.append(LaurentPolynomial(d, terms))
+        out.append(MPoly(d, terms))
     return out
 
 
@@ -223,6 +229,9 @@ def test_mpoly_arithmetic():
     assert (p * p).exact_div(p) == p
     assert p.exact_div(s + 1) is None
     assert str(s * s - w * w) in ("s^2 - w^2", "-w^2 + s^2")
+    # torus characters: every exponent other than one is printed
+    assert str(MPoly(1, {(-1,): 1})) == "s^-1"
+    assert str(MPoly(2, {(-2, 1): 3})) == "3*s^-2*w"
 
 
 def test_mfrac_reduction():
