@@ -3,14 +3,26 @@
 The degree-d part of the p-th syzygy space is the middle homology of the
 three-term slice of the Koszul complex over the ambient polynomial ring,
 with terms built from graded pieces of the Segre coordinate ring tensored
-with exterior powers of the space of degree-one coordinates.  The whole
-computation is blocked by torus weight: differentials never mix weights, so
-every rank is taken on a small dense integer block.
+with exterior powers of the space of degree-one coordinates.  Differentials
+never mix torus weights, so the slice splits into one small dense integer
+block per weight, and every rank is taken on such a block.
+
+Each block is built from its weight.  The wedges of each exterior degree are
+grouped by weight once; the block of a piece at weight w pairs each wedge
+whose weight fits under w with the one ring monomial that makes up the
+difference, so the ring basis is never enumerated.  The homology is a
+representation of GL(d_1) x ... x GL(d_n), and factors of equal dimension
+may be swapped, so its weight multiplicities are constant on orbits of the
+Weyl group and of those swaps.  Only canonical dominant weights are computed
+(each factor weakly decreasing, equal-size factors in non-increasing order),
+and the weight table is filled by orbit.
 
 The "new syzygy" computation quotients the homology by everything induced
 from coarser groupings of the tensor factors: for each non-discrete set
 partition of the factors, the merged coordinate ring surjects onto the fine
 one, and the induced chain map carries merged cycles onto the old classes.
+The merged complexes use the same block builder, with their ring monomials
+and wedges grouped by the fine weight of their image.
 """
 
 from __future__ import annotations
@@ -18,18 +30,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
+from operator import sub
 
 from .errors import CapacityError, ConsistencyError
 from .linalg import nullspace, rank
-from .partitions import Partition, compositions, gl_dimension, kostka
+from .partitions import Partition, compositions, gl_dimension, kostka, partitions_of
 
 DEFAULT_CAPACITY = 200_000
 
 Dims = tuple[int, ...]
 Weight = tuple[tuple[int, ...], ...]
-RingElem = tuple[tuple[int, ...], ...]  # one exponent vector per factor
-TensorIndex = tuple[int, ...]  # one basis index per factor
-Wedge = tuple[TensorIndex, ...]  # strictly increasing in lex order
+FlatWeight = tuple[int, ...]  # the factors' rows of a weight, concatenated
+Wedge = tuple[int, ...]  # increasing labels of tensor basis elements
+Element = tuple[tuple[int, ...], Wedge]  # (flat ring exponents, wedge)
+Block = dict[Element, int]  # basis element -> position
 
 
 def check_dims(dims) -> Dims:
@@ -76,129 +90,159 @@ class HomologyReport:
         return "\n".join(lines) + "\n"
 
 
-def _ring_basis(dims: Dims, i: int) -> list[RingElem]:
-    if i < 0:
-        return []
-    factors = [list(compositions(i, d)) for d in dims]
-    return [tuple(combo) for combo in itertools.product(*factors)]
+class _Complex:
+    """The Koszul complex of a Segre ring, with its bases grouped by fine weight.
 
+    Tensor basis elements are labelled by lexicographic position.  Label k is
+    the degree-one coordinate whose exponents sit at `positions[k]` of a flat
+    ring exponent vector (one per factor) and whose fine weight sits at
+    `weight_positions[k]`.  In the fine complex the two agree, so a ring
+    monomial is its own weight.
+    """
 
-def _tensor_basis(dims: Dims) -> list[TensorIndex]:
-    return [tuple(t) for t in itertools.product(*(range(d) for d in dims))]
-
-
-def _wedge_basis(tensor: list[TensorIndex], j: int) -> list[Wedge]:
-    if j < 0 or j > len(tensor):
-        return []
-    return [tuple(c) for c in itertools.combinations(tensor, j)]
-
-
-def _tensor_weight(idx: TensorIndex, dims: Dims) -> Weight:
-    return tuple(
-        tuple(1 if a == idx[f] else 0 for a in range(dims[f])) for f in range(len(dims))
-    )
-
-
-def _add_weights(a: Weight, b: Weight) -> Weight:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _element_weight(r: RingElem, wedge: Wedge, dims: Dims) -> Weight:
-    w: Weight = tuple(tuple(v) for v in r)
-    for idx in wedge:
-        w = _add_weights(w, _tensor_weight(idx, dims))
-    return w
-
-
-def _multiply_variable(r: RingElem, idx: TensorIndex) -> RingElem:
-    return tuple(
-        tuple(v + 1 if a == idx[f] else v for a, v in enumerate(row))
-        for f, row in enumerate(r)
-    )
-
-
-def differential_terms(r: RingElem, wedge: Wedge):
-    """Koszul differential of a basis element, as (sign, ring-part, wedge-part)."""
-    for t in range(len(wedge)):
-        sign = 1 if t % 2 == 0 else -1
-        yield sign, _multiply_variable(r, wedge[t]), wedge[:t] + wedge[t + 1 :]
-
-
-def _wedge_weight(wedge: Wedge, dims: Dims) -> Weight:
-    counts = [[0] * d for d in dims]
-    for idx in wedge:
-        for f, a in enumerate(idx):
-            counts[f][a] += 1
-    return tuple(tuple(v) for v in counts)
-
-
-class _Term:
-    """One graded piece of the complex, with its basis grouped by weight."""
-
-    def __init__(self, dims: Dims, i: int, j: int):
+    def __init__(self, dims: Dims, capacity: int):
         self.dims = dims
-        self.i = i
-        self.j = j
-        self.basis: list[tuple[RingElem, Wedge]] = []
-        self.by_weight: dict[Weight, dict[tuple[RingElem, Wedge], int]] = {}
-        tensor = _tensor_basis(dims)
-        if i < 0 or j < 0 or j > len(tensor):
-            return
-        ring = _ring_basis(dims, i)
-        wedge_weights = [
-            (wedge, _wedge_weight(wedge, dims)) for wedge in _wedge_basis(tensor, j)
+        self.capacity = capacity
+        offsets = list(itertools.accumulate(dims, initial=0))
+        self.positions = [
+            tuple(offsets[f] + a for f, a in enumerate(idx))
+            for idx in itertools.product(*(range(n) for n in dims))
         ]
-        append = self.basis.append
-        for r in ring:
-            for wedge, ww in wedge_weights:
-                elem = (r, wedge)
-                append(elem)
-                w = _add_weights(r, ww)
-                group = self.by_weight.setdefault(w, {})
-                group[elem] = len(group)
+        self.weight_positions = self.positions
+        self.width = offsets[-1]
+        self._wedges: dict[int, dict[FlatWeight, list[Wedge]]] = {}
 
-    def size(self) -> int:
-        return len(self.basis)
+    def _check_capacity(self, what: str, size: int) -> None:
+        if size > self.capacity:
+            raise CapacityError(
+                f"{what} has {size} elements, over capacity {self.capacity} "
+                f"for dims {self.dims}"
+            )
 
+    def live(self, i: int, j: int) -> bool:
+        return i >= 0 and 0 <= j <= len(self.positions)
 
-def _term_size(dims: Dims, i: int, j: int) -> int:
-    n_tensor = prod(dims)
-    if i < 0 or j < 0 or j > n_tensor:
-        return 0
-    return graded_ring_dimension(dims, i) * comb(n_tensor, j)
+    def prepare(self, pieces) -> None:
+        """Build the tables of the non-empty pieces, checking their sizes."""
+        for i, j in pieces:
+            if self.live(i, j):
+                self.wedge_table(j)
 
+    def wedge_table(self, j: int) -> dict[FlatWeight, list[Wedge]]:
+        """The wedges of degree j, grouped by fine weight."""
+        if j not in self._wedges:
+            self._check_capacity(f"wedge table of degree {j}", comb(len(self.positions), j))
+            table: dict[FlatWeight, list[Wedge]] = {}
+            for wedge in itertools.combinations(range(len(self.positions)), j):
+                w = [0] * self.width
+                for k in wedge:
+                    for q in self.weight_positions[k]:
+                        w[q] += 1
+                table.setdefault(tuple(w), []).append(wedge)
+            self._wedges[j] = table
+        return self._wedges[j]
 
-def _check_capacity(dims: Dims, pieces, capacity: int) -> None:
-    sizes = {(i, j): _term_size(dims, i, j) for i, j in pieces}
-    too_big = {k: v for k, v in sizes.items() if v > capacity}
-    if too_big:
-        raise CapacityError(
-            f"graded pieces exceed capacity {capacity} for dims {dims}: {too_big}"
-        )
+    def rings(self, i: int, weight: FlatWeight):
+        """The ring monomials of degree i and the given fine weight."""
+        return (weight,) if min(weight) >= 0 else ()
+
+    def block(self, i: int, j: int, weight: FlatWeight) -> Block:
+        """The basis of piece (i, j) at a fine weight, numbered in order."""
+        if not self.live(i, j):
+            return {}
+        block: Block = {}
+        for ww, wedges in self.wedge_table(j).items():
+            for r in self.rings(i, tuple(map(sub, weight, ww))):
+                for wedge in wedges:
+                    block[(r, wedge)] = len(block)
+        self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
+        return block
+
+    def differential(self, source: Block, target: Block) -> list[list[int]]:
+        """Dense matrix of the Koszul differential from a block to the block
+        of the next piece at the same weight."""
+        rows = [[0] * len(source) for _ in range(len(target))]
+        for (r, wedge), col in source.items():
+            for t, k in enumerate(wedge):
+                bumped = list(r)
+                for q in self.positions[k]:
+                    bumped[q] += 1
+                row = target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]
+                rows[row][col] += -1 if t % 2 else 1
+        return rows
 
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
     """The three pieces (ring degree, wedge degree) of the bidegree (p, d)
-    slice, and their terms, after the argument and capacity checks."""
+    slice and the fine complex, after the argument and capacity checks."""
     if p < 0 or d < 0:
         raise ValueError("p and d must be non-negative")
     pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
-    _check_capacity(dims, pieces, capacity)
-    return pieces, [_Term(dims, i, j) for i, j in pieces]
+    fine = _Complex(dims, capacity)
+    fine.prepare(pieces)
+    return pieces, fine
 
 
-def _differential_matrix(
-    source: dict[tuple[RingElem, Wedge], int],
-    target: dict[tuple[RingElem, Wedge], int],
-) -> list[list[int]]:
-    """Dense matrix of the Koszul differential between two weight blocks."""
-    rows = [[0] * len(source) for _ in range(len(target))]
-    for (r, wedge), col in source.items():
-        for sign, new_r, rest in differential_terms(r, wedge):
-            row = target.get((new_r, rest))
-            if row is not None:
-                rows[row][col] += sign
-    return rows
+def _block_homology(fine: _Complex, pieces, weight: FlatWeight) -> int:
+    """Dimension of the middle homology of the slice at one weight."""
+    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
+    if not mid:
+        return 0
+    out_rank = rank(fine.differential(mid, right))
+    in_rank = rank(fine.differential(left, mid))
+    h = len(mid) - out_rank - in_rank
+    if h < 0:
+        raise ConsistencyError(f"negative homology dimension at weight {weight}")
+    return h
+
+
+def _canonical_weights(dims: Dims, d: int):
+    """Weights with every factor a partition of d, padded to the factor's
+    dimension, and equal-size factors in non-increasing order."""
+    rows = [[lam + (0,) * (n - len(lam)) for lam in partitions_of(d, n)] for n in dims]
+    later = [
+        next((g for g in range(f + 1, len(dims)) if dims[g] == dims[f]), None)
+        for f in range(len(dims))
+    ]
+    for weight in itertools.product(*rows):
+        if all(g is None or weight[f] >= weight[g] for f, g in enumerate(later)):
+            yield weight
+
+
+def _arrangements(items):
+    """The distinct orderings of a sequence."""
+    if not items:
+        yield ()
+        return
+    for x in sorted(set(items)):
+        rest = list(items)
+        rest.remove(x)
+        for tail in _arrangements(rest):
+            yield (x,) + tail
+
+
+def _orbit(weight: Weight, dims: Dims):
+    """The weights reached by permuting each factor's entries and swapping
+    factors of equal size."""
+    groups = [[f for f, n in enumerate(dims) if n == size] for size in set(dims)]
+    for arranged in itertools.product(*(_arrangements([weight[f] for f in g]) for g in groups)):
+        rows = [()] * len(dims)
+        for g, group_rows in zip(groups, arranged):
+            for f, row in zip(g, group_rows):
+                rows[f] = row
+        yield from itertools.product(*(_arrangements(row) for row in rows))
+
+
+def _weight_table(dims: Dims, d: int, value) -> dict[Weight, int]:
+    """Non-zero values of an orbit-invariant weight function, computed at the
+    canonical dominant weights of total d per factor, in weight order."""
+    table = {}
+    for weight in _canonical_weights(dims, d):
+        v = value(tuple(itertools.chain.from_iterable(weight)))
+        if v:
+            for image in _orbit(weight, dims):
+                table[image] = v
+    return dict(sorted(table.items()))
 
 
 def koszul_homology(
@@ -206,22 +250,8 @@ def koszul_homology(
 ) -> HomologyReport:
     """Middle homology of the three-term Koszul slice at bidegree (p, d)."""
     dims = check_dims(dims)
-    _, (left, mid, right) = _slice(dims, p, d, capacity)
-
-    def block_dimension(weight: Weight) -> int:
-        mid_block = mid.by_weight[weight]
-        out_rank = rank(
-            _differential_matrix(mid_block, right.by_weight.get(weight, {}))
-        )
-        in_rank = rank(
-            _differential_matrix(left.by_weight.get(weight, {}), mid_block)
-        )
-        h = len(mid_block) - out_rank - in_rank
-        if h < 0:
-            raise ConsistencyError(f"negative homology dimension at weight {weight}")
-        return h
-
-    weight_table = {w: h for w in sorted(mid.by_weight) if (h := block_dimension(w))}
+    pieces, fine = _slice(dims, p, d, capacity)
+    weight_table = _weight_table(dims, d, lambda w: _block_homology(fine, pieces, w))
     decomposition = schur_extract(weight_table, dims)
     dimension = sum(weight_table.values())
     check = sum(
@@ -307,64 +337,74 @@ def _nondiscrete_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-class _MergedMap:
-    """Chain map from the complex of a merged grouping into the fine complex.
+class _MergedMap(_Complex):
+    """The complex of a merged grouping, with its chain map into the fine complex.
 
     Each merged factor is a tensor product of fine factors; its basis is
     enumerated by lexicographic tuples, so every merged basis datum decodes
     to fine data.  On ring elements the map expands merged monomials
     factor-wise; on wedge elements it relabels and sorts, tracking parity.
+    Ring monomials and wedges are grouped by the fine weight of their image.
     """
 
-    def __init__(self, dims: Dims, blocks: tuple[tuple[int, ...], ...]):
-        self.dims = dims
-        self.blocks = blocks
-        self.block_tuples = [
-            [tuple(t) for t in itertools.product(*(range(dims[x]) for x in block))]
-            for block in blocks
+    def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
+        dims = fine.dims
+        block_tuples = [
+            list(itertools.product(*(range(dims[x]) for x in block))) for block in blocks
         ]
-        self.merged_dims = tuple(len(bt) for bt in self.block_tuples)
-        self._fine_order = {idx: pos for pos, idx in enumerate(_tensor_basis(dims))}
-        self._n = len(dims)
+        super().__init__(tuple(len(bt) for bt in block_tuples), fine.capacity)
+        offsets = list(itertools.accumulate(dims, initial=0))
+        # the fine weight positions of each merged ring coordinate
+        self.coordinate_images = [
+            tuple(offsets[x] + a for x, a in zip(block, t))
+            for block, tuples in zip(blocks, block_tuples)
+            for t in tuples
+        ]
+        strides = [prod(dims[x + 1 :]) for x in range(len(dims))]
+        self.fine_labels = [
+            sum(
+                a * strides[x]
+                for block, tuples, m in zip(blocks, block_tuples, idx)
+                for x, a in zip(block, tuples[m])
+            )
+            for idx in itertools.product(*(range(n) for n in self.dims))
+        ]
+        self.weight_positions = [fine.positions[k] for k in self.fine_labels]
+        self.width = fine.width
+        self._rings: dict[int, dict[FlatWeight, list[tuple[int, ...]]]] = {}
 
-    def fine_tensor_index(self, merged_idx: TensorIndex) -> TensorIndex:
-        fine = [0] * self._n
-        for b, i in enumerate(merged_idx):
-            for x, a in zip(self.blocks[b], self.block_tuples[b][i]):
-                fine[x] = a
+    def prepare(self, pieces) -> None:
+        super().prepare(pieces)
+        for i, j in pieces:
+            if self.live(i, j):
+                self.ring_table(i)
+
+    def ring_table(self, i: int) -> dict[FlatWeight, list[tuple[int, ...]]]:
+        """The merged ring monomials of degree i, grouped by fine weight."""
+        if i not in self._rings:
+            self._check_capacity(f"ring table of degree {i}", graded_ring_dimension(self.dims, i))
+            table: dict[FlatWeight, list[tuple[int, ...]]] = {}
+            for combo in itertools.product(*(compositions(i, n) for n in self.dims)):
+                r = tuple(itertools.chain.from_iterable(combo))
+                table.setdefault(self.map_ring(r), []).append(r)
+            self._rings[i] = table
+        return self._rings[i]
+
+    def rings(self, i: int, weight: FlatWeight):
+        return self.ring_table(i).get(weight, ())
+
+    def map_ring(self, r: tuple[int, ...]) -> FlatWeight:
+        fine = [0] * self.width
+        for c, e in enumerate(r):
+            if e:
+                for q in self.coordinate_images[c]:
+                    fine[q] += e
         return tuple(fine)
 
-    def map_ring(self, r: RingElem) -> RingElem:
-        fine = [[0] * d for d in self.dims]
-        for b, expo in enumerate(r):
-            for i, e in enumerate(expo):
-                if e:
-                    for x, a in zip(self.blocks[b], self.block_tuples[b][i]):
-                        fine[x][a] += e
-        return tuple(tuple(v) for v in fine)
-
-    def map_wedge(self, wedge: Wedge) -> tuple[int, Wedge]:
-        images = [self.fine_tensor_index(idx) for idx in wedge]
-        keyed = sorted(range(len(images)), key=lambda t: self._fine_order[images[t]])
-        sign = _permutation_sign(keyed)
-        return sign, tuple(images[t] for t in keyed)
-
-    def map_element(self, r: RingElem, wedge: Wedge) -> tuple[int, RingElem, Wedge]:
-        sign, fine_wedge = self.map_wedge(wedge)
-        return sign, self.map_ring(r), fine_wedge
-
-    def fine_weight(self, r: RingElem, wedge: Wedge) -> Weight:
-        return _element_weight(self.map_ring(r), self.map_wedge(wedge)[1], self.dims)
-
-    def by_fine_weight(
-        self, term: _Term
-    ) -> dict[Weight, dict[tuple[RingElem, Wedge], int]]:
-        """A merged term's basis grouped by the fine weight of its image."""
-        groups: dict[Weight, dict[tuple[RingElem, Wedge], int]] = {}
-        for elem in term.basis:
-            group = groups.setdefault(self.fine_weight(*elem), {})
-            group[elem] = len(group)
-        return groups
+    def map_element(self, r: tuple[int, ...], wedge: Wedge) -> tuple[int, Element]:
+        images = [self.fine_labels[k] for k in wedge]
+        keyed = sorted(range(len(images)), key=images.__getitem__)
+        return _permutation_sign(keyed), (self.map_ring(r), tuple(images[t] for t in keyed))
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -384,6 +424,54 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
+def _merged_maps(fine: _Complex, pieces) -> list[_MergedMap]:
+    """The merged complexes of every non-discrete grouping, with the tables
+    of the slice's middle and right pieces built."""
+    merges = []
+    for blocks in _nondiscrete_partitions(len(fine.dims)):
+        mm = _MergedMap(fine, blocks)
+        mm.prepare(pieces[1:])
+        merges.append(mm)
+    return merges
+
+
+def _block_new_dimension(
+    fine: _Complex, pieces, merges: list[_MergedMap], weight: FlatWeight
+) -> int:
+    """Dimension of the new syzygies at one weight: cycles modulo boundaries
+    and the images of merged cycles."""
+    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
+    if not mid:
+        return 0
+    cycles = nullspace(fine.differential(mid, right), len(mid))
+    if not cycles:
+        return 0
+    # boundaries, as vectors in the middle block
+    old_columns = [list(col) for col in zip(*fine.differential(left, mid))]
+    for mm in merges:
+        source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
+        if not source:
+            continue
+        merged_cycles = nullspace(mm.differential(source, target), len(source))
+        if not merged_cycles:
+            continue
+        images = []
+        for elem in source:
+            sign, image = mm.map_element(*elem)
+            images.append((sign, mid[image]))
+        for vec in merged_cycles:
+            out = [0] * len(mid)
+            for (sign, row), value in zip(images, vec):
+                if value:
+                    out[row] += sign * value
+            old_columns.append(out)
+    # the columns taken as rows: the rank is the same
+    new_dim = len(cycles) - rank(old_columns)
+    if new_dim < 0:
+        raise ConsistencyError(f"old classes exceed cycles at weight {weight}")
+    return new_dim
+
+
 def new_syzygy_dimension(
     dims, p: int, d: int, capacity: int = DEFAULT_CAPACITY
 ) -> tuple[int, dict[tuple[Partition, ...], int]]:
@@ -396,59 +484,9 @@ def new_syzygy_dimension(
     dims = check_dims(dims)
     if len(dims) < 2:
         raise ValueError("need at least two tensor factors")
-    pieces, (left, mid, right) = _slice(dims, p, d, capacity)
-
-    merges = []
-    for blocks in _nondiscrete_partitions(len(dims)):
-        mm = _MergedMap(dims, blocks)
-        _check_capacity(mm.merged_dims, pieces[1:], capacity)
-        # the merged middle and right terms, regrouped by fine weight
-        fine_groups, right_groups = [
-            mm.by_fine_weight(_Term(mm.merged_dims, i, j)) for i, j in pieces[1:]
-        ]
-        merges.append((mm, fine_groups, right_groups))
-
-    def block_new_dimension(weight: Weight) -> int:
-        mid_block = mid.by_weight[weight]
-        out_rank_matrix = _differential_matrix(
-            mid_block, right.by_weight.get(weight, {})
-        )
-        cycles = nullspace(out_rank_matrix, len(mid_block))
-        if not cycles:
-            return 0
-        boundary_matrix = _differential_matrix(
-            left.by_weight.get(weight, {}), mid_block
-        )
-        old_columns: list[list[int]] = []
-        # boundaries, as vectors in the middle block
-        ncols_in = len(left.by_weight.get(weight, {}))
-        for col in range(ncols_in):
-            old_columns.append([boundary_matrix[row][col] for row in range(len(mid_block))])
-        for mm, fine_groups, right_groups in merges:
-            source = fine_groups.get(weight, {})
-            if not source:
-                continue
-            merged_out = _differential_matrix(source, right_groups.get(weight, {}))
-            merged_cycles = nullspace(merged_out, len(source))
-            if not merged_cycles:
-                continue
-            images = {}
-            for elem, col in source.items():
-                sign, r, wedge = mm.map_element(*elem)
-                images[col] = (sign, mid_block[(r, wedge)])
-            for vec in merged_cycles:
-                out = [0] * len(mid_block)
-                for col, value in enumerate(vec):
-                    if value:
-                        sign, row = images[col]
-                        out[row] += sign * value
-                old_columns.append(out)
-        old_rank = rank([[col[i] for col in old_columns] for i in range(len(mid_block))])
-        new_dim = len(cycles) - old_rank
-        if new_dim < 0:
-            raise ConsistencyError(f"old classes exceed cycles at weight {weight}")
-        return new_dim
-
-    table = {w: v for w in sorted(mid.by_weight) if (v := block_new_dimension(w))}
-    decomposition = schur_extract(table, dims)
-    return sum(table.values()), decomposition
+    pieces, fine = _slice(dims, p, d, capacity)
+    merges = _merged_maps(fine, pieces)
+    table = _weight_table(
+        dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w)
+    )
+    return sum(table.values()), schur_extract(table, dims)

@@ -1,12 +1,19 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from segre_syzygies.errors import CapacityError, ConsistencyError
 from segre_syzygies.koszul import (
-    _Term,
-    differential_terms,
+    DEFAULT_CAPACITY,
+    _block_homology,
+    _block_new_dimension,
+    _Complex,
+    _merged_maps,
+    _MergedMap,
+    _nondiscrete_partitions,
+    _slice,
     graded_ring_dimension,
     koszul_homology,
     new_syzygy_dimension,
@@ -14,17 +21,35 @@ from segre_syzygies.koszul import (
     set_partitions,
 )
 from segre_syzygies.linalg import nullspace, rank
-from segre_syzygies.partitions import gl_dimension
+from segre_syzygies.partitions import compositions, gl_dimension
 
 
-def apply_differential(terms):
-    """One sparse Koszul differential step on a dict of basis element -> coeff."""
-    out = {}
-    for (r, wedge), coeff in terms.items():
-        for sign, nr, rest in differential_terms(r, wedge):
-            key = (nr, rest)
-            out[key] = out.get(key, 0) + sign * coeff
-    return {k: v for k, v in out.items() if v}
+def all_weights(dims, total):
+    """Every flat weight whose factors each sum to total."""
+    for rows in itertools.product(*(compositions(total, n) for n in dims)):
+        yield tuple(itertools.chain.from_iterable(rows))
+
+
+def nest(flat, dims):
+    out, start = [], 0
+    for n in dims:
+        out.append(tuple(flat[start : start + n]))
+        start += n
+    return tuple(out)
+
+
+def matmul(a, b, inner):
+    cols = len(b[0]) if b else 0
+    return [[sum(a[r][k] * b[k][c] for k in range(inner)) for c in range(cols)] for r in range(len(a))]
+
+
+def map_matrix(mm, merged_block, fine_block):
+    """The merged-to-fine chain map between two blocks at one fine weight."""
+    m = [[0] * len(merged_block) for _ in range(len(fine_block))]
+    for elem, col in merged_block.items():
+        sign, image = mm.map_element(*elem)
+        m[fine_block[image]][col] += sign
+    return m
 
 
 def test_graded_ring_dimension():
@@ -35,14 +60,19 @@ def test_graded_ring_dimension():
 
 
 def test_differential_squares_to_zero():
+    # every basis element of piece (i, j), as the union of its weight blocks
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
+        cx = _Complex(dims, DEFAULT_CAPACITY)
         for i in range(0, 3):
             for j in range(2, 4):
-                source = _Term(dims, i, j)
-                for elem in source.basis:
-                    once = apply_differential({elem: 1})
-                    twice = apply_differential(once)
-                    assert twice == {}, (dims, i, j, elem)
+                seen = set()
+                for w in all_weights(dims, i + j):
+                    source, mid, target = (cx.block(i + k, j - k, w) for k in range(3))
+                    seen.update(source)
+                    once = cx.differential(source, mid)
+                    twice = matmul(cx.differential(mid, target), once, len(mid))
+                    assert all(not any(row) for row in twice), (dims, i, j, w)
+                assert len(seen) == graded_ring_dimension(dims, i) * comb(len(cx.positions), j)
 
 
 def test_ground_truth_p1():
@@ -100,6 +130,54 @@ def test_weight_table_symmetry():
                 swapped[a], swapped[b] = swapped[b], swapped[a]
                 permuted = weight[:f] + (tuple(swapped),) + weight[f + 1 :]
                 assert report.weight_table.get(permuted, 0) == mult
+
+
+def symmetry_guard_cases():
+    # criterion 6 and 7's grid, then three larger dims at p = 2, 3 in the
+    # first two degrees of the support ((2, 2, 3) at p = 3, d = 6 alone
+    # would take seconds at every weight)
+    for p in (1, 2):
+        for n in (1, 2, 3):
+            for dims in itertools.product((1, 2), repeat=n):
+                for d in range(0, 2 * p + 3):
+                    yield dims, p, d
+    for dims in [(2, 3), (3, 3), (2, 2, 3)]:
+        for p in (2, 3):
+            for d in (p + 1, p + 2):
+                yield dims, p, d
+
+
+def test_weight_table_matches_every_block():
+    # the report computes dominant weights only and fills the rest by orbit;
+    # here every weight of the middle piece is computed directly
+    for dims, p, d in symmetry_guard_cases():
+        report = koszul_homology(dims, p, d)
+        pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
+        direct = {}
+        for w in all_weights(dims, d):
+            h = _block_homology(fine, pieces, w)
+            if h:
+                direct[nest(w, dims)] = h
+        assert direct == report.weight_table, (dims, p, d)
+
+
+def test_new_syzygies_agree_at_non_dominant_weights():
+    for dims in [(2, 3), (2, 2, 2)]:
+        pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
+        merges = _merged_maps(fine, pieces)
+        direct = {}
+        for w in all_weights(dims, 3):
+            v = _block_new_dimension(fine, pieces, merges, w)
+            nested = nest(w, dims)
+            if v:
+                direct[nested] = v
+            dominant = tuple(tuple(sorted(row, reverse=True)) for row in nested)
+            if dominant != nested:
+                flat = tuple(itertools.chain.from_iterable(dominant))
+                assert v == _block_new_dimension(fine, pieces, merges, flat), (dims, w)
+        dim, decomp = new_syzygy_dimension(dims, 2, 3)
+        assert sum(direct.values()) == dim
+        assert schur_extract(direct, dims) == decomp
 
 
 def test_factor_permutation_equivariance():
@@ -203,27 +281,27 @@ def test_new_syzygy_two_factor_generator_covers_three_factors():
 
 
 def test_merged_chain_map_commutes_with_differentials():
-    from segre_syzygies.koszul import _MergedMap, _nondiscrete_partitions
-
+    # every merged basis element of piece (i, j), as the union of its blocks
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
+        fine = _Complex(dims, DEFAULT_CAPACITY)
         for blocks in _nondiscrete_partitions(len(dims)):
-            mm = _MergedMap(dims, blocks)
+            mm = _MergedMap(fine, blocks)
             for i, j in [(1, 2), (0, 2), (2, 1)]:
-                merged = _Term(mm.merged_dims, i, j)
-                for elem in merged.basis[::7]:
-                    sign0, r0, w0 = mm.map_element(*elem)
-                    mapped_then_diff = {}
-                    for s, nr, rest in differential_terms(r0, w0):
-                        key = (nr, rest)
-                        mapped_then_diff[key] = mapped_then_diff.get(key, 0) + sign0 * s
-                    diff_then_mapped = {}
-                    for s, nr, rest in differential_terms(*elem):
-                        sg, fr, fw = mm.map_element(nr, rest)
-                        key = (fr, fw)
-                        diff_then_mapped[key] = diff_then_mapped.get(key, 0) + s * sg
-                    mapped_then_diff = {k: v for k, v in mapped_then_diff.items() if v}
-                    diff_then_mapped = {k: v for k, v in diff_then_mapped.items() if v}
-                    assert mapped_then_diff == diff_then_mapped, (dims, blocks, i, j)
+                seen = set()
+                for w in all_weights(dims, i + j):
+                    merged = [mm.block(i + k, j - k, w) for k in range(2)]
+                    ends = [fine.block(i + k, j - k, w) for k in range(2)]
+                    seen.update(merged[0])
+                    mapped_then_diff = matmul(
+                        fine.differential(*ends), map_matrix(mm, merged[0], ends[0]), len(ends[0])
+                    )
+                    diff_then_mapped = matmul(
+                        map_matrix(mm, merged[1], ends[1]),
+                        mm.differential(*merged),
+                        len(merged[1]),
+                    )
+                    assert mapped_then_diff == diff_then_mapped, (dims, blocks, i, j, w)
+                assert len(seen) == graded_ring_dimension(mm.dims, i) * comb(len(mm.positions), j)
 
 
 def test_report_json_shape():
@@ -285,11 +363,17 @@ def test_cube_resolution_is_gorenstein():
 def test_series_oracle_agreement_p3():
     from segre_syzygies.series import TruncationPolicy, dimension_on_factors, f_segre, order_normalize
 
-    star = order_normalize(f_segre(3, TruncationPolicy(3, 4)))
+    star = order_normalize(f_segre(3, TruncationPolicy(4, 6)))
     expected = {(2, 2): 0, (2, 3): 0, (3, 3): 9, (2, 2, 2): 9, (2, 2, 3): 126}
     for dims, value in expected.items():
         assert dimension_on_factors(star, dims, 4) == value
-        assert koszul_homology(dims, 3, 4).dimension == value
+    for dims in [*expected, (2, 2, 2, 2), (4, 4)]:
+        for d in (4, 5):
+            predicted = dimension_on_factors(star, dims, d)
+            assert koszul_homology(dims, 3, d).dimension == predicted, (dims, d)
+    # past the whole-piece budget: the largest piece of this slice has
+    # 224000 elements, but no wedge table or weight block comes near it
+    assert koszul_homology((4, 4), 3, 6).dimension == dimension_on_factors(star, (4, 4), 6) == 0
 
 
 def test_series_oracle_agreement_full_grid():
