@@ -137,7 +137,9 @@ class CharacterTable:
 @cache
 def character_table(p: int) -> CharacterTable:
     """Full character table of S_p, memoized."""
-    if p < 1 or p > MAX_TABLE_P:
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    if p > MAX_TABLE_P:
         raise CapacityError(f"character tables supported for 1 <= p <= {MAX_TABLE_P}, got {p}")
     labels = partitions_of(p)
     values = tuple(

@@ -18,11 +18,14 @@ Weyl group and of those swaps.  Only canonical dominant weights are computed
 and the weight table is filled by orbit.
 
 The "new syzygy" computation quotients the homology by everything induced
-from coarser groupings of the tensor factors: for each non-discrete set
-partition of the factors, the merged coordinate ring surjects onto the fine
-one, and the induced chain map carries merged cycles onto the old classes.
-The merged complexes use the same block builder, with their ring monomials
-and wedges grouped by the fine weight of their image.
+from coarser groupings of the tensor factors.  A merged coordinate ring
+surjects onto the fine one, and the induced chain map carries merged cycles
+onto the old classes.  Every coarser grouping's chain map factors through
+the complex that merges just two of its factors, so only the C(n, 2) pair
+merges are built.  The dimension of the old classes is read off integer
+ranks of one stacked matrix, with no kernel basis.  The merged complexes use
+the same block builder, with their ring monomials and wedges grouped by the
+fine weight of their image.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import comb, prod
 from operator import sub
 
 from .errors import CapacityError, ConsistencyError
-from .linalg import nullspace, rank
+from .linalg import rank
 from .partitions import Partition, compositions, gl_dimension, kostka, partitions_of
 
 DEFAULT_CAPACITY = 200_000
@@ -310,33 +313,6 @@ def schur_extract(
     return decomposition
 
 
-def set_partitions(n: int):
-    """All set partitions of range(n), blocks sorted by least element."""
-    if n == 0:
-        yield ()
-        return
-    for rest in set_partitions(n - 1):
-        last = n - 1
-        yield rest + ((last,),)
-        for k in range(len(rest)):
-            yield rest[:k] + (rest[k] + (last,),) + rest[k + 1 :]
-
-
-def _nondiscrete_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    out = [
-        u
-        for u in set_partitions(n)
-        if any(len(block) > 1 for block in u)
-    ]
-    out.sort(
-        key=lambda u: (
-            tuple(sorted((len(b) for b in u), reverse=True)),
-            u,
-        )
-    )
-    return out
-
-
 class _MergedMap(_Complex):
     """The complex of a merged grouping, with its chain map into the fine complex.
 
@@ -425,11 +401,18 @@ def _permutation_sign(perm: list[int]) -> int:
 
 
 def _merged_maps(fine: _Complex, pieces) -> list[_MergedMap]:
-    """The merged complexes of every non-discrete grouping, with the tables
-    of the slice's middle and right pieces built."""
+    """The merged complexes of the groupings that merge exactly two factors,
+    with the tables of the slice's middle and right pieces built.
+
+    These suffice: a grouping with a block holding factors i and j has a
+    coordinate ring that surjects onto the one merging only i and j, which
+    surjects onto the fine one, so its chain map into the fine complex
+    factors through the complex of that pair.
+    """
+    n = len(fine.dims)
     merges = []
-    for blocks in _nondiscrete_partitions(len(fine.dims)):
-        mm = _MergedMap(fine, blocks)
+    for pair in itertools.combinations(range(n), 2):
+        mm = _MergedMap(fine, (pair, *((k,) for k in range(n) if k not in pair)))
         mm.prepare(pieces[1:])
         merges.append(mm)
     return merges
@@ -439,34 +422,40 @@ def _block_new_dimension(
     fine: _Complex, pieces, merges: list[_MergedMap], weight: FlatWeight
 ) -> int:
     """Dimension of the new syzygies at one weight: cycles modulo boundaries
-    and the images of merged cycles."""
+    and the images of merged cycles.
+
+    With B the boundaries into the middle block, and M_k and D_k the chain
+    map and the differential of merge k, the old classes span
+    B + sum_k M_k ker D_k, of dimension
+    rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
+    """
     left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
     if not mid:
         return 0
-    cycles = nullspace(fine.differential(mid, right), len(mid))
+    cycles = len(mid) - rank(fine.differential(mid, right))
     if not cycles:
         return 0
-    # boundaries, as vectors in the middle block
-    old_columns = [list(col) for col in zip(*fine.differential(left, mid))]
+    # merges with cycles at this weight: (merge, source block, D, rank D)
+    merged = []
     for mm in merges:
         source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
-        if not source:
-            continue
-        merged_cycles = nullspace(mm.differential(source, target), len(source))
-        if not merged_cycles:
-            continue
-        images = []
-        for elem in source:
+        if source:
+            diff = mm.differential(source, target)
+            diff_rank = rank(diff)
+            if diff_rank < len(source):
+                merged.append((mm, source, diff, diff_rank))
+    width = len(left) + sum(len(source) for _, source, _, _ in merged)
+    rows = [row + [0] * (width - len(left)) for row in fine.differential(left, mid)]
+    offset = len(left)
+    for mm, source, diff, _ in merged:
+        for elem, col in source.items():
             sign, image = mm.map_element(*elem)
-            images.append((sign, mid[image]))
-        for vec in merged_cycles:
-            out = [0] * len(mid)
-            for (sign, row), value in zip(images, vec):
-                if value:
-                    out[row] += sign * value
-            old_columns.append(out)
-    # the columns taken as rows: the rank is the same
-    new_dim = len(cycles) - rank(old_columns)
+            rows[mid[image]][offset + col] += sign
+        tail = width - offset - len(source)
+        rows.extend([0] * offset + row + [0] * tail for row in diff)
+        offset += len(source)
+    old = rank(rows) - sum(diff_rank for *_, diff_rank in merged)
+    new_dim = cycles - old
     if new_dim < 0:
         raise ConsistencyError(f"old classes exceed cycles at weight {weight}")
     return new_dim
@@ -477,9 +466,9 @@ def new_syzygy_dimension(
 ) -> tuple[int, dict[tuple[Partition, ...], int]]:
     """Dimension and decomposition of the syzygies not induced from merges.
 
-    Computes explicit cycle representatives of the homology, then quotients
-    by the boundaries together with the images of cycles from every merged
-    (non-discrete) grouping of the tensor factors.
+    Quotients the cycles of each weight block by the boundaries together
+    with the images of the cycles of every complex that merges two tensor
+    factors; every dimension is an integer rank.
     """
     dims = check_dims(dims)
     if len(dims) < 2:

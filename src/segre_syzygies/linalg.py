@@ -1,17 +1,14 @@
 """Exact linear algebra over the integers and rationals.
 
-One field elimination, `gauss_jordan`, works over any exact field (Fractions,
-or fractions of polynomials) and serves both integer kernels, whose rational
-basis is cleared to integer vectors, and the recurrence solving of rational
-reconstruction.  Ranks stay separate: `rank` uses fraction-free (Bareiss)
-elimination on arbitrary-precision integers, because it is the Koszul
-oracle's hot path, sees only integer blocks, and needs no division.
+`rank` uses fraction-free (Bareiss) elimination on arbitrary-precision
+integers.  It is the Koszul oracle's only elimination: every homology and
+new-syzygy dimension is a difference of ranks of integer blocks, so no
+division and no kernel basis is needed there.  `gauss_jordan` is the one
+field elimination, over any exact field (Fractions, or fractions of
+polynomials), and serves the recurrence solving of rational reconstruction.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
 
 
 def rank(matrix: list[list[int]]) -> int:
@@ -80,21 +77,3 @@ def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], row)]
         pivots.append(c)
     return pivots
-
-
-def nullspace(matrix: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer basis of the right kernel of an integer matrix with ncols columns."""
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
-    pivots = gauss_jordan(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -rows[pr][free]
-        scale = lcm(*(x.denominator for x in vec)) if vec else 1
-        basis.append([int(x * scale) for x in vec])
-    return basis

@@ -100,7 +100,7 @@ def test_character_table_orthonormality_up_to_6():
 
 
 def test_character_table_bounds():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError):
         character_table(0)
     with pytest.raises(CapacityError):
         character_table(99)

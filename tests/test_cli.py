@@ -120,6 +120,8 @@ def test_exit_codes(capsys):
     assert code == 2 and "invalid partition syntax" in err
     code, _, err = run_cli(capsys, "char-table", "40")
     assert code == 3
+    code, _, err = run_cli(capsys, "char-table", "0")
+    assert code == 2 and "p must be at least 1" in err
 
 
 def test_capacity_env(capsys, monkeypatch):

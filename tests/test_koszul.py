@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,15 +13,13 @@ from segre_syzygies.koszul import (
     _Complex,
     _merged_maps,
     _MergedMap,
-    _nondiscrete_partitions,
     _slice,
     graded_ring_dimension,
     koszul_homology,
     new_syzygy_dimension,
     schur_extract,
-    set_partitions,
 )
-from segre_syzygies.linalg import nullspace, rank
+from segre_syzygies.linalg import gauss_jordan, rank
 from segre_syzygies.partitions import compositions, gl_dimension
 
 
@@ -50,6 +49,49 @@ def map_matrix(mm, merged_block, fine_block):
         sign, image = mm.map_element(*elem)
         m[fine_block[image]][col] += sign
     return m
+
+
+def set_partitions(n):
+    """All set partitions of range(n), blocks sorted by least element."""
+    if n == 0:
+        yield ()
+        return
+    for rest in set_partitions(n - 1):
+        yield rest + ((n - 1,),)
+        for k in range(len(rest)):
+            yield rest[:k] + (rest[k] + (n - 1,),) + rest[k + 1 :]
+
+
+def nondiscrete_groupings(n):
+    return [u for u in set_partitions(n) if any(len(block) > 1 for block in u)]
+
+
+def kernel_basis(matrix, ncols):
+    """Fraction basis of the right kernel of a matrix with ncols columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    return basis
+
+
+def reference_new_dimension(fine, pieces, groupings, weight):
+    """New syzygies at one weight from explicit kernel bases: cycles modulo
+    the boundaries and the images of the cycles of every given grouping."""
+    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
+    cycles = kernel_basis(fine.differential(mid, right), len(mid))
+    old = [[Fraction(x) for x in col] for col in zip(*fine.differential(left, mid))]
+    for mm in groupings:
+        source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
+        images = map_matrix(mm, source, mid)
+        for vec in kernel_basis(mm.differential(source, target), len(source)):
+            old.append([sum(a * b for a, b in zip(row, vec)) for row in images])
+    return len(cycles) - len(gauss_jordan(old, len(mid)))
 
 
 def test_graded_ring_dimension():
@@ -180,6 +222,27 @@ def test_new_syzygies_agree_at_non_dominant_weights():
         assert schur_extract(direct, dims) == decomp
 
 
+def test_new_syzygies_match_kernel_reference():
+    # the library merges two factors at a time and takes integer ranks; the
+    # reference builds kernel bases and merges over every non-discrete grouping
+    cases = [
+        ((2, 2), 1, 2),
+        ((2, 3), 2, 3),
+        ((2, 2, 2), 1, 2),
+        ((2, 2, 2), 2, 3),
+        ((2, 2, 3), 2, 3),
+        ((2, 2, 2, 2), 1, 2),
+    ]
+    assert len(nondiscrete_groupings(4)) == 14  # Bell(4) - 1
+    for dims, p, d in cases:
+        pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
+        merges = _merged_maps(fine, pieces)
+        groupings = [_MergedMap(fine, u) for u in nondiscrete_groupings(len(dims))]
+        for w in all_weights(dims, d):
+            expected = reference_new_dimension(fine, pieces, groupings, w)
+            assert _block_new_dimension(fine, pieces, merges, w) == expected, (dims, p, d, w)
+
+
 def test_factor_permutation_equivariance():
     base = koszul_homology((2, 3), 2, 3)
     swapped = koszul_homology((3, 2), 2, 3)
@@ -199,14 +262,6 @@ def test_rank_invariant_under_basis_order():
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
         assert rank(shuffled) == base
-
-
-def test_nullspace_gives_kernel():
-    m = [[1, 2, 3], [2, 4, 6]]
-    basis = nullspace(m, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in m)
 
 
 def test_schur_extract_examples():
@@ -236,14 +291,6 @@ def test_capacity_error_reports_sizes():
     assert "capacity 3" in str(err.value)
     with pytest.raises(CapacityError):
         new_syzygy_dimension((2, 2), 1, 2, capacity=3)
-
-
-def test_set_partitions():
-    assert list(set_partitions(0)) == [()]
-    parts3 = list(set_partitions(3))
-    assert len(parts3) == 5
-    assert ((0,), (1,), (2,)) in parts3
-    assert ((0, 1, 2),) in parts3
 
 
 def test_new_syzygy_examples():
@@ -284,7 +331,7 @@ def test_merged_chain_map_commutes_with_differentials():
     # every merged basis element of piece (i, j), as the union of its blocks
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
-        for blocks in _nondiscrete_partitions(len(dims)):
+        for blocks in nondiscrete_groupings(len(dims)):
             mm = _MergedMap(fine, blocks)
             for i, j in [(1, 2), (0, 2), (2, 1)]:
                 seen = set()

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from segre_syzygies.linalg import nullspace, rank
+from segre_syzygies.linalg import rank
 
 
 def rank_fraction_oracle(matrix):
@@ -48,19 +48,3 @@ def test_rank_does_not_mutate_input():
     m = [[1, 2], [3, 4]]
     rank(m)
     assert m == [[1, 2], [3, 4]]
-
-
-def test_nullspace_random_matrices():
-    rng = random.Random(13)
-    for trial in range(40):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 6)
-        m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        basis = nullspace(m, ncols)
-        assert len(basis) == ncols - rank(m)
-        for vec in basis:
-            assert any(vec)
-            for row in m:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
-        if basis:
-            assert rank(basis) == len(basis)

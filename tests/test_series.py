@@ -1,10 +1,11 @@
 import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from segre_syzygies.errors import ConsistencyError, UnsupportedError
-from segre_syzygies.partitions import partitions_of
+from segre_syzygies.partitions import gl_dimension, partitions_of
 from segre_syzygies.schur_ring import SymFunc, boxtimes
 from segre_syzygies.series import (
     PartitionSeries,
@@ -159,6 +160,30 @@ def test_euler_chi_vanishing_low_orders():
         chi = euler_chi(k, TruncationPolicy(3, k))
         assert chi.order_component(0).terms == {}
         assert chi.order_component(1).terms == {}
+
+
+def test_euler_chi_matches_term_level_euler_characteristic():
+    # evaluated on factors of sizes dims, the degree-k slice is the Euler
+    # characteristic of the degree-k strand of the Koszul complex:
+    # sum_j (-1)^j dim R_{k-j} C(N, j), with no homology computed
+    for dims in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (2, 3, 4), (3, 3, 3)]:
+        n, big_n = len(dims), prod(dims)
+        for k in range(2, 6):
+            chi = euler_chi(k, TruncationPolicy(n, k))
+            value = sum(
+                coeff
+                * sum(
+                    prod(gl_dimension(lam, m) for lam, m in zip(assigned, dims))
+                    for assigned in itertools.permutations(mono)
+                )
+                for mono, coeff in chi.terms.items()
+                if len(mono) == n
+            )
+            expected = sum(
+                (-1) ** j * prod(comb(m + k - j - 1, k - j) for m in dims) * comb(big_n, j)
+                for j in range(k + 1)
+            )
+            assert value == expected, (dims, k)
 
 
 def test_f_segre_examples():
