@@ -435,6 +435,9 @@ def _block_new_dimension(
     cycles = len(mid) - rank(fine.differential(mid, right))
     if not cycles:
         return 0
+    boundaries = fine.differential(left, mid)
+    if cycles == rank(boundaries):  # no homology, so nothing new to find
+        return 0
     # merges with cycles at this weight: (merge, source block, D, rank D)
     merged = []
     for mm in merges:
@@ -445,7 +448,7 @@ def _block_new_dimension(
             if diff_rank < len(source):
                 merged.append((mm, source, diff, diff_rank))
     width = len(left) + sum(len(source) for _, source, _, _ in merged)
-    rows = [row + [0] * (width - len(left)) for row in fine.differential(left, mid)]
+    rows = [row + [0] * (width - len(left)) for row in boundaries]
     offset = len(left)
     for mm, source, diff, _ in merged:
         for elem, col in source.items():

@@ -4,7 +4,11 @@ Three engines live here:
 
 * closed-form evaluation of multinomial-coefficient sums as rational
   functions of t, by degree-lowering recursion on the polynomial part and
-  boundary splitting on the shift vector;
+  boundary splitting on the shift vector.  Every denominator met there is a
+  product of factors (1 - a t), so the recursion runs on `PoleFraction`
+  values with the poles held as {a: m}: a sum takes the larger exponent
+  pole by pole, no polynomial GCD is computed, and the result is brought to
+  lowest terms once by cancelling the factors (1 - a t) that divide it;
 * the formal torus constant term and the Weyl-integration pairing that
   turns equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
@@ -416,7 +420,9 @@ class RationalFunction:
             den = den[1:]
             if not den:
                 raise ZeroDivisionError("denominator is a power of t only")
-        if ring is QQ and num:
+        if not num:
+            den = [ring.one]
+        elif ring is QQ:
             g = _poly_gcd_q(num, den)
             if len(g) > 1:
                 (num, rn), (den, rd) = _poly_divmod(num, g), _poly_divmod(den, g)
@@ -439,9 +445,12 @@ class RationalFunction:
         den = [self.ring.from_field(self.ring.to_field(x) * field_inv) for x in den]
         return num, den
 
-    @staticmethod
-    def constant(c, ring=QQ) -> "RationalFunction":
-        return RationalFunction([c], ring=ring)
+    @classmethod
+    def _lowest_terms(cls, num, den) -> "RationalFunction":
+        """Wrap a QQ quotient already coprime with den[0] == 1, skipping the GCD."""
+        rf = object.__new__(cls)
+        rf.num, rf.den, rf.ring = num, den, QQ
+        return rf
 
     def __bool__(self):
         return bool(self.num)
@@ -453,39 +462,6 @@ class RationalFunction:
             _poly_mul(self.num, other.den), _poly_neg(_poly_mul(other.num, self.den))
         )
         return not diff
-
-    def __add__(self, other):
-        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
-        return RationalFunction(num, _poly_mul(self.den, other.den), self.ring)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        return RationalFunction(
-            _poly_mul(self.num, other.num), _poly_mul(self.den, other.den), self.ring
-        )
-
-    def scale(self, c) -> "RationalFunction":
-        c = self._lift(c)
-        return RationalFunction([x * c for x in self.num], self.den, self.ring)
-
-    def shift(self, n: int) -> "RationalFunction":
-        """Multiply by t**n; for negative n the numerator must be divisible."""
-        if n >= 0:
-            return RationalFunction([self.ring.zero] * n + self.num, self.den, self.ring)
-        if any(self.num[:-n]):
-            raise ValueError(f"numerator not divisible by t^{-n}")
-        return RationalFunction(self.num[-n:], self.den, self.ring)
-
-    def euler_operator(self) -> "RationalFunction":
-        """Apply t * d/dt."""
-        dnum = _poly_derivative(self.num)
-        dden = _poly_derivative(self.den)
-        num = _poly_add(
-            _poly_mul(dnum, self.den), _poly_neg(_poly_mul(self.num, dden))
-        )
-        return RationalFunction(num, _poly_mul(self.den, self.den), self.ring).shift(1)
 
     def coefficients(self, n: int) -> list:
         """First n power-series coefficients."""
@@ -514,6 +490,107 @@ class RationalFunction:
 # multinomial-coefficient sums
 
 
+def _times_one_minus(p, a):
+    """p * (1 - a t)."""
+    return _trim([x - a * y for x, y in zip(p + [0], [0] + p)])
+
+
+class PoleFraction:
+    """num / prod over a of (1 - a t)^m, with the poles held as {a: m}.
+
+    Every value of the multinomial-sum recursion has such a denominator, so
+    a sum takes the larger exponent pole by pole and multiplies each
+    numerator by its missing linear factors: no polynomial GCD is needed.
+    Values are not kept in lowest terms; `to_rational` reduces once.
+    """
+
+    __slots__ = ("num", "poles")
+
+    def __init__(self, num, poles=None):
+        self.num = _trim(num)
+        self.poles = dict(poles) if poles else {}
+
+    def _over(self, poles):
+        """The numerator over the denominator of `poles`, which holds self's."""
+        num = self.num
+        for a, m in poles.items():
+            for _ in range(m - self.poles.get(a, 0)):
+                num = _times_one_minus(num, a)
+        return num
+
+    def __add__(self, other):
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        poles = dict(self.poles)
+        for a, m in other.poles.items():
+            poles[a] = max(poles.get(a, 0), m)
+        return PoleFraction(_poly_add(self._over(poles), other._over(poles)), poles)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        poles = dict(self.poles)
+        for a, m in other.poles.items():
+            poles[a] = poles.get(a, 0) + m
+        return PoleFraction(_poly_mul(self.num, other.num), poles)
+
+    def __eq__(self, other):
+        if not isinstance(other, PoleFraction):
+            return NotImplemented
+        return not (self - other).num
+
+    def scale(self, c) -> "PoleFraction":
+        return PoleFraction([x * c for x in self.num], self.poles)
+
+    def shift(self, n: int) -> "PoleFraction":
+        """Multiply by t**n; for negative n the numerator must be divisible.
+
+        Lifting to a larger denominator multiplies the numerator by factors
+        with constant term one, so divisibility by a power of t is the same
+        as in lowest terms.
+        """
+        if n >= 0:
+            return PoleFraction([0] * n + self.num, self.poles)
+        if any(self.num[:-n]):
+            raise ValueError(f"numerator not divisible by t^{-n}")
+        return PoleFraction(self.num[-n:], self.poles)
+
+    def euler_operator(self) -> "PoleFraction":
+        """Apply t d/dt: the numerator becomes t (N' R + N S) and every pole
+        exponent grows by one, where R = prod (1 - a t) over the poles and
+        S = sum of m a R / (1 - a t)."""
+        r, s = [1], []
+        for a, m in self.poles.items():
+            s = _poly_add(_times_one_minus(s, a), [m * a * x for x in r])
+            r = _times_one_minus(r, a)
+        num = _poly_add(_poly_mul(_poly_derivative(self.num), r), _poly_mul(self.num, s))
+        return PoleFraction([0] + num, {a: m + 1 for a, m in self.poles.items()})
+
+    def to_rational(self) -> RationalFunction:
+        """The same function in lowest terms: each (1 - a t) dividing the
+        numerator is cancelled, then the denominator is expanded.  Its
+        constant term is one, so this is the unique reduced form."""
+        num = [Fraction(x) for x in self.num]
+        if not num:
+            return RationalFunction([])
+        den = [Fraction(1)]
+        for a, m in self.poles.items():
+            while m:
+                quotient, rem = _poly_divmod(num, [1, -a])
+                if rem:
+                    break
+                num, m = quotient, m - 1
+            for _ in range(m):
+                den = _times_one_minus(den, a)
+        return RationalFunction._lowest_terms(num, den)
+
+    def __repr__(self):
+        return f"PoleFraction(num={self.num}, poles={self.poles})"
+
+
 def multinomial(vec) -> int:
     if any(x < 0 for x in vec):
         return 0
@@ -531,7 +608,8 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     zero on vectors with a negative entry.  Recursion: a variable k_i in the
     polynomial part is traded for a shift of e_i and an application of
     t d/dt, and shifted plain sums are split along the boundary until the
-    closed form 1/(1 - d t) applies.
+    closed form 1/(1 - d t) applies.  The recursion runs on `PoleFraction`
+    values; the result is brought to lowest terms once, at the end.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -542,17 +620,24 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
         poly = {(0,) * d: Fraction(poly)}
     elif isinstance(poly, MPoly):
         poly = poly.terms
-    total = RationalFunction([], ring=QQ)
+    terms = []
     for expo, c in poly.items():
         expo = tuple(int(x) for x in expo)
         if len(expo) != d:
             raise ValueError(f"monomial {expo} has wrong arity for d={d}")
-        total = total + _monomial_sum(expo, e, d).scale(Fraction(c))
+        terms.append((expo, Fraction(c)))
+    return _poly_sum(terms, e, d).to_rational()
+
+
+def _poly_sum(terms, e, d) -> PoleFraction:
+    total = PoleFraction([])
+    for expo, c in terms:
+        total = total + _monomial_sum(expo, e, d).scale(c)
     return total
 
 
 @cache
-def _monomial_sum(expo, e, d) -> RationalFunction:
+def _monomial_sum(expo, e, d) -> PoleFraction:
     if not any(expo):
         return _base_sum(e, d)
     i = next(idx for idx, x in enumerate(expo) if x)
@@ -566,28 +651,27 @@ def _monomial_sum(expo, e, d) -> RationalFunction:
 
 
 @cache
-def _base_sum(e, d) -> RationalFunction:
+def _base_sum(e, d) -> PoleFraction:
     # sum over k >= 0 of C_{k+e} t^{|k|}
     if d == 0:
-        return RationalFunction.constant(1)
+        return PoleFraction([1])
     eplus = tuple(max(x, 0) for x in e)
     return _tail_sum(eplus, d).shift(-sum(e))
 
 
 @cache
-def _tail_sum(eb, d) -> RationalFunction:
+def _tail_sum(eb, d) -> PoleFraction:
     # sum over m >= eb (componentwise, eb >= 0) of C_m t^{|m|}
     if d == 0:
-        return RationalFunction.constant(1)
+        return PoleFraction([1])
     if not any(eb):
-        return RationalFunction([Fraction(1)], [Fraction(1), Fraction(-d)])
+        return PoleFraction([1], {d: 1})
     i = next(idx for idx, x in enumerate(eb) if x)
     result = _tail_sum(eb[:i] + (0,) + eb[i + 1 :], d)
     rest = eb[:i] + eb[i + 1 :]
     s = sum(rest)
     for c in range(eb[i]):
-        qpoly = _binomial_in_total(c, s, d - 1)
-        inner = multinomial_sum_rational(qpoly, rest, d - 1)
+        inner = _poly_sum(_binomial_in_total(c, s, d - 1).items(), rest, d - 1)
         result = result - inner.shift(c + s)
     return result
 

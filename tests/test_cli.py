@@ -105,6 +105,24 @@ def test_sumlem_command(capsys):
     assert payload["series"] == ["0", "1", "2", "3", "4"]
 
 
+def test_sumlem_readme_example(capsys):
+    code, out, _ = run_cli(
+        capsys, "sumlem", "--poly", "k1^2 - 2*k2", "--e", "1,-1", "--d", "2", "--terms", "8"
+    )
+    assert code == 0
+    assert out == (
+        '{"num": {"1": "-2", "2": "7", "3": "-3", "4": "-4"}, '
+        '"den": {"0": "1", "1": "-8", "2": "25", "3": "-38", "4": "28", "5": "-8"}, '
+        '"series": ["0", "-2", "-9", "-25", "-55", "-101", "-147", "-113"]}\n'
+    )
+
+
+def test_sumlem_zero_series(capsys):
+    code, out, _ = run_cli(capsys, "sumlem", "--d", "2", "--poly", "k1-k2", "--terms", "3")
+    assert code == 0
+    assert json.loads(out) == {"num": {}, "den": {"0": "1"}, "series": ["0", "0", "0"]}
+
+
 def test_reconstruct_command(capsys):
     code, out, _ = run_cli(capsys, "reconstruct", "--max-den", "2", "--coeffs", "1,1,2,3,5,8")
     assert code == 0

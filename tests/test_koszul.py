@@ -327,6 +327,12 @@ def test_new_syzygy_two_factor_generator_covers_three_factors():
     assert new_syzygy_dimension((2, 2, 2), 2, 3)[0] == 0
 
 
+def test_new_syzygy_zero_homology_needs_no_merge():
+    # the homology is zero at every weight here, so no merged block is built
+    assert koszul_homology((2, 2, 2, 2), 3, 5).dimension == 0
+    assert new_syzygy_dimension((2, 2, 2, 2), 3, 5) == (0, {})
+
+
 def test_merged_chain_map_commutes_with_differentials():
     # every merged basis element of piece (i, j), as the union of its blocks
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:

@@ -1,5 +1,6 @@
-"""Property tests of the exact core: polynomial division, torus characters
-and the rank identity behind the new-syzygy dimension.
+"""Property tests of the exact core: polynomial division, torus characters,
+the rank identity behind the new-syzygy dimension and the lowest-terms form
+of multinomial sums.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -10,8 +11,15 @@ from fractions import Fraction
 
 from hypothesis import configuration, given, settings, strategies as st
 
+from segre_syzygies.acceptance import _direct_multinomial_sum
 from segre_syzygies.linalg import gauss_jordan, rank
-from segre_syzygies.rationality import MPoly, _poly_divmod, torus_constant_term
+from segre_syzygies.rationality import (
+    MPoly,
+    _poly_divmod,
+    _poly_gcd_q,
+    multinomial_sum_rational,
+    torus_constant_term,
+)
 
 # Hypothesis caches the constants of local source files on disk even without
 # a database; keep that cache in a temporary directory, not the working tree.
@@ -77,3 +85,16 @@ def test_stacked_rank_counts_images_of_kernels(data):
     images = [[sum(a * v for a, v in zip(row, vec)) for vec in kernel] for row in M]
     span = [[Fraction(x) for x in row] + image for row, image in zip(B, images)]
     assert rank(stacked) - rank(D) == len(gauss_jordan(span, b + len(kernel)))
+
+
+@PROPERTY
+@given(st.data())
+def test_multinomial_sum_is_in_lowest_terms(data):
+    d = data.draw(st.integers(1, 3))
+    e = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    degrees = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    expo = tuple(data.draw(degrees.filter(lambda v: sum(v) <= 2)))
+    rf = multinomial_sum_rational({expo: 1}, e, d)
+    assert rf.den[0] == 1
+    assert len(_poly_gcd_q(rf.num, rf.den)) == 1
+    assert rf.coefficients(8) == _direct_multinomial_sum({expo: 1}, e, d, 8)

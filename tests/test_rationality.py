@@ -9,6 +9,7 @@ from segre_syzygies.errors import ConsistencyError
 from segre_syzygies.rationality import (
     MFrac,
     MPoly,
+    PoleFraction,
     PolynomialRing,
     QQ,
     RationalFunction,
@@ -42,18 +43,48 @@ def test_rational_function_basics():
     assert f.coefficients(4) == [1, 1, 1, 1]
     g = RationalFunction([0, 1], [1, -2, 1])
     assert g.coefficients(5) == [0, 1, 2, 3, 4]
-    assert (f * f) == g.shift(-1)
-    assert f.euler_operator() == g
     # reduction: (1 - t^2)/(1 - t) is a polynomial
     h = RationalFunction([1, 0, -1], [1, -1])
     assert h.num == [Fraction(1), Fraction(1)] and h.den == [Fraction(1)]
+
+
+def test_zero_function_has_unit_denominator():
+    assert RationalFunction([], [1, -2]).den == [Fraction(1)]
+    assert RationalFunction([0, 0], [1, 0, 3]).den == [Fraction(1)]
+    assert RationalFunction([], [0, 1]).den == [Fraction(1)]
+    zero = multinomial_sum_rational({(1, 0): 1, (0, 1): -1}, (0, 0), 2)
+    assert zero.num == [] and zero.den == [Fraction(1)]
+    assert denominator_pole_factors(zero, 2) == {}
+
+
+def test_pole_fraction_arithmetic():
+    f = PoleFraction([1], {1: 1})  # 1/(1 - t)
+    g = PoleFraction([0, 1], {1: 2})  # t/(1 - t)^2
+    assert (f * f) == g.shift(-1)
+    assert f.euler_operator() == g
+    assert f.to_rational() == RationalFunction([1], [1, -1])
+    assert g.to_rational() == RationalFunction([0, 1], [1, -2, 1])
+    # reduction: (1 - t^2)/(1 - t) is a polynomial
+    h = PoleFraction([1, 0, -1], {1: 1}).to_rational()
+    assert h.num == [Fraction(1), Fraction(1)] and h.den == [Fraction(1)]
+    # sums take the larger exponent per pole: 1/(1 - t) + 1/(1 - 2t)^2
+    s = (f + PoleFraction([1], {2: 2})).to_rational()
+    assert s.den == [1, -5, 8, -4]
+    assert s.coefficients(6) == [1 + (n + 1) * 2**n for n in range(6)]
+    assert f - f == PoleFraction([]) and (f - f).to_rational().den == [Fraction(1)]
+    # t d/dt multiplies the n-th coefficient by n, over several poles
+    x = PoleFraction([2, Fraction(-1, 3), 5], {1: 2, 3: 1})
+    coeffs = x.to_rational().coefficients(8)
+    assert x.euler_operator().to_rational().coefficients(8) == [
+        n * c for n, c in enumerate(coeffs)
+    ]
 
 
 def test_rational_function_errors():
     with pytest.raises(ValueError):
         RationalFunction([1], [0, 1])  # 1/t is not a power series
     with pytest.raises(ValueError):
-        RationalFunction([1, 1], [1]).shift(-1)
+        PoleFraction([1, 1]).shift(-1)
 
 
 def test_sumlem_base_instances():
