@@ -17,7 +17,7 @@ from math import prod
 
 from .characters import character_table, kronecker_coefficient, mn_character
 from .koszul import koszul_homology, new_syzygy_dimension
-from .partitions import dimension_sn, partitions_of
+from .partitions import compositions, dimension_sn, partitions_of
 from .rationality import (
     MPoly,
     PolynomialRing,
@@ -249,15 +249,17 @@ def criterion_10() -> CriterionResult:
 
 
 def _direct_multinomial_sum(poly, e, d, nterms):
-    out = [Fraction(0)] * nterms
-    for k in itertools.product(range(nterms), repeat=d):
-        n = sum(k)
-        if n >= nterms:
-            continue
-        value = Fraction(0)
-        for expo, c in poly.items():
-            value += Fraction(c) * prod(ki**xi for ki, xi in zip(k, expo))
-        out[n] += value * multinomial(tuple(ki + ei for ki, ei in zip(k, e)))
+    """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, by brute
+    force: one integer sum per monomial over the k of each total n."""
+    out = []
+    for n in range(nterms):
+        sums = dict.fromkeys(poly, 0)
+        for k in compositions(n, d):
+            c = multinomial(tuple(ki + ei for ki, ei in zip(k, e)))
+            if c:
+                for expo in sums:
+                    sums[expo] += c * prod(ki**xi for ki, xi in zip(k, expo))
+        out.append(sum((Fraction(c) * sums[expo] for expo, c in poly.items()), Fraction(0)))
     return out
 
 

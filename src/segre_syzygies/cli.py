@@ -18,7 +18,7 @@ from fractions import Fraction
 from .acceptance import run_all
 from .characters import character_table, kronecker_coefficient
 from .errors import CapacityError, ConsistencyError, UnsupportedError
-from .koszul import DEFAULT_CAPACITY, koszul_homology, new_syzygy_dimension
+from .koszul import DEFAULT_CAPACITY, decomposition_json, koszul_homology, new_syzygy_dimension
 from .partitions import Partition, check_partition, lr_coefficient
 from .rationality import multinomial_sum_rational, rational_reconstruct
 from .schur_ring import SymFunc, boxtimes, power_sum, sym_to_json
@@ -274,10 +274,7 @@ def run_command(args) -> int:
                 "d": args.d,
                 "dims": list(dims),
                 "new_dimension": dim,
-                "decomposition": [
-                    {"lambdas": [list(lam) for lam in lams], "mult": mult}
-                    for lams, mult in sorted(decomposition.items())
-                ],
+                "decomposition": decomposition_json(decomposition),
             }
             _emit(payload, fmt)
             return EXIT_OK

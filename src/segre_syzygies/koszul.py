@@ -7,10 +7,10 @@ with exterior powers of the space of degree-one coordinates.  Differentials
 never mix torus weights, so the slice splits into one small dense integer
 block per weight, and every rank is taken on such a block.
 
-Each block is built from its weight.  The wedges of each exterior degree are
-grouped by weight once; the block of a piece at weight w pairs each wedge
-whose weight fits under w with the one ring monomial that makes up the
-difference, so the ring basis is never enumerated.  The homology is a
+Each block is built from its weight alone.  The wedges whose weight fits
+under w are enumerated directly, label by label, and each is paired with the
+one ring monomial that makes up the difference, so neither the ring basis
+nor a whole exterior power is ever enumerated.  The homology is a
 representation of GL(d_1) x ... x GL(d_n), and factors of equal dimension
 may be swapped, so its weight multiplicities are constant on orbits of the
 Weyl group and of those swaps.  Only canonical dominant weights are computed
@@ -24,8 +24,8 @@ onto the old classes.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
 ranks of one stacked matrix, with no kernel basis.  The merged complexes use
-the same block builder, with their ring monomials and wedges grouped by the
-fine weight of their image.
+the same block builder: their wedges are enumerated by the fine weight of
+their image, and their ring monomials are grouped by it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
-from operator import sub
 
 from .errors import CapacityError, ConsistencyError
 from .linalg import rank
@@ -63,6 +62,14 @@ def graded_ring_dimension(dims: Dims, i: int) -> int:
     return prod(comb(d + i - 1, i) for d in dims)
 
 
+def decomposition_json(decomposition: dict[tuple[Partition, ...], int]) -> list[dict]:
+    """Schur-tuple multiplicities as JSON records, in tuple order."""
+    return [
+        {"lambdas": [list(lam) for lam in lams], "mult": mult}
+        for lams, mult in sorted(decomposition.items())
+    ]
+
+
 @dataclass(frozen=True)
 class HomologyReport:
     p: int
@@ -73,16 +80,12 @@ class HomologyReport:
     decomposition: dict[tuple[Partition, ...], int] = field(compare=False)
 
     def to_json(self) -> dict:
-        decomposition = [
-            {"lambdas": [list(lam) for lam in lams], "mult": mult}
-            for lams, mult in sorted(self.decomposition.items())
-        ]
         return {
             "p": self.p,
             "d": self.d,
             "dims": list(self.dims),
             "dimension": self.dimension,
-            "decomposition": decomposition,
+            "decomposition": decomposition_json(self.decomposition),
         }
 
     def weights_csv(self) -> str:
@@ -94,13 +97,14 @@ class HomologyReport:
 
 
 class _Complex:
-    """The Koszul complex of a Segre ring, with its bases grouped by fine weight.
+    """The Koszul complex of a Segre ring, one fine-weight block at a time.
 
     Tensor basis elements are labelled by lexicographic position.  Label k is
     the degree-one coordinate whose exponents sit at `positions[k]` of a flat
     ring exponent vector (one per factor) and whose fine weight sits at
     `weight_positions[k]`.  In the fine complex the two agree, so a ring
-    monomial is its own weight.
+    monomial is its own weight, and the weight a wedge leaves over is the
+    ring monomial of its block element.
     """
 
     def __init__(self, dims: Dims, capacity: int):
@@ -112,8 +116,6 @@ class _Complex:
             for idx in itertools.product(*(range(n) for n in dims))
         ]
         self.weight_positions = self.positions
-        self.width = offsets[-1]
-        self._wedges: dict[int, dict[FlatWeight, list[Wedge]]] = {}
 
     def _check_capacity(self, what: str, size: int) -> None:
         if size > self.capacity:
@@ -122,42 +124,39 @@ class _Complex:
                 f"for dims {self.dims}"
             )
 
-    def live(self, i: int, j: int) -> bool:
-        return i >= 0 and 0 <= j <= len(self.positions)
+    def wedges(self, j: int, budget: list[int], start: int = 0):
+        """The wedges of degree j, from label start on, whose fine weight fits
+        under budget, in decreasing lexicographic order, each with the weight
+        left over.
 
-    def prepare(self, pieces) -> None:
-        """Build the tables of the non-empty pieces, checking their sizes."""
-        for i, j in pieces:
-            if self.live(i, j):
-                self.wedge_table(j)
-
-    def wedge_table(self, j: int) -> dict[FlatWeight, list[Wedge]]:
-        """The wedges of degree j, grouped by fine weight."""
-        if j not in self._wedges:
-            self._check_capacity(f"wedge table of degree {j}", comb(len(self.positions), j))
-            table: dict[FlatWeight, list[Wedge]] = {}
-            for wedge in itertools.combinations(range(len(self.positions)), j):
-                w = [0] * self.width
-                for k in wedge:
-                    for q in self.weight_positions[k]:
-                        w[q] += 1
-                table.setdefault(tuple(w), []).append(wedge)
-            self._wedges[j] = table
-        return self._wedges[j]
+        Labels are walked from the last down and one that no longer fits is
+        skipped; budget is restored after each branch.  Blocks numbered in
+        this order rank faster than in increasing order.
+        """
+        if j == 0:
+            yield (), tuple(budget)
+        if j <= 0:
+            return
+        for k in range(len(self.weight_positions) - j, start - 1, -1):
+            qs = self.weight_positions[k]
+            if all(budget[q] > 0 for q in qs):
+                for q in qs:
+                    budget[q] -= 1
+                for rest, left in self.wedges(j - 1, budget, k + 1):
+                    yield (k, *rest), left
+                for q in qs:
+                    budget[q] += 1
 
     def rings(self, i: int, weight: FlatWeight):
         """The ring monomials of degree i and the given fine weight."""
-        return (weight,) if min(weight) >= 0 else ()
+        return (weight,)
 
     def block(self, i: int, j: int, weight: FlatWeight) -> Block:
         """The basis of piece (i, j) at a fine weight, numbered in order."""
-        if not self.live(i, j):
-            return {}
         block: Block = {}
-        for ww, wedges in self.wedge_table(j).items():
-            for r in self.rings(i, tuple(map(sub, weight, ww))):
-                for wedge in wedges:
-                    block[(r, wedge)] = len(block)
+        for wedge, left in self.wedges(j, list(weight)):
+            for r in self.rings(i, left):
+                block[(r, wedge)] = len(block)
         self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
         return block
 
@@ -177,26 +176,11 @@ class _Complex:
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
     """The three pieces (ring degree, wedge degree) of the bidegree (p, d)
-    slice and the fine complex, after the argument and capacity checks."""
+    slice and the fine complex, after the argument check."""
     if p < 0 or d < 0:
         raise ValueError("p and d must be non-negative")
     pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
-    fine = _Complex(dims, capacity)
-    fine.prepare(pieces)
-    return pieces, fine
-
-
-def _block_homology(fine: _Complex, pieces, weight: FlatWeight) -> int:
-    """Dimension of the middle homology of the slice at one weight."""
-    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
-    if not mid:
-        return 0
-    out_rank = rank(fine.differential(mid, right))
-    in_rank = rank(fine.differential(left, mid))
-    h = len(mid) - out_rank - in_rank
-    if h < 0:
-        raise ConsistencyError(f"negative homology dimension at weight {weight}")
-    return h
+    return pieces, _Complex(dims, capacity)
 
 
 def _canonical_weights(dims: Dims, d: int):
@@ -254,7 +238,7 @@ def koszul_homology(
     """Middle homology of the three-term Koszul slice at bidegree (p, d)."""
     dims = check_dims(dims)
     pieces, fine = _slice(dims, p, d, capacity)
-    weight_table = _weight_table(dims, d, lambda w: _block_homology(fine, pieces, w))
+    weight_table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, [], w))
     decomposition = schur_extract(weight_table, dims)
     dimension = sum(weight_table.values())
     check = sum(
@@ -320,7 +304,8 @@ class _MergedMap(_Complex):
     enumerated by lexicographic tuples, so every merged basis datum decodes
     to fine data.  On ring elements the map expands merged monomials
     factor-wise; on wedge elements it relabels and sorts, tracking parity.
-    Ring monomials and wedges are grouped by the fine weight of their image.
+    Wedges are enumerated by the fine weight of their image, and ring
+    monomials are grouped by it.
     """
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
@@ -346,14 +331,8 @@ class _MergedMap(_Complex):
             for idx in itertools.product(*(range(n) for n in self.dims))
         ]
         self.weight_positions = [fine.positions[k] for k in self.fine_labels]
-        self.width = fine.width
+        self.width = offsets[-1]
         self._rings: dict[int, dict[FlatWeight, list[tuple[int, ...]]]] = {}
-
-    def prepare(self, pieces) -> None:
-        super().prepare(pieces)
-        for i, j in pieces:
-            if self.live(i, j):
-                self.ring_table(i)
 
     def ring_table(self, i: int) -> dict[FlatWeight, list[tuple[int, ...]]]:
         """The merged ring monomials of degree i, grouped by fine weight."""
@@ -400,9 +379,8 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def _merged_maps(fine: _Complex, pieces) -> list[_MergedMap]:
-    """The merged complexes of the groupings that merge exactly two factors,
-    with the tables of the slice's middle and right pieces built.
+def _merged_maps(fine: _Complex) -> list[_MergedMap]:
+    """The merged complexes of the groupings that merge exactly two factors.
 
     These suffice: a grouping with a block holding factors i and j has a
     coordinate ring that surjects onto the one merging only i and j, which
@@ -410,19 +388,17 @@ def _merged_maps(fine: _Complex, pieces) -> list[_MergedMap]:
     factors through the complex of that pair.
     """
     n = len(fine.dims)
-    merges = []
-    for pair in itertools.combinations(range(n), 2):
-        mm = _MergedMap(fine, (pair, *((k,) for k in range(n) if k not in pair)))
-        mm.prepare(pieces[1:])
-        merges.append(mm)
-    return merges
+    return [
+        _MergedMap(fine, (pair, *((k,) for k in range(n) if k not in pair)))
+        for pair in itertools.combinations(range(n), 2)
+    ]
 
 
 def _block_new_dimension(
     fine: _Complex, pieces, merges: list[_MergedMap], weight: FlatWeight
 ) -> int:
-    """Dimension of the new syzygies at one weight: cycles modulo boundaries
-    and the images of merged cycles.
+    """Dimension of the middle homology of the slice at one weight, modulo
+    the images of merged cycles; with no merges, the homology itself.
 
     With B the boundaries into the middle block, and M_k and D_k the chain
     map and the differential of merge k, the old classes span
@@ -433,10 +409,11 @@ def _block_new_dimension(
     if not mid:
         return 0
     cycles = len(mid) - rank(fine.differential(mid, right))
-    if not cycles:
-        return 0
     boundaries = fine.differential(left, mid)
-    if cycles == rank(boundaries):  # no homology, so nothing new to find
+    homology = cycles - rank(boundaries)
+    if homology < 0:
+        raise ConsistencyError(f"negative homology dimension at weight {weight}")
+    if not homology:  # new syzygies are a quotient of the homology
         return 0
     # merges with cycles at this weight: (merge, source block, D, rank D)
     merged = []
@@ -447,6 +424,8 @@ def _block_new_dimension(
             diff_rank = rank(diff)
             if diff_rank < len(source):
                 merged.append((mm, source, diff, diff_rank))
+    if not merged:
+        return homology
     width = len(left) + sum(len(source) for _, source, _, _ in merged)
     rows = [row + [0] * (width - len(left)) for row in boundaries]
     offset = len(left)
@@ -477,7 +456,7 @@ def new_syzygy_dimension(
     if len(dims) < 2:
         raise ValueError("need at least two tensor factors")
     pieces, fine = _slice(dims, p, d, capacity)
-    merges = _merged_maps(fine, pieces)
+    merges = _merged_maps(fine)
     table = _weight_table(
         dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w)
     )

@@ -473,9 +473,6 @@ class RationalFunction:
             out.append(value)
         return out
 
-    def denominator_degree(self) -> int:
-        return len(self.den) - 1
-
     def to_json(self) -> dict:
         return {
             "num": {str(i): str(c) for i, c in enumerate(self.num) if c},

@@ -14,9 +14,6 @@ from fractions import Fraction
 from .characters import character_table, class_data
 from .partitions import Partition, check_partition, gl_dimension, partitions_of, schur_product
 
-Rational = Fraction
-
-
 class SymFunc:
     """Sparse exact-rational combination of Schur basis symbols."""
 

@@ -36,10 +36,6 @@ def canonical_monomial(parts) -> Monomial:
     return tuple(sorted((tuple(p) for p in parts), key=_part_key))
 
 
-def monomial_order(mono: Monomial) -> int:
-    return len(mono)
-
-
 def monomial_degree(mono: Monomial) -> int | None:
     """Common part size of a degree-homogeneous monomial, else None.
 

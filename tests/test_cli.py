@@ -143,9 +143,13 @@ def test_exit_codes(capsys):
 
 
 def test_capacity_env(capsys, monkeypatch):
-    monkeypatch.setenv("SEGRE_CAPACITY", "5")
+    monkeypatch.setenv("SEGRE_CAPACITY", "3")
     code, _, err = run_cli(capsys, "koszul", "--dims", "2,2", "--p", "1", "--d", "2")
-    assert code == 3 and "capacity 5" in err
+    assert code == 3 and "capacity 3" in err
+    # capacity bounds blocks, and the largest block of this slice has 4 elements
+    monkeypatch.setenv("SEGRE_CAPACITY", "5")
+    code, out, _ = run_cli(capsys, "koszul", "--dims", "2,2", "--p", "1", "--d", "2")
+    assert code == 0 and json.loads(out)["dimension"] == 1
 
 
 def test_text_format(capsys):

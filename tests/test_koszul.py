@@ -8,7 +8,6 @@ import pytest
 from segre_syzygies.errors import CapacityError, ConsistencyError
 from segre_syzygies.koszul import (
     DEFAULT_CAPACITY,
-    _block_homology,
     _block_new_dimension,
     _Complex,
     _merged_maps,
@@ -99,6 +98,35 @@ def test_graded_ring_dimension():
     assert graded_ring_dimension((2, 2), 2) == 9
     assert graded_ring_dimension((3, 2, 2), 0) == 1
     assert graded_ring_dimension((2, 3), 2) == 3 * 6
+
+
+def filtered_wedges(cx, j, weight):
+    """Every j-subset of labels whose fine weight fits under weight, with the
+    weight left over, by filtering all of them, in decreasing order."""
+    out = []
+    for wedge in itertools.combinations(range(len(cx.positions)), j):
+        left = list(weight)
+        for k in wedge:
+            for q in cx.weight_positions[k]:
+                left[q] -= 1
+        if min(left) >= 0:
+            out.append((wedge, tuple(left)))
+    return out[::-1]
+
+
+def test_wedges_match_filtered_combinations():
+    # the fine complex and every pair merge, at balanced and unbalanced weights
+    for dims in [(2, 3), (2, 2, 2)]:
+        fine = _Complex(dims, DEFAULT_CAPACITY)
+        weights = [w for total in (1, 2, 3) for w in all_weights(dims, total)]
+        weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
+        for cx in [fine, *_merged_maps(fine)]:
+            for w in weights:
+                assert not list(cx.wedges(-1, list(w)))
+                for j in range(5):
+                    budget = list(w)
+                    assert list(cx.wedges(j, budget)) == filtered_wedges(cx, j, w), (dims, w, j)
+                    assert budget == list(w)
 
 
 def test_differential_squares_to_zero():
@@ -197,7 +225,7 @@ def test_weight_table_matches_every_block():
         pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
         direct = {}
         for w in all_weights(dims, d):
-            h = _block_homology(fine, pieces, w)
+            h = _block_new_dimension(fine, pieces, [], w)
             if h:
                 direct[nest(w, dims)] = h
         assert direct == report.weight_table, (dims, p, d)
@@ -206,7 +234,7 @@ def test_weight_table_matches_every_block():
 def test_new_syzygies_agree_at_non_dominant_weights():
     for dims in [(2, 3), (2, 2, 2)]:
         pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
-        merges = _merged_maps(fine, pieces)
+        merges = _merged_maps(fine)
         direct = {}
         for w in all_weights(dims, 3):
             v = _block_new_dimension(fine, pieces, merges, w)
@@ -236,7 +264,7 @@ def test_new_syzygies_match_kernel_reference():
     assert len(nondiscrete_groupings(4)) == 14  # Bell(4) - 1
     for dims, p, d in cases:
         pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
-        merges = _merged_maps(fine, pieces)
+        merges = _merged_maps(fine)
         groupings = [_MergedMap(fine, u) for u in nondiscrete_groupings(len(dims))]
         for w in all_weights(dims, d):
             expected = reference_new_dimension(fine, pieces, groupings, w)
@@ -425,7 +453,7 @@ def test_series_oracle_agreement_p3():
             predicted = dimension_on_factors(star, dims, d)
             assert koszul_homology(dims, 3, d).dimension == predicted, (dims, d)
     # past the whole-piece budget: the largest piece of this slice has
-    # 224000 elements, but no wedge table or weight block comes near it
+    # 224000 elements, but no weight block comes near it
     assert koszul_homology((4, 4), 3, 6).dimension == dimension_on_factors(star, (4, 4), 6) == 0
 
 
