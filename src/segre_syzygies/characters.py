@@ -29,8 +29,9 @@ class ClassData:
     sign: int
 
 
+@cache
 def class_data(lam: Partition) -> ClassData:
-    """Class size, centralizer order and sign for the cycle type lam."""
+    """Class size, centralizer order and sign for the cycle type lam, memoized."""
     p = sum(lam)
     mult: dict[int, int] = {}
     for part in lam:
@@ -148,8 +149,9 @@ def character_table(p: int) -> CharacterTable:
     return CharacterTable(p, labels, values)
 
 
+@cache
 def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of the nu-irreducible in the tensor product for lam and mu."""
+    """Multiplicity of the nu-irreducible in the tensor product for lam and mu, memoized."""
     p = sum(lam)
     if sum(mu) != p or sum(nu) != p:
         raise ValueError(f"|{lam}|, |{mu}|, |{nu}| must agree")

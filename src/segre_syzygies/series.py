@@ -10,8 +10,8 @@ and the two sides of the tensor-Schur identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, permutations
-from math import factorial
+from itertools import groupby, permutations
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .characters import character_table, class_data
@@ -87,9 +87,23 @@ class PartitionSeries:
                         cleaned.pop(key, None)
         self.terms = cleaned
 
+    @classmethod
+    def _trusted(
+        cls, policy: TruncationPolicy, terms: dict[Monomial, Fraction]
+    ) -> "PartitionSeries":
+        """Wrap terms that are already canonical, admitted by policy and non-zero.
+
+        For results the library builds itself; external input goes through
+        the checking constructor.
+        """
+        series = cls.__new__(cls)
+        series.policy = policy
+        series.terms = terms
+        return series
+
     @staticmethod
     def zero(policy: TruncationPolicy) -> "PartitionSeries":
-        return PartitionSeries(policy)
+        return PartitionSeries._trusted(policy, {})
 
     @staticmethod
     def one(policy: TruncationPolicy) -> "PartitionSeries":
@@ -112,29 +126,36 @@ class PartitionSeries:
         self._check_policy(other)
         result = dict(self.terms)
         for mono, c in other.terms.items():
-            result[mono] = result.get(mono, Fraction(0)) + c
-        return PartitionSeries(self.policy, result)
+            total = result.get(mono, 0) + c
+            if total:
+                result[mono] = total
+            else:
+                del result[mono]
+        return PartitionSeries._trusted(self.policy, result)
 
     def __sub__(self, other: "PartitionSeries") -> "PartitionSeries":
         return self + (-other)
 
     def __neg__(self) -> "PartitionSeries":
-        return PartitionSeries(self.policy, {m: -c for m, c in self.terms.items()})
+        return PartitionSeries._trusted(self.policy, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "PartitionSeries":
         c = Fraction(c)
-        return PartitionSeries(self.policy, {m: c * v for m, v in self.terms.items()})
+        if not c:
+            return PartitionSeries.zero(self.policy)
+        return PartitionSeries._trusted(self.policy, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
+        max_order = self.policy.max_order
         result: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                if len(m1) + len(m2) > self.policy.max_order:
+                if len(m1) + len(m2) > max_order:
                     continue
-                mono = canonical_monomial(m1 + m2)
-                result[mono] = result.get(mono, Fraction(0)) + c1 * c2
-        return PartitionSeries(self.policy, result)
+                mono = tuple(sorted(m1 + m2, key=_part_key))
+                result[mono] = result.get(mono, 0) + c1 * c2
+        return PartitionSeries._trusted(self.policy, {m: c for m, c in result.items() if c})
 
     def _check_policy(self, other: "PartitionSeries") -> None:
         if self.policy != other.policy:
@@ -144,7 +165,7 @@ class PartitionSeries:
         return self.terms.get(canonical_monomial(mono), Fraction(0))
 
     def order_component(self, n: int) -> "PartitionSeries":
-        return PartitionSeries(
+        return PartitionSeries._trusted(
             self.policy, {m: c for m, c in self.terms.items() if len(m) == n}
         )
 
@@ -155,7 +176,7 @@ class PartitionSeries:
             for m, c in self.terms.items()
             if m and monomial_degree(m) == d and (order is None or len(m) == order)
         }
-        return PartitionSeries(self.policy, kept)
+        return PartitionSeries._trusted(self.policy, kept)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -168,7 +189,7 @@ class PartitionSeries:
 
 def order_normalize(a: PartitionSeries) -> PartitionSeries:
     """Multiply each order-n component by n! (pass from averaged to plain counts)."""
-    return PartitionSeries(
+    return PartitionSeries._trusted(
         a.policy, {m: c * factorial(len(m)) for m, c in a.terms.items()}
     )
 
@@ -183,29 +204,55 @@ def exp_combination(
 ) -> PartitionSeries:
     """Sum of scaled exponentials of ring elements without constant term.
 
-    The coefficient of the monomial prod X_mu^m_mu in exp(sum x_mu X_mu) is
-    prod x_mu^m_mu / m_mu!, so each admitted monomial is written directly:
-    one pass over the multisets of each element's kept support.
+    The coefficient of the monomial prod X_mu^m_mu in c * exp(sum x_mu X_mu)
+    is c * prod x_mu^m_mu / m_mu!, so each admitted monomial is written
+    directly, and the sum is taken over the integers.  With D the lcm of the
+    denominators of an element's kept support, x_mu = a_mu / D for integers
+    a_mu.  Order n gets one common denominator L_n, the lcm of den(c) * D^n
+    over all terms, and a term adds the integer
+    num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.  Each
+    non-zero sum then becomes one Fraction over L_n * prod m_mu!.
     """
-    total: dict[Monomial, Fraction] = {}
+    orders = range(policy.max_order + 1)
+    expanded = []
     for coeff, x in terms:
         if () in x.terms:
             raise ValueError("exponential arguments must have no constant term")
+        coeff = Fraction(coeff)
+        if not coeff:
+            continue
         support = sorted(
             (lam for lam in x.terms if sum(lam) <= policy.max_part_size), key=_part_key
         )
-        powers = {
-            lam: [x.terms[lam] ** m / factorial(m) for m in range(policy.max_order + 1)]
-            for lam in support
-        }
-        coeff = Fraction(coeff)
-        for n in range(policy.max_order + 1):
-            for mono in combinations_with_replacement(support, n):
-                value = coeff
-                for lam, run in groupby(mono):
-                    value *= powers[lam][sum(1 for _ in run)]
-                total[mono] = total.get(mono, 0) + value
-    return PartitionSeries(policy, total)
+        den = lcm(*(x.terms[lam].denominator for lam in support))
+        numerators = [
+            x.terms[lam].numerator * (den // x.terms[lam].denominator) for lam in support
+        ]
+        expanded.append((coeff, den, support, numerators))
+    common = [lcm(*(c.denominator * den**n for c, den, _, _ in expanded)) for n in orders]
+    total: dict[Monomial, int] = {}
+    for coeff, den, support, numerators in expanded:
+        scales = [coeff.numerator * (common[n] // (coeff.denominator * den**n)) for n in orders]
+        # depth-first over the multisets of the support, in canonical order:
+        # (monomial, index of its last part, prod a_mu^m_mu)
+        stack = [((), 0, 1)]
+        while stack:
+            mono, first, value = stack.pop()
+            n = len(mono)
+            total[mono] = total.get(mono, 0) + scales[n] * value
+            if n < policy.max_order:
+                stack.extend(
+                    (mono + (support[j],), j, value * numerators[j])
+                    for j in range(first, len(support))
+                )
+    result: dict[Monomial, Fraction] = {}
+    for mono, value in total.items():
+        if value:
+            den = common[len(mono)]
+            for _, run in groupby(mono):
+                den *= factorial(sum(1 for _ in run))
+            result[mono] = Fraction(value, den)
+    return PartitionSeries._trusted(policy, result)
 
 
 def euler_chi(k: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSeries:

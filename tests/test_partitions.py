@@ -1,5 +1,5 @@
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -196,3 +196,25 @@ def test_schur_product_matches_lr():
     for nu, coeff in expansion.items():
         assert coeff == lr_coefficient((2, 1), (2, 1), nu)
     assert sum(c * gl_dimension(nu, 3) for nu, c in expansion.items()) == 8 * 8
+
+
+SMALL_PARTITIONS = [lam for n in range(0, 5) for lam in partitions_of(n)]
+
+
+def test_schur_product_commutes():
+    for lam, mu in itertools.product(SMALL_PARTITIONS, repeat=2):
+        assert schur_product(lam, mu) == schur_product(mu, lam)
+
+
+def test_schur_product_commutes_with_conjugation():
+    for lam, mu in itertools.product(SMALL_PARTITIONS, repeat=2):
+        conjugated = {conjugate(nu): c for nu, c in schur_product(lam, mu).items()}
+        assert conjugated == schur_product(conjugate(lam), conjugate(mu))
+
+
+def test_schur_product_induction_dimension():
+    # inducing from S_a x S_b to S_(a+b) multiplies dimensions by C(a+b, a)
+    for lam, mu in itertools.product(SMALL_PARTITIONS, repeat=2):
+        total = sum(c * dimension_sn(nu) for nu, c in schur_product(lam, mu).items())
+        a, b = sum(lam), sum(mu)
+        assert total == comb(a + b, a) * dimension_sn(lam) * dimension_sn(mu)

@@ -1,6 +1,7 @@
 """Property tests of the exact core: polynomial division, torus characters,
-the rank identity behind the new-syzygy dimension and the lowest-terms form
-of multinomial sums.
+the rank identity behind the new-syzygy dimension, the lowest-terms form
+of multinomial sums, the integer exponential kernel and the series
+arithmetic that skips re-canonicalisation.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -8,8 +9,10 @@ checks the same inputs.
 
 import tempfile
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
+from math import factorial
 
-from hypothesis import configuration, given, settings, strategies as st
+from hypothesis import configuration, example, given, settings, strategies as st
 
 from segre_syzygies.acceptance import _direct_multinomial_sum
 from segre_syzygies.linalg import gauss_jordan, rank
@@ -19,6 +22,13 @@ from segre_syzygies.rationality import (
     _poly_gcd_q,
     multinomial_sum_rational,
     torus_constant_term,
+)
+from segre_syzygies.schur_ring import SymFunc
+from segre_syzygies.series import (
+    PartitionSeries,
+    TruncationPolicy,
+    canonical_monomial,
+    exp_combination,
 )
 
 # Hypothesis caches the constants of local source files on disk even without
@@ -30,6 +40,17 @@ PROPERTY = settings(database=None, derandomize=True, max_examples=40, deadline=N
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 laurent = st.dictionaries(
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)), fractions, max_size=5
+)
+
+
+# partitions of sizes 1..4, so a policy with max_part_size < 4 drops some
+small_partitions = st.sampled_from(
+    [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+)
+policies = st.builds(TruncationPolicy, st.integers(0, 4), st.integers(1, 3))
+sym_funcs = st.dictionaries(small_partitions, fractions, max_size=5).map(SymFunc)
+raw_series = st.dictionaries(
+    st.lists(small_partitions, max_size=3).map(tuple), fractions, max_size=6
 )
 
 
@@ -98,3 +119,51 @@ def test_multinomial_sum_is_in_lowest_terms(data):
     assert rf.den[0] == 1
     assert len(_poly_gcd_q(rf.num, rf.den)) == 1
     assert rf.coefficients(8) == _direct_multinomial_sum({expo: 1}, e, d, 8)
+
+
+def reference_exp_combination(terms, policy):
+    """Fraction products per monomial, summed through the checking constructor."""
+    total = {}
+    for coeff, x in terms:
+        support = sorted(
+            (lam for lam in x.terms if sum(lam) <= policy.max_part_size),
+            key=lambda lam: (sum(lam), lam),
+        )
+        for n in range(policy.max_order + 1):
+            for mono in combinations_with_replacement(support, n):
+                value = Fraction(coeff)
+                for lam, run in groupby(mono):
+                    m = sum(1 for _ in run)
+                    value *= x.terms[lam] ** m / factorial(m)
+                total[mono] = total.get(mono, 0) + value
+    return PartitionSeries(policy, total)
+
+
+def assert_trusted(a):
+    assert all(type(c) is Fraction and c for c in a.terms.values())
+    assert all(canonical_monomial(k) == k and a.policy.admits(k) for k in a.terms)
+    assert a == PartitionSeries(a.policy, a.terms)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(fractions, sym_funcs), min_size=1, max_size=3), policies)
+def test_exp_combination_matches_fraction_reference(terms, policy):
+    result = exp_combination(terms, policy)
+    assert result.terms == reference_exp_combination(terms, policy).terms
+    assert_trusted(result)
+
+
+@PROPERTY
+@given(policies, raw_series, raw_series, fractions)
+@example(TruncationPolicy(2, 2), {((1,),): 1}, {((2,),): 1}, Fraction(1, 2))
+def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q):
+    a, b = PartitionSeries(policy, a), PartitionSeries(policy, b)
+    # the cross terms of (a + b) * (a - b) cancel
+    for result in (a + b, a - a, a.scale(0), a.scale(q), -a, a * b, (a + b) * (a - b)):
+        assert_trusted(result)
+    assert not (a - a).terms and not a.scale(0).terms
+    products = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            products[m1 + m2] = products.get(m1 + m2, 0) + c1 * c2
+    assert a * b == PartitionSeries(policy, products)

@@ -168,7 +168,7 @@ def test_euler_chi_matches_term_level_euler_characteristic():
     # sum_j (-1)^j dim R_{k-j} C(N, j), with no homology computed
     for dims in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (2, 3, 4), (3, 3, 3)]:
         n, big_n = len(dims), prod(dims)
-        for k in range(2, 6):
+        for k in range(2, 8):
             chi = euler_chi(k, TruncationPolicy(n, k))
             value = sum(
                 coeff
