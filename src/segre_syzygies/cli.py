@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--coeffs", default=None,
                      help="comma-separated rationals; otherwise a JSON array is read from stdin")
 
-    sub = commands.add_parser("verify", help="run the acceptance suite")
-    sub.add_argument("--quick", action="store_true")
+    commands.add_parser("verify", help="run the acceptance suite")
 
     return parser
 
@@ -312,7 +311,7 @@ def run_command(args) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        results = run_all(quick=args.quick)
+        results = run_all()
         for result in results:
             print(result.line())
         ok = all(r.passed and r.in_budget for r in results)

@@ -16,10 +16,14 @@ Three engines live here:
   coefficient ring, with the denominator degree minimized.
 
 Coefficients are Fractions, or sparse multivariate polynomials over the
-rationals when a series has polynomial coefficients.  One sparse class,
-`MPoly`, serves both as those polynomial coefficients and as the torus
-characters of the Weyl pairing (whose exponents may be negative); one
-division, `_poly_divmod`, serves every univariate quotient and remainder.
+rationals when a series has polynomial coefficients.  No ring is passed
+around: the domain is read off the coefficients.  Numbers alone are worked
+in Q; one `MPoly` or `MFrac` among them puts all of them in the polynomials
+in its variable count, and `MFrac` is their one fraction field.  One
+sparse class, `MPoly`, serves both as those polynomial coefficients and as
+the torus characters of the Weyl pairing (whose exponents may be negative);
+one division, `_poly_divmod`, serves every univariate quotient and
+remainder.
 """
 
 from __future__ import annotations
@@ -269,64 +273,45 @@ class MFrac:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-ring adapters
+# the coefficient domain, read off the coefficients
 
 
-class _RationalRing:
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
+def _in_common_ring(coeffs) -> tuple[list, Fraction | MPoly]:
+    """The coefficients in their common ring, and its one.
 
-    @staticmethod
-    def from_value(x):
-        return Fraction(x)
+    Numbers alone live in Q, as Fractions.  Once any coefficient is an MPoly
+    or an MFrac, all live in the polynomials in its variable count: numbers
+    become constants, an MFrac whose value is a polynomial becomes that
+    MPoly, and any other MFrac stays a fraction.
+    """
+    nvars = {
+        (c.num if isinstance(c, MFrac) else c).nvars
+        for c in coeffs
+        if isinstance(c, (MPoly, MFrac))
+    }
+    if len(nvars) > 1:
+        raise ValueError("variable count mismatch")
+    if not nvars:
+        return [Fraction(c) for c in coeffs], Fraction(1)
+    n = nvars.pop()
+    lifted = [
+        _to_ring(c) if isinstance(c, (MPoly, MFrac)) else MPoly.constant(n, c)
+        for c in coeffs
+    ]
+    return lifted, MPoly.constant(n, 1)
 
-    @staticmethod
-    def to_field(x):
-        return Fraction(x)
 
-    @staticmethod
-    def from_field(x):
-        return Fraction(x)
+def _to_field(c):
+    """c in the fraction field of its ring: an MPoly becomes an MFrac."""
+    return MFrac(c) if isinstance(c, MPoly) else c
 
 
-QQ = _RationalRing()
-
-
-class PolynomialRing:
-    """Multivariate polynomials over Q as a coefficient ring for series in t."""
-
-    def __init__(self, nvars: int):
-        self.name = f"QQ[{','.join(_var_names(nvars))}]"
-        self.nvars = nvars
-        self.zero = MPoly(nvars)
-        self.one = MPoly.constant(nvars, 1)
-
-    def from_value(self, x):
-        if isinstance(x, MFrac):
-            p = x.as_poly()
-            if p is None:
-                return x
-            x = p
-        if isinstance(x, MPoly):
-            if x.nvars != self.nvars:
-                raise ValueError("variable count mismatch")
-            return x
-        return MPoly.constant(self.nvars, x)
-
-    def to_field(self, x):
-        if isinstance(x, MFrac):
-            return x
-        return MFrac(self.from_value(x))
-
-    def from_field(self, x):
-        if isinstance(x, MFrac):
-            p = x.as_poly()
-            return p if p is not None else x
-        return self.from_value(x)
-
-    def variable(self, i: int) -> MPoly:
-        return MPoly.variable(self.nvars, i)
+def _to_ring(c):
+    """Back to the ring: an MFrac whose value is a polynomial becomes it."""
+    if isinstance(c, MFrac):
+        p = c.as_poly()
+        return c if p is None else p
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +336,6 @@ def _poly_add(a, b):
         else:
             out.append(b[i])
     return _trim(out)
-
-
-def _poly_neg(a):
-    return [-c for c in a]
 
 
 def _poly_mul(a, b):
@@ -405,12 +386,12 @@ def _poly_gcd_q(a, b):
 class RationalFunction:
     """Quotient of polynomials in t; the denominator has constant term one."""
 
-    __slots__ = ("num", "den", "ring")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, ring=QQ):
-        self.ring = ring
-        num = _trim([self._lift(c) for c in num])
-        den = _trim([self._lift(c) for c in (den if den is not None else [ring.one])])
+    def __init__(self, num, den=None):
+        num, den = list(num), [1] if den is None else list(den)
+        coeffs, one = _in_common_ring(num + den)
+        num, den = _trim(coeffs[: len(num)]), _trim(coeffs[len(num) :])
         if not den:
             raise ZeroDivisionError("zero denominator")
         while den and not den[0]:
@@ -421,35 +402,25 @@ class RationalFunction:
             if not den:
                 raise ZeroDivisionError("denominator is a power of t only")
         if not num:
-            den = [ring.one]
-        elif ring is QQ:
+            den = [one]
+        elif isinstance(one, Fraction):
             g = _poly_gcd_q(num, den)
             if len(g) > 1:
                 (num, rn), (den, rd) = _poly_divmod(num, g), _poly_divmod(den, g)
                 if rn or rd:
                     raise ConsistencyError("polynomial division was not exact")
-        if den[0] != ring.one:
-            num, den = self._normalize_unit(num, den)
+        if den[0] != one:
+            inv = 1 / _to_field(den[0])
+            num = [_to_ring(_to_field(x) * inv) for x in num]
+            den = [_to_ring(_to_field(x) * inv) for x in den]
         self.num = num
         self.den = den
 
-    def _lift(self, c):
-        if isinstance(c, MFrac):
-            return self.ring.from_field(c)
-        return self.ring.from_value(c)
-
-    def _normalize_unit(self, num, den):
-        c0 = den[0]
-        field_inv = 1 / self.ring.to_field(c0) if not isinstance(c0, Fraction) else 1 / c0
-        num = [self.ring.from_field(self.ring.to_field(x) * field_inv) for x in num]
-        den = [self.ring.from_field(self.ring.to_field(x) * field_inv) for x in den]
-        return num, den
-
     @classmethod
     def _lowest_terms(cls, num, den) -> "RationalFunction":
-        """Wrap a QQ quotient already coprime with den[0] == 1, skipping the GCD."""
+        """Wrap a Fraction quotient already coprime with den[0] == 1, skipping the GCD."""
         rf = object.__new__(cls)
-        rf.num, rf.den, rf.ring = num, den, QQ
+        rf.num, rf.den = num, den
         return rf
 
     def __bool__(self):
@@ -458,16 +429,14 @@ class RationalFunction:
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        diff = _poly_add(
-            _poly_mul(self.num, other.den), _poly_neg(_poly_mul(other.num, self.den))
-        )
-        return not diff
+        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
     def coefficients(self, n: int) -> list:
         """First n power-series coefficients."""
         out = []
+        zero = self.den[0] * 0
         for k in range(n):
-            value = self.num[k] if k < len(self.num) else self.ring.zero
+            value = self.num[k] if k < len(self.num) else zero
             for i in range(1, min(k, len(self.den) - 1) + 1):
                 value = value - self.den[i] * out[k - i]
             out.append(value)
@@ -771,22 +740,16 @@ def geometric_torus_coefficients(d: int, n_terms: int) -> list[MPoly]:
 # rational reconstruction from truncated series
 
 
-def rational_reconstruct(coeffs, max_den_degree: int, ring=None):
+def rational_reconstruct(coeffs, max_den_degree: int):
     """Minimal-denominator rational function matching the given coefficients.
 
     Needs at least 2*max_den_degree + 2 coefficients.  For each candidate
     denominator degree, ascending, the linear system forcing the product of
     denominator and series to vanish on the last max_den_degree positions is
-    solved exactly over the fraction field of the coefficient ring; the
+    solved exactly over the fraction field of the coefficients' ring; the
     first consistent candidate wins.  Returns None when nothing fits.
     """
-    if ring is None:
-        if all(isinstance(c, (int, Fraction)) for c in coeffs):
-            ring = QQ
-        else:
-            nvars = next(c.nvars for c in coeffs if isinstance(c, (MPoly, MFrac)))
-            ring = PolynomialRing(nvars)
-    coeffs = [ring.from_value(c) for c in coeffs]
+    coeffs, one = _in_common_ring(coeffs)
     m = max_den_degree
     if m < 0:
         raise ValueError("max_den_degree must be non-negative")
@@ -794,19 +757,19 @@ def rational_reconstruct(coeffs, max_den_degree: int, ring=None):
     if length < 2 * m + 2:
         raise ValueError(f"need at least {2 * m + 2} coefficients, got {length}")
     window = range(length - m, length)
-    field_coeffs = [ring.to_field(c) for c in coeffs]
+    field_coeffs = [_to_field(c) for c in coeffs]
     for mp in range(m + 1):
-        alphas = _solve_recurrence(field_coeffs, mp, window, ring)
+        alphas = _solve_recurrence(field_coeffs, mp, window)
         if alphas is None:
             continue
-        den_field = [ring.to_field(ring.one)] + [-a for a in alphas]
-        product = _poly_mul(den_field, field_coeffs) if field_coeffs else []
+        den_field = [_to_field(one)] + [-a for a in alphas]
+        product = _poly_mul(den_field, field_coeffs)
         num_field = _trim(product[: length - m])
-        return RationalFunction(num_field, den_field, ring=ring)
+        return RationalFunction(num_field, den_field)
     return None
 
 
-def _solve_recurrence(fc, mp, window, ring):
+def _solve_recurrence(fc, mp, window):
     """Solve f_j = sum_i alpha_i f_{j-i} on the window; None if inconsistent."""
     rows = [
         [fc[j - i] for i in range(1, mp + 1)] + [fc[j]]
@@ -815,16 +778,18 @@ def _solve_recurrence(fc, mp, window, ring):
     pivots = gauss_jordan(rows, mp)
     if any(row[-1] for row in rows[len(pivots) :]):
         return None
-    solution = [ring.to_field(ring.zero)] * mp
+    solution = [fc[0] * 0] * mp
     for row, c in zip(rows, pivots):
         solution[c] = row[-1]
     return solution
 
 
-def divides_up_to_unit(den, target, ring) -> bool:
+def divides_up_to_unit(den, target) -> bool:
     """Whether den divides target in the polynomial ring over t, up to a unit."""
-    den_f = _trim([ring.to_field(c) for c in den])
-    target_f = _trim([ring.to_field(c) for c in target])
+    den = list(den)
+    coeffs, _ = _in_common_ring(den + list(target))
+    den_f = _trim([_to_field(c) for c in coeffs[: len(den)]])
+    target_f = _trim([_to_field(c) for c in coeffs[len(den) :]])
     if not den_f:
         return False
     return not _poly_divmod(target_f, den_f)[1]

@@ -316,7 +316,9 @@ def tensor_schur_series_recurrence(
 
     The order-n vector is 1/n times the Kronecker-matrix product of the
     order-(n-1) vector with the degree-p variables; the order-0 vector is
-    supported at the one-row partition.
+    supported at the one-row partition.  Each vector entry is a term dict;
+    every part has size p, so appending mu to a monomial and sorting keeps
+    it canonical.
     """
     from .characters import kronecker_coefficient
 
@@ -325,27 +327,25 @@ def tensor_schur_series_recurrence(
     if p < 1:
         raise ValueError("lam must be a non-zero partition")
     labels = partitions_of(p)
-    variables = {mu: PartitionSeries.variable(mu, policy) if sum(mu) <= policy.max_part_size
-                 else PartitionSeries.zero(policy) for mu in labels}
-    current = {
-        target: (PartitionSeries.one(policy) if target == (p,) else PartitionSeries.zero(policy))
-        for target in labels
-    }
-    total = {target: current[target] for target in labels}
+    variables = labels if p <= policy.max_part_size else []
+    current = {target: {(): Fraction(1)} if target == (p,) else {} for target in labels}
+    total = dict(current[lam])
     for n in range(1, policy.max_order + 1):
-        step = {target: PartitionSeries.zero(policy) for target in labels}
+        step = {}
         for target in labels:
-            acc = PartitionSeries.zero(policy)
-            for mu in labels:
+            acc: dict[Monomial, Fraction] = {}
+            for mu in variables:
                 for nu in labels:
                     c = kronecker_coefficient(target, mu, nu)
                     if c:
-                        acc = acc + (variables[mu] * current[nu]).scale(c)
-            step[target] = acc.scale(Fraction(1, n))
+                        for mono, v in current[nu].items():
+                            key = tuple(sorted(mono + (mu,)))
+                            acc[key] = acc.get(key, 0) + c * v
+            step[target] = {mono: v / n for mono, v in acc.items() if v}
         current = step
-        for target in labels:
-            total[target] = total[target] + current[target]
-    return total[lam]
+        for mono, v in current[lam].items():
+            total[mono] = total.get(mono, 0) + v
+    return PartitionSeries._trusted(policy, {mono: v for mono, v in total.items() if v})
 
 
 def lascoux_leading(

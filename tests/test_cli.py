@@ -177,8 +177,9 @@ def test_koszul_weights_csv(capsys):
     assert body[2] == "1,1;1,1,1"
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--quick")
+def test_verify_all_criteria(capsys):
+    code, out, _ = run_cli(capsys, "verify")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
+    assert len(lines) == 13
     assert all(line.startswith("PASS") for line in lines)

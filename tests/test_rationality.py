@@ -11,8 +11,6 @@ from segre_syzygies.rationality import (
     MFrac,
     MPoly,
     PoleFraction,
-    PolynomialRing,
-    QQ,
     RationalFunction,
     denominator_pole_factors,
     discriminant_squared,
@@ -240,8 +238,7 @@ def test_reconstruct_round_trip_random():
 
 
 def test_mpoly_arithmetic():
-    ring = PolynomialRing(2)
-    s, w = ring.variable(0), ring.variable(1)
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
     p = (s + w) * (s - w)
     assert p == s * s - w * w
     assert (p * p).exact_div(p) == p
@@ -253,35 +250,59 @@ def test_mpoly_arithmetic():
 
 
 def test_mfrac_reduction():
-    ring = PolynomialRing(2)
-    s, w = ring.variable(0), ring.variable(1)
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
     frac = MFrac((s * s - w * w), (s + w))
     assert frac.as_poly() == s - w
     frac = MFrac(s, s * s)
     assert frac.as_poly() is None
-    assert frac * MFrac(s) == MFrac(ring.one)
+    assert frac * MFrac(s) == MFrac(MPoly.constant(2, 1))
 
 
 def test_reconstruct_polynomial_coefficients():
-    ring = PolynomialRing(2)
-    s, w = ring.variable(0), ring.variable(1)
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
     # expand w^2 t^2 / ((1-st)((1-st)^2 - w^2 t^2)) and reconstruct it
-    den = [ring.one, -3 * s, 3 * s * s - w * w, s * w * w - s * s * s]
-    num = [ring.zero, ring.zero, w * w]
-    original = RationalFunction(num, den, ring=ring)
+    one = MPoly.constant(2, 1)
+    den = [one, -3 * s, 3 * s * s - w * w, s * w * w - s * s * s]
+    num = [MPoly(2), MPoly(2), w * w]
+    original = RationalFunction(num, den)
     data = original.coefficients(8)
     rec = rational_reconstruct(data, 3)
     assert rec is not None
     assert rec.coefficients(8) == data
     assert rec.num == num[:3] or rec.num[:3] == [MPoly(2), MPoly(2), w * w]
     assert rec.den == den
-    assert divides_up_to_unit(rec.den, den, ring)
+    assert divides_up_to_unit(rec.den, den)
 
 
 def test_divides_up_to_unit():
-    ring = QQ
-    assert divides_up_to_unit([1, -1], [1, 0, -1], ring)  # (1-t) | (1-t^2)
-    assert not divides_up_to_unit([1, -2], [1, 0, -1], ring)
-    ring2 = PolynomialRing(1)
-    s = ring2.variable(0)
-    assert divides_up_to_unit([ring2.one, -s], [ring2.one, ring2.zero, -(s * s)], ring2)
+    assert divides_up_to_unit([1, -1], [1, 0, -1])  # (1-t) | (1-t^2)
+    assert not divides_up_to_unit([1, -2], [1, 0, -1])
+    s = MPoly.variable(1, 0)
+    one = MPoly.constant(1, 1)
+    assert divides_up_to_unit([one, -s], [one, MPoly(1), -(s * s)])
+    # plain numbers beside polynomials are read as constant polynomials
+    assert divides_up_to_unit([1, -s], [1, 0, -(s * s)])
+    assert not divides_up_to_unit([1, -s], [1, 0, -s])
+
+
+def test_coefficient_domain_is_read_off_the_coefficients():
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    # plain ints beside polynomials become constant polynomials
+    tail = [-3 * s, 3 * s * s - w * w, s * w * w - s * s * s]
+    mixed = RationalFunction([0, 0, w * w], [1] + tail)
+    lifted = RationalFunction([MPoly(2), MPoly(2), w * w], [MPoly.constant(2, 1)] + tail)
+    assert all(isinstance(c, MPoly) for c in mixed.num + mixed.den)
+    assert mixed.num == lifted.num and mixed.den == lifted.den
+    assert mixed.coefficients(6) == lifted.coefficients(6)
+    assert all(isinstance(c, MPoly) for c in mixed.coefficients(6))
+    # numbers alone stay Fractions, in lowest terms with den[0] == 1
+    plain = RationalFunction([2, -2], [2, 0, -2])
+    assert plain.num == [1] and plain.den == [1, 1]
+    assert all(type(c) is Fraction for c in plain.num + plain.den + plain.coefficients(4))
+    # coefficients in different variable counts do not share a ring
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        RationalFunction([s], [1, MPoly.variable(1, 0)])
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        rational_reconstruct([s, MPoly.variable(3, 0), s, s], 1)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        divides_up_to_unit([1, s], [1, MPoly.variable(1, 0)])

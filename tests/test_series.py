@@ -274,6 +274,15 @@ def test_tensor_schur_closed_equals_recurrence():
     for p in (1, 2, 3):
         for lam in partitions_of(p):
             assert tensor_schur_series_closed(lam, pol) == tensor_schur_series_recurrence(lam, pol)
+    pol = TruncationPolicy(4, 4)
+    for lam in partitions_of(4):
+        assert tensor_schur_series_closed(lam, pol) == tensor_schur_series_recurrence(lam, pol)
+    # parts of size p are cut by the policy: only the order-0 term is left
+    pol = TruncationPolicy(3, 2)
+    for lam in partitions_of(3):
+        rec = tensor_schur_series_recurrence(lam, pol)
+        assert tensor_schur_series_closed(lam, pol) == rec
+        assert rec.terms == ({mono(): Fraction(1)} if lam == (3,) else {})
 
 
 def test_lascoux_examples():
