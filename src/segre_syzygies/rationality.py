@@ -8,7 +8,10 @@ Three engines live here:
   product of factors (1 - a t), so the recursion runs on `PoleFraction`
   values with the poles held as {a: m}: a sum takes the larger exponent
   pole by pole, no polynomial GCD is computed, and the result is brought to
-  lowest terms once by cancelling the factors (1 - a t) that divide it;
+  lowest terms once by cancelling the factors (1 - a t) that divide it.
+  The numerators are integer lists over one common integer denominator, so
+  the recursion does integer arithmetic and makes one Fraction per output
+  coefficient; the power-series expansion over Q runs on ints likewise;
 * the formal torus constant term and the Weyl-integration pairing that
   turns equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
@@ -23,14 +26,15 @@ in its variable count, and `MFrac` is their one fraction field.  One
 sparse class, `MPoly`, serves both as those polynomial coefficients and as
 the torus characters of the Weyl pairing (whose exponents may be negative);
 one division, `_poly_divmod`, serves every univariate quotient and
-remainder.
+remainder over a field, and one exact division, `_divide_one_minus`,
+cancels a factor (1 - a t) on ints or Fractions alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ConsistencyError
 from .linalg import gauss_jordan
@@ -432,7 +436,27 @@ class RationalFunction:
         return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
     def coefficients(self, n: int) -> list:
-        """First n power-series coefficients."""
+        """First n power-series coefficients.
+
+        Over Q the expansion runs on ints: with num = N/D and den = B/E
+        (so B[0] = E), coefficient k is y_k / (D E^k), where
+        y_k = N_k E^k - sum over i >= 1 of B_i E^(i-1) y_(k-i).
+        """
+        if n < 0:
+            raise ValueError(f"number of terms must be non-negative, got {n}")
+        if isinstance(self.den[0], Fraction):
+            big_n, big_d = _int_poly(self.num)
+            big_b, big_e = _int_poly(self.den)
+            tail = [b * big_e ** (i - 1) for i, b in enumerate(big_b) if i]
+            out, ys, power = [], [], 1
+            for k in range(n):
+                y = big_n[k] * power if k < len(big_n) else 0
+                for i, b in enumerate(tail[:k], 1):
+                    y -= b * ys[k - i]
+                ys.append(y)
+                out.append(Fraction(y, big_d * power))
+                power *= big_e
+            return out
         out = []
         zero = self.den[0] * 0
         for k in range(n):
@@ -461,24 +485,54 @@ def _times_one_minus(p, a):
     return _trim([x - a * y for x, y in zip(p + [0], [0] + p)])
 
 
-class PoleFraction:
-    """num / prod over a of (1 - a t)^m, with the poles held as {a: m}.
+def _divide_one_minus(p, a):
+    """p / (1 - a t) when the division is exact, else None.
 
-    Every value of the multinomial-sum recursion has such a denominator, so
-    a sum takes the larger exponent pole by pole and multiplies each
-    numerator by its missing linear factors: no polynomial GCD is needed.
-    Values are not kept in lowest terms; `to_rational` reduces once.
+    Bottom-up synthetic division, q_k = p_k + a q_(k-1): it never divides,
+    so it is exact on ints as on Fractions.  p must be trimmed.
+    """
+    q, carry = [], 0
+    for x in p:
+        carry = x + a * carry
+        q.append(carry)
+    return None if q and q[-1] else q[:-1]
+
+
+def _int_poly(coeffs) -> tuple[list[int], int]:
+    """Rational coefficients as integer numerators over one positive denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+class PoleFraction:
+    """num / (den * prod over a of (1 - a t)^m), with the poles held as {a: m}.
+
+    The numerator is a list of ints over one positive int `den`, so the
+    recursion does integer arithmetic only.  Every value of the
+    multinomial-sum recursion has such a denominator, so a sum takes the
+    larger exponent pole by pole and multiplies each numerator by its
+    missing linear factors: no polynomial GCD is needed.  Values are not
+    kept in lowest terms; `to_rational` reduces once and makes one Fraction
+    per coefficient.
     """
 
-    __slots__ = ("num", "poles")
+    __slots__ = ("num", "den", "poles")
 
     def __init__(self, num, poles=None):
-        self.num = _trim(num)
+        self.num, self.den = _int_poly(_trim(num))
         self.poles = dict(poles) if poles else {}
 
-    def _over(self, poles):
-        """The numerator over the denominator of `poles`, which holds self's."""
-        num = self.num
+    @classmethod
+    def _of(cls, num, den, poles) -> "PoleFraction":
+        """Wrap a trimmed int numerator over den, skipping the conversion."""
+        pf = object.__new__(cls)
+        pf.num, pf.den, pf.poles = num, den, poles
+        return pf
+
+    def _over(self, poles, factor):
+        """factor times the numerator, over the denominator of `poles`, which
+        holds self's."""
+        num = [x * factor for x in self.num] if factor != 1 else self.num
         for a, m in poles.items():
             for _ in range(m - self.poles.get(a, 0)):
                 num = _times_one_minus(num, a)
@@ -492,7 +546,11 @@ class PoleFraction:
         poles = dict(self.poles)
         for a, m in other.poles.items():
             poles[a] = max(poles.get(a, 0), m)
-        return PoleFraction(_poly_add(self._over(poles), other._over(poles)), poles)
+        den = lcm(self.den, other.den)
+        num = _poly_add(
+            self._over(poles, den // self.den), other._over(poles, den // other.den)
+        )
+        return PoleFraction._of(num, den, poles)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -501,7 +559,9 @@ class PoleFraction:
         poles = dict(self.poles)
         for a, m in other.poles.items():
             poles[a] = poles.get(a, 0) + m
-        return PoleFraction(_poly_mul(self.num, other.num), poles)
+        return PoleFraction._of(
+            _poly_mul(self.num, other.num), self.den * other.den, poles
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PoleFraction):
@@ -509,7 +569,11 @@ class PoleFraction:
         return not (self - other).num
 
     def scale(self, c) -> "PoleFraction":
-        return PoleFraction([x * c for x in self.num], self.poles)
+        """Multiply by the rational number c."""
+        if not c:
+            return PoleFraction._of([], 1, self.poles)
+        n = c.numerator
+        return PoleFraction._of([x * n for x in self.num], self.den * c.denominator, self.poles)
 
     def shift(self, n: int) -> "PoleFraction":
         """Multiply by t**n; for negative n the numerator must be divisible.
@@ -519,10 +583,11 @@ class PoleFraction:
         as in lowest terms.
         """
         if n >= 0:
-            return PoleFraction([0] * n + self.num, self.poles)
+            num = [0] * n + self.num if self.num else []
+            return PoleFraction._of(num, self.den, self.poles)
         if any(self.num[:-n]):
             raise ValueError(f"numerator not divisible by t^{-n}")
-        return PoleFraction(self.num[-n:], self.poles)
+        return PoleFraction._of(self.num[-n:], self.den, self.poles)
 
     def euler_operator(self) -> "PoleFraction":
         """Apply t d/dt: the numerator becomes t (N' R + N S) and every pole
@@ -533,28 +598,32 @@ class PoleFraction:
             s = _poly_add(_times_one_minus(s, a), [m * a * x for x in r])
             r = _times_one_minus(r, a)
         num = _poly_add(_poly_mul(_poly_derivative(self.num), r), _poly_mul(self.num, s))
-        return PoleFraction([0] + num, {a: m + 1 for a, m in self.poles.items()})
+        return PoleFraction._of(
+            [0] + num if num else [], self.den, {a: m + 1 for a, m in self.poles.items()}
+        )
 
     def to_rational(self) -> RationalFunction:
         """The same function in lowest terms: each (1 - a t) dividing the
         numerator is cancelled, then the denominator is expanded.  Its
         constant term is one, so this is the unique reduced form."""
-        num = [Fraction(x) for x in self.num]
+        num = self.num
         if not num:
             return RationalFunction([])
-        den = [Fraction(1)]
+        den = [1]
         for a, m in self.poles.items():
             while m:
-                quotient, rem = _poly_divmod(num, [1, -a])
-                if rem:
+                quotient = _divide_one_minus(num, a)
+                if quotient is None:
                     break
                 num, m = quotient, m - 1
             for _ in range(m):
                 den = _times_one_minus(den, a)
-        return RationalFunction._lowest_terms(num, den)
+        return RationalFunction._lowest_terms(
+            [Fraction(x, self.den) for x in num], [Fraction(x) for x in den]
+        )
 
     def __repr__(self):
-        return f"PoleFraction(num={self.num}, poles={self.poles})"
+        return f"PoleFraction(num={self.num}, den={self.den}, poles={self.poles})"
 
 
 def multinomial(vec) -> int:
@@ -662,8 +731,8 @@ def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     for a in range(1, d + 1):
         while len(den) > 1:
-            quotient, rem = _poly_divmod(den, [1, -a])
-            if rem:
+            quotient = _divide_one_minus(den, a)
+            if quotient is None:
                 break
             den = quotient
             factors[a] = factors.get(a, 0) + 1

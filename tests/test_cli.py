@@ -167,6 +167,11 @@ def test_sumlem_negative_shift(capsys):
     assert payload["series"] == ["0", "1", "2", "4"]
 
 
+def test_sumlem_negative_term_count(capsys):
+    code, out, err = run_cli(capsys, "sumlem", "--d", "2", "--terms", "-3")
+    assert code == 2 and out == "" and "non-negative" in err
+
+
 def test_koszul_weights_csv(capsys):
     code, out, _ = run_cli(
         capsys, "koszul", "--dims", "2,2", "--p", "1", "--d", "2", "--weights"

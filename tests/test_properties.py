@@ -1,7 +1,8 @@
 """Property tests of the exact core: polynomial division, torus characters,
 the rank identity behind the new-syzygy dimension, the lowest-terms form
-of multinomial sums, the integer exponential kernel and the series
-arithmetic that skips re-canonicalisation.
+of multinomial sums, the integer pole fractions behind them, the integer
+exponential kernel and the series arithmetic that skips
+re-canonicalisation.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -18,6 +19,7 @@ from segre_syzygies.acceptance import _direct_multinomial_sum
 from segre_syzygies.linalg import gauss_jordan, rank
 from segre_syzygies.rationality import (
     MPoly,
+    PoleFraction,
     _poly_divmod,
     _poly_gcd_q,
     multinomial_sum_rational,
@@ -119,6 +121,51 @@ def test_multinomial_sum_is_in_lowest_terms(data):
     assert rf.den[0] == 1
     assert len(_poly_gcd_q(rf.num, rf.den)) == 1
     assert rf.coefficients(8) == _direct_multinomial_sum({expo: 1}, e, d, 8)
+
+
+pole_fractions = st.tuples(
+    st.lists(fractions, max_size=4),
+    st.dictionaries(st.sampled_from((1, 2, 3)), st.integers(1, 2), max_size=3),
+)
+POLE_TERMS = 8
+
+
+def pole_series(num, poles):
+    """num / prod (1 - a t)^m as a power series, in Fraction arithmetic."""
+    out = [Fraction(x) for x in num[:POLE_TERMS]]
+    out += [Fraction(0)] * (POLE_TERMS - len(out))
+    for a, m in poles.items():
+        for _ in range(m):
+            for k in range(1, POLE_TERMS):
+                out[k] += a * out[k - 1]
+    return out
+
+
+def series_of(pf):
+    """The series of a PoleFraction, read off its integer representation."""
+    assert all(type(x) is int for x in pf.num) and (not pf.num or pf.num[-1])
+    assert type(pf.den) is int and pf.den > 0
+    return pole_series([Fraction(x, pf.den) for x in pf.num], pf.poles)
+
+
+@PROPERTY
+@given(pole_fractions, pole_fractions, fractions, st.integers(0, 2))
+@example(([Fraction(-1, 3), 2], {1: 2, 3: 1}), ([Fraction(1, 2)], {2: 1}), Fraction(3, 4), 1)
+def test_pole_fraction_integer_arithmetic(x, y, c, n):
+    fx, fy = PoleFraction(*x), PoleFraction(*y)
+    sx, sy = pole_series(*x), pole_series(*y)
+    assert series_of(fx) == sx
+    assert series_of(fx + fy) == [a + b for a, b in zip(sx, sy)]
+    assert series_of(fx - fy) == [a - b for a, b in zip(sx, sy)]
+    assert series_of(fx.scale(c)) == [c * a for a in sx]
+    assert series_of(fx.euler_operator()) == [k * a for k, a in enumerate(sx)]
+    assert series_of(fx.shift(n)) == ([Fraction(0)] * n + sx)[:POLE_TERMS]
+    assert series_of(fx.shift(n).shift(-n)) == sx
+    rf = (fx - fy).to_rational()
+    assert len(_poly_gcd_q(rf.num, rf.den)) == 1 and rf.den[0] == 1
+    coeffs = rf.coefficients(POLE_TERMS)
+    assert all(type(v) is Fraction for v in rf.num + rf.den + coeffs)
+    assert coeffs == [a - b for a, b in zip(sx, sy)]
 
 
 def reference_exp_combination(terms, policy):

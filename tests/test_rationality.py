@@ -72,6 +72,41 @@ def test_rational_function_errors():
         PoleFraction([1, 1]).shift(-1)
 
 
+def test_coefficients_reject_negative_term_count():
+    f = RationalFunction([1], [1, -1])
+    assert f.coefficients(0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        f.coefficients(-1)
+    s = MPoly.variable(1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        RationalFunction([1], [1, -s]).coefficients(-3)
+
+
+def fraction_coefficients(rf, n):
+    """The series coefficients by the plain Fraction recurrence."""
+    out = []
+    for k in range(n):
+        value = rf.num[k] if k < len(rf.num) else Fraction(0)
+        for i in range(1, min(k, len(rf.den) - 1) + 1):
+            value = value - rf.den[i] * out[k - i]
+        out.append(value)
+    return out
+
+
+def test_coefficients_over_q_with_fractional_denominator():
+    # den = B/E with E = 15 > 1: the integer recurrence carries powers of E
+    f = RationalFunction([1, Fraction(1, 2)], [1, Fraction(-1, 3), Fraction(2, 5)])
+    assert f.den == [1, Fraction(-1, 3), Fraction(2, 5)]
+    got = f.coefficients(12)
+    assert got == fraction_coefficients(f, 12)
+    assert all(type(c) is Fraction for c in got)
+    assert got[:3] == [1, Fraction(5, 6), Fraction(-11, 90)]
+    assert f.coefficients(0) == []
+    zero = RationalFunction([], [1, Fraction(-1, 3)])
+    assert zero.coefficients(4) == [0] * 4
+    assert all(type(c) is Fraction for c in zero.coefficients(4))
+
+
 def test_sumlem_base_instances():
     f = multinomial_sum_rational(1, (0,), 1)
     assert f.num == [Fraction(1)] and f.den == [Fraction(1), Fraction(-1)]
