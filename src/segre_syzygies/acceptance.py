@@ -304,26 +304,27 @@ def criterion_11() -> CriterionResult:
     return _run(11, "multinomial-sum-closed-forms", 10.0, check)
 
 
-def f1_star_polynomial_coefficients(n_terms: int) -> list[MPoly]:
-    """Order-graded coefficients of the normalized 1-syzygy series in QQ[s,w]."""
-    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
-    star = order_normalize(f_segre(1, TruncationPolicy(n_terms - 1, 2)))
+def star_polynomial_coefficients(p: int, n_terms: int) -> list[MPoly]:
+    """Order-graded coefficients of the normalized p-syzygy series, in one
+    variable per partition of p + 1 (for p = 1, s and w: QQ[s,w])."""
+    index = {lam: i for i, lam in enumerate(partitions_of(p + 1))}
+    star = order_normalize(f_segre(p, TruncationPolicy(n_terms - 1, p + 1)))
     out = []
     for n in range(n_terms):
-        poly = MPoly(2)
+        terms = {}
         for mono, c in star.order_component(n).terms.items():
-            term = MPoly.constant(2, c)
+            expo = [0] * len(index)
             for lam in mono:
-                term = term * (s if lam == (2,) else w)
-            poly = poly + term
-        out.append(poly)
+                expo[index[lam]] += 1
+            terms[tuple(expo)] = c
+        out.append(MPoly(len(index), terms))
     return out
 
 
 def criterion_12() -> CriterionResult:
     def check():
         s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
-        coeffs = f1_star_polynomial_coefficients(8)
+        coeffs = star_polynomial_coefficients(1, 8)
         rec = rational_reconstruct(coeffs, 3)
         _check(rec is not None, "no rational function found")
         _check(rec.coefficients(8) == coeffs, "re-expansion disagrees with the data")

@@ -300,6 +300,8 @@ def run_command(args) -> int:
             coeffs = [Fraction(x) for x in args.coeffs.split(",")]
         else:
             data = json.load(sys.stdin)
+            if not isinstance(data, list):
+                raise ValueError("stdin must hold a JSON array of coefficients")
             coeffs = [Fraction(str(x)) for x in data]
         rf = rational_reconstruct(coeffs, args.max_den)
         if rf is None:

@@ -1,11 +1,11 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra by one fraction-free elimination.
 
-`rank` uses fraction-free (Bareiss) elimination on arbitrary-precision
-integers.  It is the Koszul oracle's only elimination: every homology and
-new-syzygy dimension is a difference of ranks of integer blocks, so no
-division and no kernel basis is needed there.  `gauss_jordan` is the one
-field elimination, over any exact field (Fractions, or fractions of
-polynomials), and serves the recurrence solving of rational reconstruction.
+`echelon` is Bareiss elimination: every division in it is exact, so it runs
+on any integral domain whose `//` is exact division, without forming a
+fraction.  It serves the Koszul oracle through `rank` on arbitrary-precision
+integers (every homology and new-syzygy dimension is a difference of ranks
+of integer blocks), and rational reconstruction on integers or on
+multivariate polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +19,20 @@ def rank(matrix: list[list[int]]) -> int:
     if nrows > ncols:
         matrix = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
         nrows, ncols = ncols, nrows
-    m = [row[:] for row in matrix]
+    return len(echelon([row[:] for row in matrix], ncols))
+
+
+def echelon(rows: list[list], ncols: int) -> list[int]:
+    """Reduce rows in place to fraction-free echelon form on the first ncols columns.
+
+    Columns past ncols (an augmented side) are carried along but never
+    pivoted.  Returns the pivot columns: row k has its first non-zero entry
+    at column pivots[k], equal to the determinant of the input's minor on
+    the rows now at 0..k and the columns pivots[:k + 1]; the rows after the
+    last pivot vanish on the first ncols columns.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(ncols):
@@ -27,53 +40,29 @@ def rank(matrix: list[list[int]]) -> int:
             break
         pivot_row = None
         for i in range(r, nrows):
-            if m[i][c]:
+            if rows[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        row_r = m[r]
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        row_r = rows[r]
         trivial = pivot == prev
         for i in range(r + 1, nrows):
-            row_i = m[i]
+            row_i = rows[i]
             head = row_i[c]
             if not head:
                 if not trivial:
-                    m[i] = [(pivot * x) // prev for x in row_i]
+                    rows[i] = [(pivot * x) // prev for x in row_i]
                 continue
-            m[i] = [
+            rows[i] = [
                 (pivot * x - head * y) // prev
                 for x, y in zip(row_i, row_r)
             ]
-            m[i][c] = 0
+            rows[i][c] = 0
         prev = pivot
-        r += 1
-    return r
-
-
-def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
-    """Reduce rows in place to reduced row echelon form on the first ncols columns.
-
-    Entries lie in an exact field; columns past ncols (an augmented side)
-    are carried along but never pivoted.  Returns the pivot columns: row k
-    has a one at column pivots[k] and zeros there elsewhere, and the rows
-    after the last pivot vanish on the first ncols columns.
-    """
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = row = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], row)]
         pivots.append(c)
+        r += 1
     return pivots

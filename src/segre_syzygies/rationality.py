@@ -15,19 +15,22 @@ Three engines live here:
 * the formal torus constant term and the Weyl-integration pairing that
   turns equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
-  coefficients by exact linear solving over the fraction field of the
-  coefficient ring, with the denominator degree minimized.
+  coefficients, with the denominator degree minimized.  Its linear system
+  is solved without fractions, by the one Bareiss elimination of `linalg`
+  and Cramer's rule, on integers over Q and on the polynomials themselves
+  otherwise.
 
 Coefficients are Fractions, or sparse multivariate polynomials over the
 rationals when a series has polynomial coefficients.  No ring is passed
 around: the domain is read off the coefficients.  Numbers alone are worked
-in Q; one `MPoly` or `MFrac` among them puts all of them in the polynomials
-in its variable count, and `MFrac` is their one fraction field.  One
-sparse class, `MPoly`, serves both as those polynomial coefficients and as
-the torus characters of the Weyl pairing (whose exponents may be negative);
-one division, `_poly_divmod`, serves every univariate quotient and
-remainder over a field, and one exact division, `_divide_one_minus`,
-cancels a factor (1 - a t) on ints or Fractions alike.
+in Q; one `MPoly` among them puts all of them in the polynomials in its
+variable count.  There is no fraction field of the polynomials: a result
+whose coefficients are not polynomials (a denominator needing 1/s, say)
+raises UnsupportedError.  One sparse class, `MPoly`, serves both as those
+polynomial coefficients and as the torus characters of the Weyl pairing
+(whose exponents may be negative); one division, `_poly_divmod`, serves
+every univariate quotient and remainder over Q, and one exact division,
+`_divide_one_minus`, cancels a factor (1 - a t) on ints or Fractions alike.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
-from .errors import ConsistencyError
-from .linalg import gauss_jordan
+from .errors import ConsistencyError, UnsupportedError
+from .linalg import echelon
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials over Q, and their fractions
+# multivariate polynomials over Q
 
 
 class MPoly:
@@ -135,24 +138,43 @@ class MPoly:
 
     def leading(self):
         """Leading (exponent, coefficient) in graded-lex order."""
-        key = max(self.terms, key=lambda e: (sum(e), e))
+        key = max(self.terms, key=_grlex)
         return key, self.terms[key]
 
     def exact_div(self, other: "MPoly"):
-        """Quotient self/other when the division is exact, else None."""
+        """Quotient self/other when the division is exact, else None.
+
+        The remainder is a dict reduced in place: each step cancels its
+        leading term against other's.
+        """
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        remainder = self
-        quotient = MPoly(self.nvars)
         lead_e, lead_c = other.leading()
+        remainder = dict(self.terms)
+        quotient = {}
         while remainder:
-            re, rc = remainder.leading()
+            re = max(remainder, key=_grlex)
             qe = tuple(a - b for a, b in zip(re, lead_e))
             if any(x < 0 for x in qe):
                 return None
-            term = MPoly(self.nvars, {qe: rc / lead_c})
-            quotient = quotient + term
-            remainder = remainder - term * other
+            qc = quotient[qe] = remainder[re] / lead_c
+            for e, c in other.terms.items():
+                e = tuple(a + b for a, b in zip(qe, e))
+                c = remainder.get(e, 0) - qc * c
+                if c:
+                    remainder[e] = c
+                else:
+                    del remainder[e]
+        return MPoly(self.nvars, quotient)
+
+    def __floordiv__(self, other):
+        """Exact quotient in the polynomial ring; ConsistencyError if inexact."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        quotient = self.exact_div(other)
+        if quotient is None:
+            raise ConsistencyError("polynomial division was not exact")
         return quotient
 
     def __str__(self):
@@ -178,102 +200,14 @@ class MPoly:
     __repr__ = __str__
 
 
+def _grlex(expo):
+    return sum(expo), expo
+
+
 def _var_names(nvars: int) -> list[str]:
     if nvars <= 4:
         return ["s", "w", "u", "v"][:nvars]
     return [f"x{i}" for i in range(nvars)]
-
-
-class MFrac:
-    """Fraction of multivariate polynomials, reduced opportunistically."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly | None = None):
-        if den is None:
-            den = MPoly.constant(num.nvars, 1)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            q = num.exact_div(den)
-            if q is not None:
-                num, den = q, MPoly.constant(num.nvars, 1)
-        else:
-            den = MPoly.constant(num.nvars, 1)
-        self.num = num
-        self.den = den
-
-    def _coerce(self, other):
-        if isinstance(other, MFrac):
-            return other
-        if isinstance(other, MPoly):
-            return MFrac(other)
-        if isinstance(other, (int, Fraction)):
-            return MFrac(MPoly.constant(self.num.nvars, other))
-        return None
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MFrac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return MFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero")
-        return MFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def as_poly(self) -> MPoly | None:
-        """The underlying polynomial when the denominator is a rational constant."""
-        expos = list(self.den.terms)
-        if expos == [(0,) * self.den.nvars]:
-            return self.num * (1 / self.den.terms[expos[0]])
-        return None
-
-    def __str__(self):
-        p = self.as_poly()
-        if p is not None:
-            return str(p)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -283,39 +217,33 @@ class MFrac:
 def _in_common_ring(coeffs) -> tuple[list, Fraction | MPoly]:
     """The coefficients in their common ring, and its one.
 
-    Numbers alone live in Q, as Fractions.  Once any coefficient is an MPoly
-    or an MFrac, all live in the polynomials in its variable count: numbers
-    become constants, an MFrac whose value is a polynomial becomes that
-    MPoly, and any other MFrac stays a fraction.
+    Numbers alone live in Q, as Fractions.  Once any coefficient is an MPoly,
+    all live in the polynomials in its variable count, and numbers become
+    constants.
     """
-    nvars = {
-        (c.num if isinstance(c, MFrac) else c).nvars
-        for c in coeffs
-        if isinstance(c, (MPoly, MFrac))
-    }
+    nvars = {c.nvars for c in coeffs if isinstance(c, MPoly)}
     if len(nvars) > 1:
         raise ValueError("variable count mismatch")
     if not nvars:
         return [Fraction(c) for c in coeffs], Fraction(1)
     n = nvars.pop()
-    lifted = [
-        _to_ring(c) if isinstance(c, (MPoly, MFrac)) else MPoly.constant(n, c)
-        for c in coeffs
-    ]
+    lifted = [c if isinstance(c, MPoly) else MPoly.constant(n, c) for c in coeffs]
     return lifted, MPoly.constant(n, 1)
 
 
-def _to_field(c):
-    """c in the fraction field of its ring: an MPoly becomes an MFrac."""
-    return MFrac(c) if isinstance(c, MPoly) else c
+def _divide_all(xs, d) -> list:
+    """Each x / d in the coefficients' ring.
 
-
-def _to_ring(c):
-    """Back to the ring: an MFrac whose value is a polynomial becomes it."""
-    if isinstance(c, MFrac):
-        p = c.as_poly()
-        return c if p is None else p
-    return c
+    Over Q this is a Fraction quotient.  A polynomial quotient must be a
+    polynomial: there is no fraction field of the polynomials, so a value
+    that needs one raises UnsupportedError.
+    """
+    if not isinstance(d, MPoly):
+        return [Fraction(x, d) for x in xs]
+    out = [x.exact_div(d) for x in xs]
+    if any(q is None for q in out):
+        raise UnsupportedError(f"coefficients are not polynomials after division by {d}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +342,7 @@ class RationalFunction:
                 if rn or rd:
                     raise ConsistencyError("polynomial division was not exact")
         if den[0] != one:
-            inv = 1 / _to_field(den[0])
-            num = [_to_ring(_to_field(x) * inv) for x in num]
-            den = [_to_ring(_to_field(x) * inv) for x in den]
+            num, den = _divide_all(num, den[0]), _divide_all(den, den[0])
         self.num = num
         self.den = den
 
@@ -813,10 +739,14 @@ def rational_reconstruct(coeffs, max_den_degree: int):
     """Minimal-denominator rational function matching the given coefficients.
 
     Needs at least 2*max_den_degree + 2 coefficients.  For each candidate
-    denominator degree, ascending, the linear system forcing the product of
-    denominator and series to vanish on the last max_den_degree positions is
-    solved exactly over the fraction field of the coefficients' ring; the
+    denominator degree mp, ascending, the recurrence f_j = sum of alpha_i
+    f_(j-i), i = 1..mp, is imposed on the last max_den_degree positions; the
     first consistent candidate wins.  Returns None when nothing fits.
+
+    The system is solved without fractions: its rows are brought to
+    fraction-free echelon form, and with the free unknowns at zero, Cramer's
+    rule gives D alpha in the ring, for D the last pivot.  Over Q the data
+    are first scaled to integers, which leaves the recurrence unchanged.
     """
     coeffs, one = _in_common_ring(coeffs)
     m = max_den_degree
@@ -825,40 +755,50 @@ def rational_reconstruct(coeffs, max_den_degree: int):
     length = len(coeffs)
     if length < 2 * m + 2:
         raise ValueError(f"need at least {2 * m + 2} coefficients, got {length}")
-    window = range(length - m, length)
-    field_coeffs = [_to_field(c) for c in coeffs]
+    if isinstance(one, Fraction):
+        ring, one = _int_poly(coeffs)[0], 1
+    else:
+        ring = coeffs
     for mp in range(m + 1):
-        alphas = _solve_recurrence(field_coeffs, mp, window)
-        if alphas is None:
+        rows = [
+            [ring[j - i] for i in range(1, mp + 1)] + [ring[j]]
+            for j in range(length - m, length)
+        ]
+        pivots = echelon(rows, mp)
+        if any(row[-1] for row in rows[len(pivots) :]):
             continue
-        den_field = [_to_field(one)] + [-a for a in alphas]
-        product = _poly_mul(den_field, field_coeffs)
-        num_field = _trim(product[: length - m])
-        return RationalFunction(num_field, den_field)
+        big_d = rows[len(pivots) - 1][pivots[-1]] if pivots else one
+        scaled = [one * 0] * mp  # D alpha, the free unknowns at zero
+        for k in range(len(pivots) - 1, -1, -1):
+            row = rows[k]
+            acc = big_d * row[-1]
+            for c in pivots[k + 1 :]:
+                acc = acc - row[c] * scaled[c]
+            scaled[pivots[k]] = acc // row[pivots[k]]  # exact: D alpha is in the ring
+        den = _divide_all([big_d] + [-x for x in scaled], big_d)
+        num = _trim(_poly_mul(den, coeffs)[: length - m])
+        return RationalFunction(num, den)
     return None
 
 
-def _solve_recurrence(fc, mp, window):
-    """Solve f_j = sum_i alpha_i f_{j-i} on the window; None if inconsistent."""
-    rows = [
-        [fc[j - i] for i in range(1, mp + 1)] + [fc[j]]
-        for j in window
-    ]
-    pivots = gauss_jordan(rows, mp)
-    if any(row[-1] for row in rows[len(pivots) :]):
-        return None
-    solution = [fc[0] * 0] * mp
-    for row, c in zip(rows, pivots):
-        solution[c] = row[-1]
-    return solution
-
-
 def divides_up_to_unit(den, target) -> bool:
-    """Whether den divides target in the polynomial ring over t, up to a unit."""
+    """Whether den divides target in the polynomial ring over t, up to a unit.
+
+    Decided by the pseudo-remainder: r <- lead(den) r - lead(r) t^k den, with
+    k = deg r - deg den, until deg r < deg den.  It vanishes exactly when
+    the remainder over the coefficients' fraction field does, and it never
+    divides, so it runs on Fractions and polynomials alike.
+    """
     den = list(den)
     coeffs, _ = _in_common_ring(den + list(target))
-    den_f = _trim([_to_field(c) for c in coeffs[: len(den)]])
-    target_f = _trim([_to_field(c) for c in coeffs[len(den) :]])
-    if not den_f:
+    den, r = _trim(coeffs[: len(den)]), _trim(coeffs[len(den) :])
+    if not den:
         return False
-    return not _poly_divmod(target_f, den_f)[1]
+    low, lead = den[:-1], den[-1]
+    while len(r) >= len(den):
+        top, shift = r[-1], len(r) - len(den)
+        r = [lead * x for x in r[:-1]]
+        for i, y in enumerate(low):
+            r[shift + i] = r[shift + i] - top * y
+        r = _trim(r)
+    return not r

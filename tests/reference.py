@@ -1,0 +1,47 @@
+"""Field elimination over Fractions, the tests' independent reference.
+
+The library has one elimination, fraction-free (Bareiss) in
+`segre_syzygies.linalg`; these routines divide by every pivot instead, so
+a check built on them does not share that code path.
+"""
+
+from fractions import Fraction
+
+
+def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
+    """Reduce rows in place to reduced row echelon form on the first ncols columns.
+
+    Entries lie in an exact field; columns past ncols (an augmented side)
+    are carried along but never pivoted.  Returns the pivot columns: row k
+    has a one at column pivots[k] and zeros there elsewhere, and the rows
+    after the last pivot vanish on the first ncols columns.
+    """
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r][c]
+        rows[r] = row = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], row)]
+        pivots.append(c)
+    return pivots
+
+
+def kernel_basis(matrix, ncols):
+    """Fraction basis of the right kernel of a matrix with ncols columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    return basis

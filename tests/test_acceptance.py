@@ -25,6 +25,8 @@ def test_criterion(criterion):
     )
 
 
+# Each sabotage swaps one library call of a criterion for a wrong answer
+# and prints the criterion's line.
 SABOTAGED_CRITERION_5 = """
 import dataclasses
 from segre_syzygies import acceptance
@@ -41,16 +43,37 @@ acceptance.koszul_homology = off_by_one
 print(acceptance.criterion_5().line())
 """
 
+SABOTAGED_CRITERION_12 = """
+from segre_syzygies import acceptance
+from segre_syzygies.rationality import RationalFunction
 
-def test_gate_fails_under_optimize_flag():
-    # python -O strips assert statements; the gate must still catch an
-    # oracle that reports every dimension one too high
+real = acceptance.rational_reconstruct
+
+
+def last_den_entry_off(*args):
+    rec = real(*args)
+    return RationalFunction(rec.num, rec.den[:-1] + [rec.den[-1] + 1])
+
+
+acceptance.rational_reconstruct = last_den_entry_off
+print(acceptance.criterion_12().line())
+"""
+
+
+@pytest.mark.parametrize(
+    "number, sabotage",
+    [(5, SABOTAGED_CRITERION_5), (12, SABOTAGED_CRITERION_12)],
+    ids=["criterion_5", "criterion_12"],
+)
+def test_gate_fails_under_optimize_flag(number, sabotage):
+    # python -O strips assert statements; the gate must still catch a
+    # library call that returns a wrong answer
     src = Path(segre_syzygies.__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, "-O", "-c", SABOTAGED_CRITERION_5],
+        [sys.executable, "-O", "-c", sabotage],
         capture_output=True,
         text=True,
         check=True,
         cwd=src,
     )
-    assert out.stdout.startswith("FAIL 05"), out.stdout
+    assert out.stdout.startswith(f"FAIL {number:02d}"), out.stdout

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -129,6 +130,20 @@ def test_reconstruct_command(capsys):
     payload = json.loads(out)
     assert payload["found"] is True
     assert payload["den"] == {"0": "1", "1": "-1", "2": "-1"}
+
+
+@pytest.mark.parametrize("stdin", ["5", "null", '"1111"', '{"1": 1, "2": 1, "3": 1, "4": 1}'])
+def test_reconstruct_rejects_stdin_that_is_not_an_array(capsys, monkeypatch, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, "reconstruct", "--max-den", "1")
+    assert code == 2 and out == "" and "JSON array" in err
+
+
+def test_reconstruct_reads_an_array_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[1, 1, 2, 3, 5, 8]"))
+    code, out, _ = run_cli(capsys, "reconstruct", "--max-den", "2")
+    assert code == 0
+    assert json.loads(out)["den"] == {"0": "1", "1": "-1", "2": "-1"}
 
 
 def test_exit_codes(capsys):

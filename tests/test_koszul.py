@@ -18,8 +18,10 @@ from segre_syzygies.koszul import (
     new_syzygy_dimension,
     schur_extract,
 )
-from segre_syzygies.linalg import gauss_jordan, rank
+from segre_syzygies.linalg import rank
 from segre_syzygies.partitions import compositions, gl_dimension
+
+from reference import gauss_jordan, kernel_basis
 
 
 def all_weights(dims, total):
@@ -63,20 +65,6 @@ def set_partitions(n):
 
 def nondiscrete_groupings(n):
     return [u for u in set_partitions(n) if any(len(block) > 1 for block in u)]
-
-
-def kernel_basis(matrix, ncols):
-    """Fraction basis of the right kernel of a matrix with ncols columns."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots = gauss_jordan(rows, ncols)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        basis.append(vec)
-    return basis
 
 
 def reference_new_dimension(fine, pieces, groupings, weight):

@@ -3,29 +3,13 @@ from fractions import Fraction
 
 from segre_syzygies.linalg import rank
 
+from reference import gauss_jordan
+
 
 def rank_fraction_oracle(matrix):
     """Independent rank via plain rational elimination."""
     rows = [[Fraction(x) for x in row] for row in matrix]
-    r = 0
-    ncols = len(matrix[0]) if matrix else 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return len(gauss_jordan(rows, len(matrix[0]) if matrix else 0))
 
 
 def test_rank_random_matrices_match_oracle():

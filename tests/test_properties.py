@@ -1,8 +1,8 @@
 """Property tests of the exact core: polynomial division, torus characters,
 the rank identity behind the new-syzygy dimension, the lowest-terms form
 of multinomial sums, the integer pole fractions behind them, the integer
-exponential kernel and the series arithmetic that skips
-re-canonicalisation.
+exponential kernel, the series arithmetic that skips re-canonicalisation,
+and fraction-free reconstruction over polynomial coefficients.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -16,13 +16,16 @@ from math import factorial
 from hypothesis import configuration, example, given, settings, strategies as st
 
 from segre_syzygies.acceptance import _direct_multinomial_sum
-from segre_syzygies.linalg import gauss_jordan, rank
+from segre_syzygies.linalg import rank
 from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
+    RationalFunction,
     _poly_divmod,
     _poly_gcd_q,
+    divides_up_to_unit,
     multinomial_sum_rational,
+    rational_reconstruct,
     torus_constant_term,
 )
 from segre_syzygies.schur_ring import SymFunc
@@ -32,6 +35,8 @@ from segre_syzygies.series import (
     canonical_monomial,
     exp_combination,
 )
+
+from reference import gauss_jordan, kernel_basis
 
 # Hypothesis caches the constants of local source files on disk even without
 # a database; keep that cache in a temporary directory, not the working tree.
@@ -96,18 +101,33 @@ def test_stacked_rank_counts_images_of_kernels(data):
     m, b, s, t = (data.draw(st.integers(lo, 4)) for lo in (1, 0, 1, 0))
     B, M, D = (data.draw(int_matrix(*shape)) for shape in ((m, b), (m, s), (t, s)))
     stacked = [x + y for x, y in zip(B, M)] + [[0] * b + row for row in D]
-    rows = [[Fraction(x) for x in row] for row in D]
-    pivots = gauss_jordan(rows, s)
-    kernel = []
-    for free in sorted(set(range(s)) - set(pivots)):
-        vec = [Fraction(0)] * s
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        kernel.append(vec)
+    kernel = kernel_basis(D, s)
     images = [[sum(a * v for a, v in zip(row, vec)) for vec in kernel] for row in M]
     span = [[Fraction(x) for x in row] + image for row, image in zip(B, images)]
     assert rank(stacked) - rank(D) == len(gauss_jordan(span, b + len(kernel)))
+
+
+# polynomials in Q[s] of degree at most 2
+polys_in_s = st.lists(fractions, max_size=3).map(
+    lambda cs: MPoly(1, {(i,): c for i, c in enumerate(cs)})
+)
+
+
+@PROPERTY
+@given(
+    st.lists(polys_in_s, min_size=1, max_size=3).filter(lambda tail: tail[-1]),
+    st.lists(polys_in_s, min_size=1, max_size=3).filter(any),
+)
+def test_reconstruct_polynomial_round_trip(tail, num):
+    # den[0] = 1, so the minimal denominator has polynomial coefficients
+    # too, and 2m + 2 terms determine it: it divides den
+    den = [MPoly.constant(1, 1)] + tail
+    m = len(tail)
+    data = RationalFunction(num, den).coefficients(2 * m + 2)
+    rec = rational_reconstruct(data, m)
+    assert rec is not None
+    assert rec.coefficients(2 * m + 2) == data
+    assert divides_up_to_unit(rec.den, den)
 
 
 @PROPERTY

@@ -5,10 +5,10 @@ from math import prod
 
 import pytest
 
-from segre_syzygies.acceptance import _direct_multinomial_sum
-from segre_syzygies.errors import ConsistencyError
+from segre_syzygies.acceptance import _direct_multinomial_sum, star_polynomial_coefficients
+from segre_syzygies.errors import ConsistencyError, UnsupportedError
+from segre_syzygies.partitions import partitions_of
 from segre_syzygies.rationality import (
-    MFrac,
     MPoly,
     PoleFraction,
     RationalFunction,
@@ -21,6 +21,7 @@ from segre_syzygies.rationality import (
     torus_constant_term,
     weyl_series,
 )
+from segre_syzygies.series import small_p_exponential_form
 
 
 def test_rational_function_basics():
@@ -235,6 +236,16 @@ def test_reconstruct_fibonacci():
     assert rec.den == [Fraction(1), Fraction(-1), Fraction(-1)]
 
 
+def test_reconstruct_with_fractional_recurrence():
+    # generic integer data: the Hankel determinant 5^2 - 3 * 7 = 4 is not a
+    # unit, so the recurrence coefficients 1/2 and 3/2 are not integers
+    data = [1, 2, 3, 5, 7, 11]
+    rec = rational_reconstruct(data, 2)
+    assert rec.den == [1, Fraction(-1, 2), Fraction(-3, 2)]
+    assert rec.num == [1, Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)]
+    assert rec.coefficients(6) == data
+
+
 def test_reconstruct_insufficient_data():
     with pytest.raises(ValueError):
         rational_reconstruct([1, 1, 1], 1)
@@ -284,13 +295,26 @@ def test_mpoly_arithmetic():
     assert str(MPoly(2, {(-2, 1): 3})) == "3*s^-2*w"
 
 
-def test_mfrac_reduction():
+def test_mpoly_floor_division_is_exact_or_faults():
     s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
-    frac = MFrac((s * s - w * w), (s + w))
-    assert frac.as_poly() == s - w
-    frac = MFrac(s, s * s)
-    assert frac.as_poly() is None
-    assert frac * MFrac(s) == MFrac(MPoly.constant(2, 1))
+    p = (s + w) * (s - w)
+    assert p // (s + w) == s - w
+    assert (2 * s) // 2 == s
+    with pytest.raises(ConsistencyError):
+        p // (s + 1)
+
+
+def test_non_polynomial_results_are_unsupported():
+    # the minimal denominator 1 - t/s and the unit s in den[0] both need
+    # 1/s, which has no polynomial representation
+    s, one = MPoly.variable(1, 0), MPoly.constant(1, 1)
+    with pytest.raises(UnsupportedError):
+        rational_reconstruct([one, one, s, one], 1)
+    with pytest.raises(UnsupportedError):
+        RationalFunction([s], [s, 1])
+    # a constant den[0] is a unit of the polynomials
+    f = RationalFunction([s], [2 * one, -s])
+    assert f.num == [s * Fraction(1, 2)] and f.den == [one, s * Fraction(-1, 2)]
 
 
 def test_reconstruct_polynomial_coefficients():
@@ -307,6 +331,25 @@ def test_reconstruct_polynomial_coefficients():
     assert rec.num == num[:3] or rec.num[:3] == [MPoly(2), MPoly(2), w * w]
     assert rec.den == den
     assert divides_up_to_unit(rec.den, den)
+
+
+def test_reconstruct_f2_star():
+    # the order-graded coefficients of f_2* in QQ[X_(3), X_(2,1), X_(1,1,1)]
+    # come from four exponentials, so their denominator is prod (1 - l_i t)
+    # over the four linear forms l_i of the exponential form
+    coeffs = star_polynomial_coefficients(2, 10)
+    rec = rational_reconstruct(coeffs, 4)
+    assert rec is not None
+    assert rec.coefficients(10) == coeffs
+    index = {lam: i for i, lam in enumerate(partitions_of(3))}
+    target = [MPoly.constant(3, 1)]
+    for _, form in small_p_exponential_form(2):
+        ell = MPoly(
+            3, {tuple(int(i == index[lam]) for i in range(3)): c for lam, c in form.terms.items()}
+        )
+        target = [a - ell * b for a, b in zip(target + [0], [0] + target)]
+    assert len(target) == 5
+    assert rec.den == target
 
 
 def test_divides_up_to_unit():
