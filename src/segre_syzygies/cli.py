@@ -127,6 +127,20 @@ def _emit_text(payload, indent: str = "") -> None:
         print(f"{indent}{payload}")
 
 
+def _capacity() -> int:
+    """The block capacity from SEGRE_CAPACITY, if set."""
+    text = os.environ.get("SEGRE_CAPACITY")
+    if text is None:
+        return DEFAULT_CAPACITY
+    try:
+        capacity = int(text)
+    except ValueError:
+        capacity = 0
+    if capacity < 1:
+        raise ValueError(f"SEGRE_CAPACITY must be a positive integer, got {text!r}")
+    return capacity
+
+
 def _policy(args) -> TruncationPolicy:
     return TruncationPolicy(args.order, args.max_part)
 
@@ -265,7 +279,7 @@ def run_command(args) -> int:
 
     if args.command == "koszul":
         dims = parse_dims(args.dims)
-        capacity = int(os.environ.get("SEGRE_CAPACITY", DEFAULT_CAPACITY))
+        capacity = _capacity()
         if args.cosocle:
             dim, decomposition = new_syzygy_dimension(dims, args.p, args.d, capacity)
             payload = {

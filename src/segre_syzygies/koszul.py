@@ -4,8 +4,9 @@ The degree-d part of the p-th syzygy space is the middle homology of the
 three-term slice of the Koszul complex over the ambient polynomial ring,
 with terms built from graded pieces of the Segre coordinate ring tensored
 with exterior powers of the space of degree-one coordinates.  Differentials
-never mix torus weights, so the slice splits into one small dense integer
-block per weight, and every rank is taken on such a block.
+never mix torus weights, so the slice splits into one block per weight, and
+every rank is taken there, exactly over Z, on the sparse column images of a
+differential: each has at most one entry +-1 per wedge label.
 
 Each block is built from its weight alone.  The wedges whose weight fits
 under w are enumerated directly, label by label, and each is paired with the
@@ -23,9 +24,9 @@ surjects onto the fine one, and the induced chain map carries merged cycles
 onto the old classes.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
-ranks of one stacked matrix, with no kernel basis.  The merged complexes use
-the same block builder: their wedges are enumerated by the fine weight of
-their image, and their ring monomials are grouped by it.
+ranks of one stacked set of columns, with no kernel basis.  The merged
+complexes use the same block builder: their wedges are enumerated by the
+fine weight of their image, and their ring monomials are grouped by it.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ class _Complex:
     """
 
     def __init__(self, dims: Dims, capacity: int):
+        if capacity < 1:
+            raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.dims = dims
         self.capacity = capacity
         offsets = list(itertools.accumulate(dims, initial=0))
@@ -160,18 +163,22 @@ class _Complex:
         self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
         return block
 
-    def differential(self, source: Block, target: Block) -> list[list[int]]:
-        """Dense matrix of the Koszul differential from a block to the block
-        of the next piece at the same weight."""
-        rows = [[0] * len(source) for _ in range(len(target))]
-        for (r, wedge), col in source.items():
+    def images(self, source: Block, target: Block) -> list[dict[int, int]]:
+        """The Koszul differential of each element of a block, in block order,
+        as {position in target: coefficient}, where target is the block of the
+        next piece at the same weight.  Dropping distinct labels of a wedge
+        gives distinct elements, so an image has one entry +-1 per label."""
+        out = []
+        for r, wedge in source:
+            image = {}
             for t, k in enumerate(wedge):
                 bumped = list(r)
                 for q in self.positions[k]:
                     bumped[q] += 1
                 row = target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]
-                rows[row][col] += -1 if t % 2 else 1
-        return rows
+                image[row] = -1 if t % 2 else 1
+            out.append(image)
+        return out
 
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
@@ -404,39 +411,42 @@ def _block_new_dimension(
     map and the differential of merge k, the old classes span
     B + sum_k M_k ker D_k, of dimension
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
+    Each matrix is held as its columns: a column of merge k is the chain map
+    image of a merged element stacked on its differential, whose rows sit
+    after the middle block and the targets of the earlier merges.
     """
     left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
     if not mid:
         return 0
-    cycles = len(mid) - rank(fine.differential(mid, right))
-    boundaries = fine.differential(left, mid)
+    cycles = len(mid) - rank(fine.images(mid, right))
+    boundaries = fine.images(left, mid)
     homology = cycles - rank(boundaries)
     if homology < 0:
         raise ConsistencyError(f"negative homology dimension at weight {weight}")
     if not homology:  # new syzygies are a quotient of the homology
         return 0
-    # merges with cycles at this weight: (merge, source block, D, rank D)
+    # merges with cycles at this weight: (merge, source block, target size, D, rank D)
     merged = []
     for mm in merges:
         source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
         if source:
-            diff = mm.differential(source, target)
+            diff = mm.images(source, target)
             diff_rank = rank(diff)
             if diff_rank < len(source):
-                merged.append((mm, source, diff, diff_rank))
+                merged.append((mm, source, len(target), diff, diff_rank))
     if not merged:
         return homology
-    width = len(left) + sum(len(source) for _, source, _, _ in merged)
-    rows = [row + [0] * (width - len(left)) for row in boundaries]
-    offset = len(left)
-    for mm, source, diff, _ in merged:
-        for elem, col in source.items():
-            sign, image = mm.map_element(*elem)
-            rows[mid[image]][offset + col] += sign
-        tail = width - offset - len(source)
-        rows.extend([0] * offset + row + [0] * tail for row in diff)
-        offset += len(source)
-    old = rank(rows) - sum(diff_rank for *_, diff_rank in merged)
+    columns = list(boundaries)
+    offset = len(mid)
+    for mm, source, size, diff, _ in merged:
+        for elem, image in zip(source, diff):
+            column = {offset + i: x for i, x in image.items()}
+            sign, fine_elem = mm.map_element(*elem)
+            row = mid[fine_elem]
+            column[row] = column.get(row, 0) + sign
+            columns.append(column)
+        offset += size
+    old = rank(columns) - sum(diff_rank for *_, diff_rank in merged)
     new_dim = cycles - old
     if new_dim < 0:
         raise ConsistencyError(f"old classes exceed cycles at weight {weight}")

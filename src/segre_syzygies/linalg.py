@@ -1,25 +1,56 @@
-"""Exact linear algebra by one fraction-free elimination.
+"""Exact linear algebra over the integers, without fractions.
 
-`echelon` is Bareiss elimination: every division in it is exact, so it runs
-on any integral domain whose `//` is exact division, without forming a
-fraction.  It serves the Koszul oracle through `rank` on arbitrary-precision
-integers (every homology and new-syzygy dimension is a difference of ranks
-of integer blocks), and rational reconstruction on integers or on
-multivariate polynomials.
+`rank` eliminates sparse integer vectors over Z: it serves the Koszul
+oracle, where every homology and new-syzygy dimension is a difference of
+ranks of the differentials' column images, each with a few entries +-1.
+`echelon` is dense Bareiss elimination: every division in it is exact, so
+it runs on any integral domain whose `//` is exact division, and it serves
+rational reconstruction on integers or on multivariate polynomials.
 """
 
 from __future__ import annotations
 
+from math import gcd
 
-def rank(matrix: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    nrows, ncols = len(matrix), len(matrix[0])
-    if nrows > ncols:
-        matrix = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-        nrows, ncols = ncols, nrows
-    return len(echelon([row[:] for row in matrix], ncols))
+
+def rank(vectors: list[dict[int, int]]) -> int:
+    """Rank over Q of integer vectors, each a dict index -> entry.
+
+    Each vector, with its zero entries dropped, is reduced by its leading
+    (smallest) index against the pivot vectors found so far, until it is
+    empty or leads at a new index and becomes a pivot.  A unit pivot is
+    subtracted directly; otherwise both sides are scaled by the gcd-reduced
+    leading entries and the result is divided by its content.  The input is
+    not mutated.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vector in vectors:
+        v = {i: x for i, x in vector.items() if x}
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = v
+                break
+            a, b = pivot[lead], v[lead]
+            unit = a == 1 or a == -1
+            if unit:
+                c = a * b
+            else:
+                g = gcd(a, b)
+                c = b // g
+                v = {i: a // g * x for i, x in v.items()}
+            for i, x in pivot.items():
+                y = v.get(i, 0) - c * x
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+            if not unit and v:
+                g = gcd(*v.values())
+                if g > 1:
+                    v = {i: x // g for i, x in v.items()}
+    return len(pivots)
 
 
 def echelon(rows: list[list], ncols: int) -> list[int]:

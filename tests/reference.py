@@ -1,8 +1,9 @@
 """Field elimination over Fractions, the tests' independent reference.
 
-The library has one elimination, fraction-free (Bareiss) in
-`segre_syzygies.linalg`; these routines divide by every pivot instead, so
-a check built on them does not share that code path.
+The library eliminates without fractions in `segre_syzygies.linalg`:
+sparse integer vectors for `rank`, Bareiss rows for `echelon`.  These
+routines divide by every pivot of a dense matrix instead, so a check built
+on them does not share that code path.
 """
 
 from fractions import Fraction
@@ -45,3 +46,9 @@ def kernel_basis(matrix, ncols):
             vec[c] = -rows[r][free]
         basis.append(vec)
     return basis
+
+
+def columns(matrix, ncols):
+    """The columns of a dense matrix with ncols columns, as the sparse
+    vectors `rank` takes, keeping zero entries so that it must drop them."""
+    return [{i: row[c] for i, row in enumerate(matrix)} for c in range(ncols)]

@@ -167,6 +167,15 @@ def test_capacity_env(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["dimension"] == 1
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "lots", ""])
+def test_capacity_env_must_be_a_positive_integer(capsys, monkeypatch, value):
+    # a usage error (exit 2) naming the variable, not a capacity limit (exit 3)
+    monkeypatch.setenv("SEGRE_CAPACITY", value)
+    code, out, err = run_cli(capsys, "koszul", "--dims", "2,2", "--p", "1", "--d", "2")
+    assert code == 2 and not out
+    assert "SEGRE_CAPACITY" in err and repr(value) in err
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "text", "koszul", "--dims", "2,2", "--p", "1", "--d", "2"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from segre_syzygies.linalg import rank
 
-from reference import gauss_jordan
+from reference import columns, gauss_jordan
 
 
 def rank_fraction_oracle(matrix):
@@ -18,17 +18,22 @@ def test_rank_random_matrices_match_oracle():
         nrows = rng.randint(1, 7)
         ncols = rng.randint(1, 7)
         m = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
-        assert rank(m) == rank_fraction_oracle(m), m
+        assert rank(columns(m, ncols)) == rank_fraction_oracle(m), m
 
 
 def test_rank_edge_cases():
     assert rank([]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[0, 3]]) == 1
-    assert rank([[2], [4], [6]]) == 1
+    assert rank([{}, {}]) == 0
+    assert rank(columns([[0, 0], [0, 0]], 2)) == 0
+    assert rank(columns([[0, 3]], 2)) == 1
+    assert rank(columns([[2], [4], [6]], 1)) == 1
 
 
 def test_rank_does_not_mutate_input():
-    m = [[1, 2], [3, 4]]
-    rank(m)
-    assert m == [[1, 2], [3, 4]]
+    # the second column reduces against a non-unit pivot
+    m = [{0: 1, 1: 3}, {0: 2, 1: 4}]
+    assert rank(m) == 2
+    assert m == [{0: 1, 1: 3}, {0: 2, 1: 4}]
+    m = [{0: 2, 1: 4}, {0: 3, 1: 0}, {0: 6, 1: 12}]
+    assert rank(m) == 2
+    assert m == [{0: 2, 1: 4}, {0: 3, 1: 0}, {0: 6, 1: 12}]

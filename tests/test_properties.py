@@ -1,5 +1,5 @@
 """Property tests of the exact core: polynomial division, torus characters,
-the rank identity behind the new-syzygy dimension, the lowest-terms form
+sparse integer ranks, the rank identity behind the new-syzygy dimension, the lowest-terms form
 of multinomial sums, the integer pole fractions behind them, the integer
 exponential kernel, the series arithmetic that skips re-canonicalisation,
 and fraction-free reconstruction over polynomial coefficients.
@@ -8,6 +8,7 @@ Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
 """
 
+import copy
 import tempfile
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
@@ -36,7 +37,7 @@ from segre_syzygies.series import (
     exp_combination,
 )
 
-from reference import gauss_jordan, kernel_basis
+from reference import columns, gauss_jordan, kernel_basis
 
 # Hypothesis caches the constants of local source files on disk even without
 # a database; keep that cache in a temporary directory, not the working tree.
@@ -104,7 +105,35 @@ def test_stacked_rank_counts_images_of_kernels(data):
     kernel = kernel_basis(D, s)
     images = [[sum(a * v for a, v in zip(row, vec)) for vec in kernel] for row in M]
     span = [[Fraction(x) for x in row] + image for row, image in zip(B, images)]
-    assert rank(stacked) - rank(D) == len(gauss_jordan(span, b + len(kernel)))
+    assert rank(columns(stacked, b + s)) - rank(columns(D, s)) == len(
+        gauss_jordan(span, b + len(kernel))
+    )
+
+
+# sparse vectors over 6 indices, with non-unit entries, explicit zeros and
+# empty vectors
+sparse_vectors = st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=4), max_size=6
+)
+
+
+@PROPERTY
+@given(sparse_vectors, st.data())
+def test_sparse_rank_matches_fraction_elimination(vectors, data):
+    # append integer combinations of earlier vectors, which add no rank
+    for _ in range(data.draw(st.integers(0, 4))):
+        if not vectors:
+            break
+        combo = {}
+        for v in vectors:
+            c = data.draw(st.integers(-3, 3))
+            for i, x in v.items():
+                combo[i] = combo.get(i, 0) + c * x
+        vectors.append(combo)
+    before = copy.deepcopy(vectors)
+    dense = [[Fraction(v.get(i, 0)) for v in vectors] for i in range(6)]
+    assert rank(vectors) == len(gauss_jordan(dense, len(vectors)))
+    assert vectors == before
 
 
 # polynomials in Q[s] of degree at most 2
