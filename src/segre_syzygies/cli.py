@@ -142,6 +142,9 @@ def _capacity() -> int:
 
 
 def _policy(args) -> TruncationPolicy:
+    for flag, value in (("--order", args.order), ("--max-part", args.max_part)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     return TruncationPolicy(args.order, args.max_part)
 
 
@@ -278,6 +281,8 @@ def run_command(args) -> int:
         return EXIT_OK
 
     if args.command == "koszul":
+        if args.cosocle and args.weights:
+            raise ValueError("--weights lists the homology's weights; it cannot go with --cosocle")
         dims = parse_dims(args.dims)
         capacity = _capacity()
         if args.cosocle:

@@ -12,11 +12,11 @@ Each block is built from its weight alone.  The wedges whose weight fits
 under w are enumerated directly, label by label, and each is paired with the
 one ring monomial that makes up the difference, so neither the ring basis
 nor a whole exterior power is ever enumerated.  The homology is a
-representation of GL(d_1) x ... x GL(d_n), and factors of equal dimension
-may be swapped, so its weight multiplicities are constant on orbits of the
-Weyl group and of those swaps.  Only canonical dominant weights are computed
-(each factor weakly decreasing, equal-size factors in non-increasing order),
-and the weight table is filled by orbit.
+representation of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at
+dominant weights (each factor weakly decreasing).  Only the canonical ones,
+with equal-size factors in non-increasing order, are computed and copied to
+their factor swaps; the Schur decomposition is peeled over dominant weights
+alone, and the dimension is summed over Weyl orbits.
 
 The "new syzygy" computation quotients the homology by everything induced
 from coarser groupings of the tensor factors.  A merged coordinate ring
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .errors import CapacityError, ConsistencyError
 from .linalg import rank
@@ -73,6 +73,10 @@ def decomposition_json(decomposition: dict[tuple[Partition, ...], int]) -> list[
 
 @dataclass(frozen=True)
 class HomologyReport:
+    """The syzygy space at bidegree (p, d).  weight_table holds the non-zero
+    multiplicities at dominant weights only (each factor weakly decreasing);
+    any other weight has the multiplicity of its factors sorted decreasingly."""
+
     p: int
     d: int
     dims: Dims
@@ -90,10 +94,13 @@ class HomologyReport:
         }
 
     def weights_csv(self) -> str:
+        """Every weight with a non-zero multiplicity, in weight order."""
         lines = ["weight,multiplicity"]
-        for w in sorted(self.weight_table):
-            label = ";".join(",".join(map(str, comp)) for comp in w)
-            lines.append(f"{label},{self.weight_table[w]}")
+        for w in sorted(itertools.product(*(compositions(self.d, n) for n in self.dims))):
+            mult = self.weight_table.get(tuple(tuple(sorted(comp, reverse=True)) for comp in w))
+            if mult:
+                label = ";".join(",".join(map(str, comp)) for comp in w)
+                lines.append(f"{label},{mult}")
         return "\n".join(lines) + "\n"
 
 
@@ -190,10 +197,15 @@ def _slice(dims: Dims, p: int, d: int, capacity: int):
     return pieces, _Complex(dims, capacity)
 
 
+def _padded_partitions(total: int, n: int) -> list[tuple[int, ...]]:
+    """The partitions of total with at most n parts, padded with zeros to n."""
+    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(total, n)]
+
+
 def _canonical_weights(dims: Dims, d: int):
-    """Weights with every factor a partition of d, padded to the factor's
-    dimension, and equal-size factors in non-increasing order."""
-    rows = [[lam + (0,) * (n - len(lam)) for lam in partitions_of(d, n)] for n in dims]
+    """Dominant weights of total d per factor, with equal-size factors in
+    non-increasing order."""
+    rows = [_padded_partitions(d, n) for n in dims]
     later = [
         next((g for g in range(f + 1, len(dims)) if dims[g] == dims[f]), None)
         for f in range(len(dims))
@@ -203,40 +215,40 @@ def _canonical_weights(dims: Dims, d: int):
             yield weight
 
 
-def _arrangements(items):
-    """The distinct orderings of a sequence."""
-    if not items:
-        yield ()
-        return
-    for x in sorted(set(items)):
-        rest = list(items)
-        rest.remove(x)
-        for tail in _arrangements(rest):
-            yield (x,) + tail
-
-
-def _orbit(weight: Weight, dims: Dims):
-    """The weights reached by permuting each factor's entries and swapping
-    factors of equal size."""
-    groups = [[f for f, n in enumerate(dims) if n == size] for size in set(dims)]
-    for arranged in itertools.product(*(_arrangements([weight[f] for f in g]) for g in groups)):
-        rows = [()] * len(dims)
-        for g, group_rows in zip(groups, arranged):
-            for f, row in zip(g, group_rows):
-                rows[f] = row
-        yield from itertools.product(*(_arrangements(row) for row in rows))
-
-
 def _weight_table(dims: Dims, d: int, value) -> dict[Weight, int]:
-    """Non-zero values of an orbit-invariant weight function, computed at the
-    canonical dominant weights of total d per factor, in weight order."""
+    """Non-zero values of an orbit-invariant weight function at the dominant
+    weights of total d per factor, in weight order: computed at the canonical
+    ones and copied to the weights reached by swapping equal-size factors."""
+    positions = itertools.permutations(range(len(dims)))
+    swaps = [s for s in positions if all(dims[f] == dims[g] for f, g in enumerate(s))]
     table = {}
     for weight in _canonical_weights(dims, d):
         v = value(tuple(itertools.chain.from_iterable(weight)))
         if v:
-            for image in _orbit(weight, dims):
-                table[image] = v
+            for s in swaps:
+                table[tuple(weight[g] for g in s)] = v
     return dict(sorted(table.items()))
+
+
+def _orbit_size(weight: Weight) -> int:
+    """The number of distinct rearrangements of a weight's factors."""
+    return prod(factorial(len(c)) // prod(factorial(c.count(x)) for x in set(c)) for c in weight)
+
+
+def _dimension_and_decomposition(
+    table: dict[Weight, int], dims: Dims
+) -> tuple[int, dict[tuple[Partition, ...], int]]:
+    """Dimension, summed over the Weyl orbits of a dominant weight table, and
+    Schur-tuple decomposition, cross-checked by the Weyl dimension formula."""
+    decomposition = schur_extract(table, dims)
+    dimension = sum(m * _orbit_size(w) for w, m in table.items())
+    check = sum(
+        mult * prod(gl_dimension(lam, dims[f]) for f, lam in enumerate(lams))
+        for lams, mult in decomposition.items()
+    )
+    if check != dimension:
+        raise ConsistencyError(f"decomposition sums to {check}, weight orbits to {dimension}")
+    return dimension, decomposition
 
 
 def koszul_homology(
@@ -246,50 +258,36 @@ def koszul_homology(
     dims = check_dims(dims)
     pieces, fine = _slice(dims, p, d, capacity)
     weight_table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, [], w))
-    decomposition = schur_extract(weight_table, dims)
-    dimension = sum(weight_table.values())
-    check = sum(
-        mult * prod(gl_dimension(lam, dims[f]) for f, lam in enumerate(lams))
-        for lams, mult in decomposition.items()
-    )
-    if check != dimension:
-        raise ConsistencyError(
-            f"decomposition sums to {check}, homology dimension is {dimension}"
-        )
+    dimension, decomposition = _dimension_and_decomposition(weight_table, dims)
     return HomologyReport(p, d, dims, dimension, weight_table, decomposition)
-
-
-def _weight_diagram(lam: Partition, dim: int) -> dict[tuple[int, ...], int]:
-    """Weight multiplicities of the Schur functor for lam on C^dim."""
-    out = {}
-    for comp in compositions(sum(lam), dim):
-        k = kostka(lam, comp)
-        if k:
-            out[comp] = k
-    return out
 
 
 def schur_extract(
     weight_table: dict[Weight, int], dims
 ) -> dict[tuple[Partition, ...], int]:
-    """Peel a product-of-GLs weight table into Schur-tuple multiplicities."""
+    """Peel a product-of-GLs weight table, at dominant weights only, into
+    Schur-tuple multiplicities.  The largest weight left is a highest weight;
+    its Schur tuple is subtracted at every dominant weight, with the product
+    of the factors' Kostka numbers."""
     dims = check_dims(dims)
     table = {w: m for w, m in weight_table.items() if m}
-    if any(m < 0 for m in table.values()):
-        raise ConsistencyError("weight table has negative multiplicities")
+    for w in table:
+        if len(w) != len(dims) or any(len(comp) != n for comp, n in zip(w, dims)):
+            raise ValueError(f"weight {w} does not have the shape of dims {dims}")
+    for w, m in table.items():
+        if m < 0 or any(list(comp) != sorted(comp, reverse=True) or min(comp) < 0 for comp in w):
+            raise ConsistencyError(f"multiplicity {m} at weight {w}; not a polynomial character")
     decomposition: dict[tuple[Partition, ...], int] = {}
     while table:
         top = max(table)
-        for comp in top:
-            if any(comp[i] < comp[i + 1] for i in range(len(comp) - 1)):
-                raise ConsistencyError(
-                    f"maximal weight {top} is not dominant; not a polynomial character"
-                )
         mult = table[top]
         lams = tuple(tuple(x for x in comp if x) for comp in top)
         decomposition[lams] = decomposition.get(lams, 0) + mult
-        diagrams = [_weight_diagram(lam, dims[f]) for f, lam in enumerate(lams)]
-        for combo in itertools.product(*(dg.items() for dg in diagrams)):
+        diagrams = [
+            [(mu, k) for mu in _padded_partitions(sum(lam), n) if (k := kostka(lam, mu))]
+            for lam, n in zip(lams, dims)
+        ]
+        for combo in itertools.product(*diagrams):
             w = tuple(comp for comp, _ in combo)
             k = prod(k for _, k in combo)
             remaining = table.get(w, 0) - mult * k
@@ -467,7 +465,5 @@ def new_syzygy_dimension(
         raise ValueError("need at least two tensor factors")
     pieces, fine = _slice(dims, p, d, capacity)
     merges = _merged_maps(fine)
-    table = _weight_table(
-        dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w)
-    )
-    return sum(table.values()), schur_extract(table, dims)
+    table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w))
+    return _dimension_and_decomposition(table, dims)

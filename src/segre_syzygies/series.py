@@ -213,6 +213,8 @@ def exp_combination(
     num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.  Each
     non-zero sum then becomes one Fraction over L_n * prod m_mu!.
     """
+    if policy.max_order < 0:
+        raise ValueError(f"max_order must be non-negative, got {policy.max_order}")
     orders = range(policy.max_order + 1)
     expanded = []
     for coeff, x in terms:

@@ -206,6 +206,54 @@ def test_koszul_weights_csv(capsys):
     assert body[2] == "1,1;1,1,1"
 
 
+# every weight of (3, 3) p=2 d=3, not only the dominant ones the report keeps
+KOSZUL_33_WEIGHTS = """weight,multiplicity
+0,1,2;1,1,1,1
+0,2,1;1,1,1,1
+1,0,2;1,1,1,1
+1,1,1;0,1,2,1
+1,1,1;0,2,1,1
+1,1,1;1,0,2,1
+1,1,1;1,1,1,4
+1,1,1;1,2,0,1
+1,1,1;2,0,1,1
+1,1,1;2,1,0,1
+1,2,0;1,1,1,1
+2,0,1;1,1,1,1
+2,1,0;1,1,1,1
+"""
+
+
+def test_koszul_weights_csv_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "koszul", "--dims", "3,3", "--p", "2", "--d", "3", "--weights"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["dimension"] == 16
+    assert out.split("\n", 1)[1] == KOSZUL_33_WEIGHTS
+
+
+def test_koszul_weights_with_cosocle_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "koszul", "--dims", "2,3", "--p", "2", "--d", "3", "--cosocle", "--weights"
+    )
+    assert code == 2 and out == "" and "--weights" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("euler-chi", "3", "--order", "-1"), "--order"),
+        (("f-segre", "1", "--max-part", "-3"), "--max-part"),
+        (("koszul", "--dims", "2,2", "--p", "-1", "--d", "2"), "p and d"),
+    ],
+)
+def test_out_of_range_integers_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+
+
 def test_verify_all_criteria(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

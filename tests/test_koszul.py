@@ -38,6 +38,20 @@ def nest(flat, dims):
     return tuple(out)
 
 
+def dominant(weight):
+    """A nested weight with each factor sorted in decreasing order."""
+    return tuple(tuple(sorted(comp, reverse=True)) for comp in weight)
+
+
+def full_table(report):
+    """Every weight's non-zero multiplicity, read back from the report's CSV."""
+    table = {}
+    for line in report.weights_csv().splitlines()[1:]:
+        label, mult = line.rsplit(",", 1)
+        table[tuple(tuple(map(int, comp.split(","))) for comp in label.split(";"))] = int(mult)
+    return table
+
+
 def matmul(a, b, inner):
     cols = len(b[0]) if b else 0
     return [[sum(a[r][k] * b[k][c] for k in range(inner)) for c in range(cols)] for r in range(len(a))]
@@ -189,15 +203,15 @@ def test_report_dimension_matches_decomposition():
 
 
 def test_weight_table_symmetry():
-    report = koszul_homology((2, 3), 1, 2)
-    for weight, mult in report.weight_table.items():
+    table = full_table(koszul_homology((2, 3), 1, 2))
+    for weight, mult in table.items():
         for f in range(2):
             comp = weight[f]
             for a, b in itertools.combinations(range(len(comp)), 2):
                 swapped = list(comp)
                 swapped[a], swapped[b] = swapped[b], swapped[a]
                 permuted = weight[:f] + (tuple(swapped),) + weight[f + 1 :]
-                assert report.weight_table.get(permuted, 0) == mult
+                assert table.get(permuted, 0) == mult
 
 
 def symmetry_guard_cases():
@@ -216,8 +230,9 @@ def symmetry_guard_cases():
 
 
 def test_weight_table_matches_every_block():
-    # the report computes dominant weights only and fills the rest by orbit;
-    # here every weight of the middle piece is computed directly
+    # the report computes canonical dominant weights only and its CSV reads
+    # every other weight off them; here every weight of the middle piece is
+    # computed directly
     for dims, p, d in symmetry_guard_cases():
         report = koszul_homology(dims, p, d)
         pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
@@ -226,7 +241,9 @@ def test_weight_table_matches_every_block():
             h = _block_new_dimension(fine, pieces, [], w)
             if h:
                 direct[nest(w, dims)] = h
-        assert direct == report.weight_table, (dims, p, d)
+        assert direct == full_table(report), (dims, p, d)
+        expected = {w: h for w, h in direct.items() if dominant(w) == w}
+        assert report.weight_table == expected, (dims, p, d)
 
 
 def test_new_syzygies_agree_at_non_dominant_weights():
@@ -239,13 +256,13 @@ def test_new_syzygies_agree_at_non_dominant_weights():
             nested = nest(w, dims)
             if v:
                 direct[nested] = v
-            dominant = tuple(tuple(sorted(row, reverse=True)) for row in nested)
-            if dominant != nested:
-                flat = tuple(itertools.chain.from_iterable(dominant))
+            top = dominant(nested)
+            if top != nested:
+                flat = tuple(itertools.chain.from_iterable(top))
                 assert v == _block_new_dimension(fine, pieces, merges, flat), (dims, w)
         dim, decomp = new_syzygy_dimension(dims, 2, 3)
         assert sum(direct.values()) == dim
-        assert schur_extract(direct, dims) == decomp
+        assert schur_extract({w: v for w, v in direct.items() if dominant(w) == w}, dims) == decomp
 
 
 def test_new_syzygies_match_kernel_reference():
@@ -291,15 +308,10 @@ def test_rank_invariant_under_basis_order():
 
 
 def test_schur_extract_examples():
-    # C^2 (x) C^2: all four unit weight pairs
-    table = {}
-    for a in range(2):
-        for b in range(2):
-            w = ((1 - a, a), (1 - b, b))
-            table[w] = 1
-    assert schur_extract(table, (2, 2)) == {((1,), (1,)): 1}
+    # C^2 (x) C^2: its one dominant weight
+    assert schur_extract({((1, 0), (1, 0)): 1}, (2, 2)) == {((1,), (1,)): 1}
     assert schur_extract({((1, 1), (1, 1)): 1}, (2, 2)) == {((1, 1), (1, 1)): 1}
-    sym2 = {((2, 0),): 1, ((1, 1),): 1, ((0, 2),): 1}
+    sym2 = {((2, 0),): 1, ((1, 1),): 1}
     assert schur_extract(sym2, (2,)) == {((2,),): 1}
 
 
@@ -308,7 +320,14 @@ def test_schur_extract_rejects_bad_tables():
         schur_extract({((0, 1),): 1}, (2,))  # lone non-dominant weight
     with pytest.raises(ConsistencyError):
         # missing middle weight of Sym^2: subtraction goes negative
-        schur_extract({((2, 0),): 1, ((0, 2),): 1}, (2,))
+        schur_extract({((2, 0),): 1}, (2,))
+
+
+def test_schur_extract_checks_the_shape_against_dims():
+    with pytest.raises(ValueError, match="shape"):
+        schur_extract({((1, 0),): 1, ((0, 1),): 1}, (2, 7))  # one factor for two
+    with pytest.raises(ValueError, match="shape"):
+        schur_extract({((1, 0, 0),): 1}, (2,))  # three entries on C^2
 
 
 def test_capacity_error_reports_sizes():

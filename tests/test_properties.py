@@ -2,7 +2,8 @@
 sparse integer ranks, the rank identity behind the new-syzygy dimension, the lowest-terms form
 of multinomial sums, the integer pole fractions behind them, the integer
 exponential kernel, the series arithmetic that skips re-canonicalisation,
-and fraction-free reconstruction over polynomial coefficients.
+fraction-free reconstruction over polynomial coefficients, and the Schur
+peel of a dominant weight table.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -11,13 +12,15 @@ checks the same inputs.
 import copy
 import tempfile
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
-from math import factorial
+from itertools import combinations_with_replacement, groupby, product
+from math import factorial, prod
 
 from hypothesis import configuration, example, given, settings, strategies as st
 
 from segre_syzygies.acceptance import _direct_multinomial_sum
+from segre_syzygies.koszul import _dimension_and_decomposition
 from segre_syzygies.linalg import rank
+from segre_syzygies.partitions import gl_dimension, kostka, partitions_of
 from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
@@ -263,3 +266,30 @@ def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q):
         for m2, c2 in b.terms.items():
             products[m1 + m2] = products.get(m1 + m2, 0) + c1 * c2
     assert a * b == PartitionSeries(policy, products)
+
+
+def padded_partitions(size, n):
+    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(size, n)]
+
+
+@PROPERTY
+@given(st.data())
+def test_schur_peel_inverts_a_dominant_table(data):
+    # a random small decomposition, its character at the dominant weights by
+    # Kostka numbers, then the peel back and the dimension over weight orbits
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    factors = [[lam for size in range(4) for lam in partitions_of(size, n)] for n in dims]
+    schur_tuples = st.sampled_from(list(product(*factors)))
+    decomposition = data.draw(st.dictionaries(schur_tuples, st.integers(1, 3), max_size=4))
+    table = {}
+    for lams, mult in decomposition.items():
+        for w in product(*(padded_partitions(sum(lam), n) for lam, n in zip(lams, dims))):
+            k = prod(kostka(lam, mu) for lam, mu in zip(lams, w))
+            if k:
+                table[w] = table.get(w, 0) + mult * k
+    dimension, peeled = _dimension_and_decomposition(table, dims)
+    assert peeled == decomposition
+    assert dimension == sum(
+        mult * prod(gl_dimension(lam, n) for lam, n in zip(lams, dims))
+        for lams, mult in decomposition.items()
+    )

@@ -89,6 +89,11 @@ def test_exp_combination_constant_and_rejection():
         exp_combination([(Fraction(1), SymFunc.unit())], pol)
 
 
+def test_exp_combination_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="max_order"):
+        exp_combination([(Fraction(1), SymFunc.basis((1,)))], TruncationPolicy(-1, 3))
+
+
 def test_exp_combination_order2_example():
     pol = TruncationPolicy(2, 2)
     s = SymFunc.basis(S)
