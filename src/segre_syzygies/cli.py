@@ -58,10 +58,17 @@ def parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational like "3" or "-1/2"; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 def parse_poly(text: str, d: int) -> dict:
     """Polynomial expressions like "1", "k1", "2*k1^2*k2 - k3 + 1/2"."""
-    text = text.replace("-", "+-").replace(" ", "")
-    terms = [t for t in text.split("+") if t]
+    terms = [t for t in text.replace("-", "+-").replace(" ", "").split("+") if t]
     poly: dict[tuple[int, ...], Fraction] = {}
     for term in terms:
         coeff = Fraction(1)
@@ -73,13 +80,15 @@ def parse_poly(text: str, d: int) -> dict:
             if not factor:
                 raise ValueError(f"empty factor in polynomial term {term!r}")
             if factor[0] == "k":
-                name, _, power = factor.partition("^")
+                name, caret, power = factor.partition("^")
                 idx = int(name[1:]) - 1
                 if not 0 <= idx < d:
                     raise ValueError(f"variable {name} out of range for d={d}")
-                expo[idx] += int(power) if power else 1
+                if caret and not power.isdecimal():
+                    raise ValueError(f"exponents must be non-negative integers: {text!r}")
+                expo[idx] += int(power) if caret else 1
             else:
-                coeff *= Fraction(factor)
+                coeff *= parse_rational(factor)
         key = tuple(expo)
         poly[key] = poly.get(key, Fraction(0)) + coeff
     return poly
@@ -316,12 +325,12 @@ def run_command(args) -> int:
 
     if args.command == "reconstruct":
         if args.coeffs is not None:
-            coeffs = [Fraction(x) for x in args.coeffs.split(",")]
+            coeffs = [parse_rational(x) for x in args.coeffs.split(",")]
         else:
             data = json.load(sys.stdin)
             if not isinstance(data, list):
                 raise ValueError("stdin must hold a JSON array of coefficients")
-            coeffs = [Fraction(str(x)) for x in data]
+            coeffs = [parse_rational(str(x)) for x in data]
         rf = rational_reconstruct(coeffs, args.max_den)
         if rf is None:
             _emit({"found": False}, fmt)

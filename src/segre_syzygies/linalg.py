@@ -1,4 +1,5 @@
-"""Exact linear algebra over the integers, without fractions.
+"""The two exact cores the package shares: integer elimination and sparse
+combinations.
 
 `rank` eliminates sparse integer vectors over Z: it serves the Koszul
 oracle, where every homology and new-syzygy dimension is a difference of
@@ -6,10 +7,16 @@ ranks of the differentials' column images, each with a few entries +-1.
 `echelon` is dense Bareiss elimination: every division in it is exact, so
 it runs on any integral domain whose `//` is exact division, and it serves
 rational reconstruction on integers or on multivariate polynomials.
+
+`Combination` holds the arithmetic of the Schur-ring elements, the
+partition-indexed series and the polynomials alike: finite combinations
+of keys with non-zero Fraction coefficients.  Its results are canonical
+already and are wrapped unchecked; `collect` checks outside input.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 
@@ -97,3 +104,61 @@ def echelon(rows: list[list], ncols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def collect(items, key) -> dict:
+    """Checked terms from (key, coefficient) pairs: each coefficient becomes a
+    Fraction, each key passes through `key` (None drops the term), equal keys
+    are summed and zeros dropped."""
+    terms: dict = {}
+    for k, c in items:
+        c = Fraction(c)
+        if not c:
+            continue
+        k = key(k)
+        if k is None:
+            continue
+        if k in terms:
+            c += terms[k]
+            if not c:
+                del terms[k]
+                continue
+        terms[k] = c
+    return terms
+
+
+class Combination:
+    """A finite sparse combination: `terms` maps each key to a non-zero Fraction.
+
+    Results are wrapped by the subclass's `_like(terms)`, which trusts its
+    terms to be canonical and non-zero; every operation here keeps them so.
+    """
+
+    __slots__ = ("terms",)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            if k in terms:
+                c += terms[k]
+                if not c:
+                    del terms[k]
+                    continue
+            terms[k] = c
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})

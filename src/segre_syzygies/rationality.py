@@ -40,36 +40,38 @@ from functools import cache
 from math import factorial, lcm
 
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import echelon
+from .linalg import Combination, collect, echelon
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Q
 
 
-class MPoly:
+class MPoly(Combination):
     """Sparse multivariate polynomial with Fraction coefficients.
 
     Exponents may be negative, so the same class holds Laurent polynomials
     (torus characters); `exact_div` and `leading` assume non-negative ones.
+    Numbers stand for constants in `==`, `+`, `-` and `*`.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for expo, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    expo = tuple(int(x) for x in expo)
-                    if len(expo) != nvars:
-                        raise ValueError(
-                            f"exponent {expo} has wrong arity for {nvars} variables"
-                        )
-                    cleaned[expo] = c
-        self.terms = cleaned
+        self.terms = collect(terms.items(), self._exponent) if terms else {}
+
+    def _exponent(self, expo) -> tuple[int, ...]:
+        expo = tuple(int(x) for x in expo)
+        if len(expo) != self.nvars:
+            raise ValueError(f"exponent {expo} has wrong arity for {self.nvars} variables")
+        return expo
+
+    def _like(self, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
+        poly = MPoly.__new__(MPoly)
+        poly.nvars = self.nvars
+        poly.terms = terms
+        return poly
 
     @staticmethod
     def constant(nvars: int, c) -> "MPoly":
@@ -81,58 +83,44 @@ class MPoly:
         return MPoly(nvars, {expo: Fraction(1)})
 
     def _coerce(self, other):
-        if isinstance(other, MPoly):
-            return other
+        """other as a polynomial in self's variables, or None if it is not one."""
         if isinstance(other, (int, Fraction)):
             return MPoly.constant(self.nvars, other)
-        return None
-
-    def __bool__(self):
-        return bool(self.terms)
+        if not isinstance(other, MPoly):
+            return None
+        if other.nvars != self.nvars:
+            raise ValueError(f"variable counts differ: {self.nvars} vs {other.nvars}")
+        return other
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.constant(self.nvars, other)
+        return Combination.__eq__(self, other) and self.nvars == other.nvars
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(self.nvars, out)
+        return Combination.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MPoly):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, out)
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return self._like({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -165,7 +153,7 @@ class MPoly:
                     remainder[e] = c
                 else:
                     del remainder[e]
-        return MPoly(self.nvars, quotient)
+        return self._like(quotient)
 
     def __floordiv__(self, other):
         """Exact quotient in the polynomial ring; ConsistencyError if inexact."""
@@ -578,16 +566,13 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     if len(e) != d:
         raise ValueError(f"shift vector {e} has wrong length for d={d}")
     if isinstance(poly, (int, Fraction)):
-        poly = {(0,) * d: Fraction(poly)}
+        poly = {(0,) * d: poly}
     elif isinstance(poly, MPoly):
         poly = poly.terms
-    terms = []
-    for expo, c in poly.items():
-        expo = tuple(int(x) for x in expo)
-        if len(expo) != d:
-            raise ValueError(f"monomial {expo} has wrong arity for d={d}")
-        terms.append((expo, Fraction(c)))
-    return _poly_sum(terms, e, d).to_rational()
+    terms = MPoly(d, poly).terms
+    if any(x < 0 for expo in terms for x in expo):
+        raise ValueError(f"exponents of the polynomial part must be non-negative: {poly}")
+    return _poly_sum(terms.items(), e, d).to_rational()
 
 
 def _poly_sum(terms, e, d) -> PoleFraction:
@@ -632,20 +617,18 @@ def _tail_sum(eb, d) -> PoleFraction:
     rest = eb[:i] + eb[i + 1 :]
     s = sum(rest)
     for c in range(eb[i]):
-        inner = _poly_sum(_binomial_in_total(c, s, d - 1).items(), rest, d - 1)
+        inner = _poly_sum(_binomial_in_total(c, s, d - 1).terms.items(), rest, d - 1)
         result = result - inner.shift(c + s)
     return result
 
 
-def _binomial_in_total(c: int, offset: int, nvars: int) -> dict:
+def _binomial_in_total(c: int, offset: int, nvars: int) -> MPoly:
     """binom(|k| + offset + c, c) expanded as a polynomial in k_1..k_nvars."""
+    total = sum((MPoly.variable(nvars, i) for i in range(nvars)), MPoly(nvars))
     acc = MPoly.constant(nvars, Fraction(1, factorial(c)))
-    total = MPoly(nvars)
-    for i in range(nvars):
-        total = total + MPoly.variable(nvars, i)
     for j in range(1, c + 1):
-        acc = acc * (total + MPoly.constant(nvars, offset + j))
-    return dict(acc.terms) if acc else {(0,) * nvars: Fraction(0)}
+        acc = acc * (total + (offset + j))
+    return acc
 
 
 def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:

@@ -12,21 +12,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import character_table, class_data
+from .linalg import Combination, collect
 from .partitions import Partition, check_partition, gl_dimension, partitions_of, schur_product
 
-class SymFunc:
+class SymFunc(Combination):
     """Sparse exact-rational combination of Schur basis symbols."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Partition, Fraction] | None = None):
-        cleaned: dict[Partition, Fraction] = {}
-        if terms:
-            for lam, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    cleaned[tuple(lam)] = c
-        self.terms = cleaned
+        self.terms = collect(terms.items(), tuple) if terms else {}
+
+    def _like(self, terms: dict[Partition, Fraction]) -> "SymFunc":
+        x = SymFunc.__new__(SymFunc)
+        x.terms = terms
+        return x
 
     @staticmethod
     def zero() -> "SymFunc":
@@ -40,31 +40,6 @@ class SymFunc:
     def basis(lam: Partition) -> "SymFunc":
         return SymFunc({check_partition(lam): Fraction(1)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymFunc) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "SymFunc") -> "SymFunc":
-        result = dict(self.terms)
-        for lam, c in other.terms.items():
-            result[lam] = result.get(lam, Fraction(0)) + c
-        return SymFunc(result)
-
-    def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + (-other)
-
-    def __neg__(self) -> "SymFunc":
-        return SymFunc({lam: -c for lam, c in self.terms.items()})
-
-    def scale(self, c) -> "SymFunc":
-        c = Fraction(c)
-        return SymFunc({lam: c * v for lam, v in self.terms.items()})
-
     def __rmul__(self, c) -> "SymFunc":
         return self.scale(c)
 
@@ -75,7 +50,7 @@ class SymFunc:
         return {sum(lam) for lam in self.terms}
 
     def degree_component(self, d: int) -> "SymFunc":
-        return SymFunc({lam: c for lam, c in self.terms.items() if sum(lam) == d})
+        return self._like({lam: c for lam, c in self.terms.items() if sum(lam) == d})
 
     def __repr__(self) -> str:
         if not self.terms:

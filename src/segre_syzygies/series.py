@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .characters import character_table, class_data
 from .errors import ConsistencyError, UnsupportedError
+from .linalg import Combination, collect
 from .partitions import (
     Partition,
     check_partition,
@@ -62,7 +63,7 @@ class TruncationPolicy(NamedTuple):
 DEFAULT_POLICY = TruncationPolicy()
 
 
-class PartitionSeries:
+class PartitionSeries(Combination):
     """Truncated series with exact-rational coefficients.
 
     Immutable by convention; all operations return new series.  Equality
@@ -70,22 +71,14 @@ class PartitionSeries:
     when their stored terms do.
     """
 
-    __slots__ = ("policy", "terms")
+    __slots__ = ("policy",)
 
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c and policy.admits(mono):
-                    key = canonical_monomial(mono)
-                    total = cleaned.get(key, Fraction(0)) + c
-                    if total:
-                        cleaned[key] = total
-                    else:
-                        cleaned.pop(key, None)
-        self.terms = cleaned
+        def admitted(mono):
+            return canonical_monomial(mono) if policy.admits(mono) else None
+
+        self.terms = collect(terms.items(), admitted) if terms else {}
 
     @classmethod
     def _trusted(
@@ -100,6 +93,9 @@ class PartitionSeries:
         series.policy = policy
         series.terms = terms
         return series
+
+    def _like(self, terms: dict[Monomial, Fraction]) -> "PartitionSeries":
+        return PartitionSeries._trusted(self.policy, terms)
 
     @staticmethod
     def zero(policy: TruncationPolicy) -> "PartitionSeries":
@@ -116,34 +112,9 @@ class PartitionSeries:
             raise ValueError("the zero partition is not a series variable")
         return PartitionSeries(policy, {(lam,): Fraction(1)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartitionSeries) and self.terms == other.terms
-
     def __add__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
-        result = dict(self.terms)
-        for mono, c in other.terms.items():
-            total = result.get(mono, 0) + c
-            if total:
-                result[mono] = total
-            else:
-                del result[mono]
-        return PartitionSeries._trusted(self.policy, result)
-
-    def __sub__(self, other: "PartitionSeries") -> "PartitionSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "PartitionSeries":
-        return PartitionSeries._trusted(self.policy, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> "PartitionSeries":
-        c = Fraction(c)
-        if not c:
-            return PartitionSeries.zero(self.policy)
-        return PartitionSeries._trusted(self.policy, {m: c * v for m, v in self.terms.items()})
+        return Combination.__add__(self, other)
 
     def __mul__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
@@ -155,19 +126,14 @@ class PartitionSeries:
                     continue
                 mono = tuple(sorted(m1 + m2, key=_part_key))
                 result[mono] = result.get(mono, 0) + c1 * c2
-        return PartitionSeries._trusted(self.policy, {m: c for m, c in result.items() if c})
+        return self._like({m: c for m, c in result.items() if c})
 
     def _check_policy(self, other: "PartitionSeries") -> None:
         if self.policy != other.policy:
             raise ValueError(f"truncation policies differ: {self.policy} vs {other.policy}")
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(canonical_monomial(mono), Fraction(0))
-
     def order_component(self, n: int) -> "PartitionSeries":
-        return PartitionSeries._trusted(
-            self.policy, {m: c for m, c in self.terms.items() if len(m) == n}
-        )
+        return self._like({m: c for m, c in self.terms.items() if len(m) == n})
 
     def degree_slice(self, d: int, order: int | None = None) -> "PartitionSeries":
         """Terms of degree d (optionally restricted to one order)."""
@@ -176,7 +142,7 @@ class PartitionSeries:
             for m, c in self.terms.items()
             if m and monomial_degree(m) == d and (order is None or len(m) == order)
         }
-        return PartitionSeries._trusted(self.policy, kept)
+        return self._like(kept)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -189,9 +155,7 @@ class PartitionSeries:
 
 def order_normalize(a: PartitionSeries) -> PartitionSeries:
     """Multiply each order-n component by n! (pass from averaged to plain counts)."""
-    return PartitionSeries._trusted(
-        a.policy, {m: c * factorial(len(m)) for m, c in a.terms.items()}
-    )
+    return a._like({m: c * factorial(len(m)) for m, c in a.terms.items()})
 
 
 def exp_series(x: SymFunc, policy: TruncationPolicy) -> PartitionSeries:
@@ -213,8 +177,9 @@ def exp_combination(
     num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.  Each
     non-zero sum then becomes one Fraction over L_n * prod m_mu!.
     """
-    if policy.max_order < 0:
-        raise ValueError(f"max_order must be non-negative, got {policy.max_order}")
+    for name, value in zip(policy._fields, policy):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     orders = range(policy.max_order + 1)
     expanded = []
     for coeff, x in terms:
@@ -283,6 +248,8 @@ def f_segre(p: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSerie
     These are the values pinned down by the vanishing results for small p;
     beyond p = 3 the Euler characteristic no longer determines the series.
     """
+    if p < 0:
+        raise ValueError(f"p must be non-negative, got {p}")
     if p not in (1, 2, 3):
         raise UnsupportedError(f"closed form available only for p in {{1, 2, 3}}, got {p}")
     return euler_chi(p + 1, policy).scale((-1) ** p)
@@ -467,8 +434,5 @@ def series_to_json(a: PartitionSeries) -> list[dict]:
 
 
 def series_from_json(data, policy: TruncationPolicy) -> PartitionSeries:
-    terms: dict[Monomial, Fraction] = {}
-    for item in data:
-        mono = canonical_monomial(tuple(check_partition(lam) for lam in item["monomial"]))
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coeff"])
-    return PartitionSeries(policy, terms)
+    items = (([check_partition(lam) for lam in item["monomial"]], item["coeff"]) for item in data)
+    return PartitionSeries(policy, collect(items, canonical_monomial))

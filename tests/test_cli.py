@@ -33,6 +33,9 @@ def test_parse_poly():
     }
     with pytest.raises(ValueError):
         parse_poly("k3", 2)
+    for text in ("k1^-1", "k1^", "k1^x", "k1^2^3", "2*k1^-2"):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            parse_poly(text, 1)
 
 
 def test_koszul_command(capsys):
@@ -147,8 +150,9 @@ def test_reconstruct_reads_an_array_from_stdin(capsys, monkeypatch):
 
 
 def test_exit_codes(capsys):
-    code, _, err = run_cli(capsys, "f-segre", "7")
-    assert code == 4 and "p in {1, 2, 3}" in err
+    for p in ("4", "7"):
+        code, _, err = run_cli(capsys, "f-segre", p)
+        assert code == 4 and "p in {1, 2, 3}" in err
     code, _, err = run_cli(capsys, "prime", "1,x")
     assert code == 2 and "invalid partition syntax" in err
     code, _, err = run_cli(capsys, "char-table", "40")
@@ -182,6 +186,22 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "dimension" in out and "1" in out
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("sumlem", "--poly", "1/0", "--d", "1"), None),
+        (("reconstruct", "--max-den", "1", "--coeffs", "1,1/0,1,1"), None),
+        (("reconstruct", "--max-den", "1"), '[1, "1/0", 1, 1]'),
+    ],
+)
+def test_zero_denominators_are_usage_errors(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err and "Traceback" not in err
 
 
 def test_sumlem_negative_shift(capsys):
@@ -246,6 +266,8 @@ def test_koszul_weights_with_cosocle_is_a_usage_error(capsys):
         (("euler-chi", "3", "--order", "-1"), "--order"),
         (("f-segre", "1", "--max-part", "-3"), "--max-part"),
         (("koszul", "--dims", "2,2", "--p", "-1", "--d", "2"), "p and d"),
+        (("f-segre", "-1"), "p must be non-negative"),
+        (("sumlem", "--poly", "k1^-1", "--d", "1"), "non-negative integers"),
     ],
 )
 def test_out_of_range_integers_are_usage_errors(capsys, argv, flag):

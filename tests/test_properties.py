@@ -1,7 +1,8 @@
 """Property tests of the exact core: polynomial division, torus characters,
 sparse integer ranks, the rank identity behind the new-syzygy dimension, the lowest-terms form
 of multinomial sums, the integer pole fractions behind them, the integer
-exponential kernel, the series arithmetic that skips re-canonicalisation,
+exponential kernel, the arithmetic of series, Schur-ring elements and
+polynomials that skips re-canonicalisation,
 fraction-free reconstruction over polynomial coefficients, and the Schur
 peel of a dominant weight table.
 
@@ -60,6 +61,9 @@ small_partitions = st.sampled_from(
 )
 policies = st.builds(TruncationPolicy, st.integers(0, 4), st.integers(1, 3))
 sym_funcs = st.dictionaries(small_partitions, fractions, max_size=5).map(SymFunc)
+mixed = st.one_of(fractions, st.integers(-3, 3))
+raw_sym = st.dictionaries(small_partitions, mixed, max_size=5)
+raw_poly = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), mixed, max_size=4)
 raw_series = st.dictionaries(
     st.lists(small_partitions, max_size=3).map(tuple), fractions, max_size=6
 )
@@ -252,10 +256,21 @@ def test_exp_combination_matches_fraction_reference(terms, policy):
     assert_trusted(result)
 
 
+def assert_checked(result, checked):
+    """result holds non-zero Fractions only and equals the checked constructor on its terms."""
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert result == checked(result.terms)
+
+
 @PROPERTY
-@given(policies, raw_series, raw_series, fractions)
-@example(TruncationPolicy(2, 2), {((1,),): 1}, {((2,),): 1}, Fraction(1, 2))
-def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q):
+@given(policies, raw_series, raw_series, fractions, raw_sym, raw_sym, raw_poly, raw_poly)
+@example(
+    TruncationPolicy(2, 2), {((1,),): 1}, {((2,),): 1}, Fraction(1, 2),
+    {(1,): 1}, {(1,): -1}, {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1},
+)
+def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q, x, y, f, g):
+    # the library's own results skip the checked constructors: they must
+    # already be what those constructors would make, for every combination
     a, b = PartitionSeries(policy, a), PartitionSeries(policy, b)
     # the cross terms of (a + b) * (a - b) cancel
     for result in (a + b, a - a, a.scale(0), a.scale(q), -a, a * b, (a + b) * (a - b)):
@@ -266,6 +281,20 @@ def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q):
         for m2, c2 in b.terms.items():
             products[m1 + m2] = products.get(m1 + m2, 0) + c1 * c2
     assert a * b == PartitionSeries(policy, products)
+
+    x, y = SymFunc(x), SymFunc(y)
+    for result in (x + y, x - y, x - x, -x, x.scale(q), x.scale(0), 3 * x):
+        assert_checked(result, SymFunc)
+    assert not (x - x) and x + y - y == x
+
+    f, g = MPoly(2, f), MPoly(2, g)
+    results = [f + g, f - g, f - f, -f, f.scale(q), f * 0, f * 3, q * f, f + 2, 2 - f, f * g]
+    if g:
+        results.append((f * g).exact_div(g))
+        assert results[-1] == f
+    for result in results:
+        assert_checked(result, lambda terms: MPoly(2, terms))
+    assert not (f - f) and f + g - g == f
 
 
 def padded_partitions(size, n):

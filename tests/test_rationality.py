@@ -73,6 +73,12 @@ def test_rational_function_errors():
         PoleFraction([1, 1]).shift(-1)
 
 
+def test_multinomial_sum_rejects_a_negative_exponent():
+    for poly in ({(-1,): 1}, MPoly(1, {(2,): 1, (-1,): Fraction(1, 2)})):
+        with pytest.raises(ValueError, match="non-negative"):
+            multinomial_sum_rational(poly, (0,), 1)
+
+
 def test_coefficients_reject_negative_term_count():
     f = RationalFunction([1], [1, -1])
     assert f.coefficients(0) == []

@@ -92,6 +92,10 @@ def test_exp_combination_constant_and_rejection():
 def test_exp_combination_rejects_a_negative_order():
     with pytest.raises(ValueError, match="max_order"):
         exp_combination([(Fraction(1), SymFunc.basis((1,)))], TruncationPolicy(-1, 3))
+    with pytest.raises(ValueError, match="max_part_size"):
+        exp_combination([(Fraction(1), SymFunc.basis((1,)))], TruncationPolicy(3, -1))
+    with pytest.raises(ValueError, match="max_part_size"):
+        euler_chi(3, TruncationPolicy(4, -2))
 
 
 def test_exp_combination_order2_example():
