@@ -245,24 +245,28 @@ def criterion_10() -> CriterionResult:
     return _run(10, "character-infrastructure", 30.0, check)
 
 
-def _direct_monomial_sums(expos, e, d, nterms) -> dict[tuple, list[int]]:
-    """For each monomial k^expo, the first nterms coefficients of
-    sum_k k^expo C_{k+e} t^{|k|}, by brute force: the k of each total n are
-    walked once for all the monomials."""
-    sums = {expo: [0] * nterms for expo in expos}
+def _direct_monomial_sums(expos, shifts, d, nterms) -> dict[tuple, dict[tuple, list[int]]]:
+    """For each shift e and each monomial k^expo, the first nterms
+    coefficients of sum_k k^expo C_{k+e} t^{|k|}, by brute force: the k of
+    each total n are walked once, their monomials evaluated once, and
+    C_{k+e} times them added for every shift."""
+    sums = {e: {expo: [0] * nterms for expo in expos} for e in shifts}
     for n in range(nterms):
         for k in compositions(n, d):
-            c = multinomial(tuple(ki + ei for ki, ei in zip(k, e)))
-            if c:
-                for expo, column in sums.items():
-                    column[n] += c * prod(ki**xi for ki, xi in zip(k, expo))
+            values = [prod(ki**xi for ki, xi in zip(k, expo)) for expo in expos]
+            for e, columns in sums.items():
+                c = multinomial(tuple(ki + ei for ki, ei in zip(k, e)))
+                if c:
+                    for column, value in zip(columns.values(), values):
+                        column[n] += c * value
     return sums
 
 
 def _direct_multinomial_sum(poly, e, d, nterms):
     """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, by brute
     force, for p given as {expo: coefficient}."""
-    sums = _direct_monomial_sums(poly, e, d, nterms)
+    e = tuple(e)
+    sums = _direct_monomial_sums(poly, [e], d, nterms)[e]
     return [
         sum((Fraction(c) * sums[expo][n] for expo, c in poly.items()), Fraction(0))
         for n in range(nterms)
@@ -292,12 +296,13 @@ def criterion_11() -> CriterionResult:
                 for i in range(d)
                 for k in range(i, d)
             ]
-            for e in itertools.product((-2, 0, 2), repeat=d):
-                direct = _direct_monomial_sums(monomials, e, d, 10)
+            shifts = list(itertools.product((-2, 0, 2), repeat=d))
+            direct = _direct_monomial_sums(monomials, shifts, d, 10)
+            for e in shifts:
                 for expo in monomials:
                     closed = multinomial_sum_rational({expo: 1}, e, d)
                     _check(
-                        closed.coefficients(10) == direct[expo],
+                        closed.coefficients(10) == direct[e][expo],
                         f"re-expansion mismatch at d={d}, e={e}, monomial={expo}",
                     )
 

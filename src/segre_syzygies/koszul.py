@@ -8,15 +8,15 @@ never mix torus weights, so the slice splits into one block per weight, and
 every rank is taken there, exactly over Z, on the sparse column images of a
 differential: each has at most one entry +-1 per wedge label.
 
-Each block is built from its weight alone.  The wedges whose weight fits
-under w are enumerated directly, label by label, and each is paired with the
-one ring monomial that makes up the difference, so neither the ring basis
-nor a whole exterior power is ever enumerated.  The homology is a
-representation of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at
-dominant weights (each factor weakly decreasing).  Only the canonical ones,
-with equal-size factors in non-increasing order, are computed and copied to
-their factor swaps; the Schur decomposition is peeled over dominant weights
-alone, and the dimension is summed over Weyl orbits.
+Each block is built from its weight alone.  The wedges that fit under w grow
+level by level, degree j from degree j - 1, and each is paired with the one
+ring monomial that makes up the difference, so neither the ring basis nor a
+whole exterior power is ever enumerated.  The homology is a representation
+of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at dominant weights
+(each factor weakly decreasing).  Only the canonical ones, with equal-size
+factors in non-increasing order, are computed and copied to their factor
+swaps; the Schur decomposition is peeled over dominant weights alone, and
+the dimension is summed over Weyl orbits.
 
 The "new syzygy" computation quotients the homology by everything induced
 from coarser groupings of the tensor factors.  A merged coordinate ring
@@ -25,8 +25,8 @@ onto the old classes.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
 ranks of one stacked set of columns, with no kernel basis.  The merged
-complexes use the same block builder: their wedges are enumerated by the
-fine weight of their image, and their ring monomials are grouped by it.
+complexes use the same block builder: their wedges grow by the fine weight
+of their image, and their ring monomials are grouped by it.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class HomologyReport:
 
 
 class _Complex:
-    """The Koszul complex of a Segre ring, one fine-weight block at a time.
+    """The Koszul complex of a Segre ring; each weight's wedges grow level by level.
 
     Tensor basis elements are labelled by lexicographic position.  Label k is
     the degree-one coordinate whose exponents sit at `positions[k]` of a flat
@@ -134,41 +134,42 @@ class _Complex:
                 f"for dims {self.dims}"
             )
 
-    def wedges(self, j: int, budget: list[int], start: int = 0):
-        """The wedges of degree j, from label start on, whose fine weight fits
-        under budget, in decreasing lexicographic order, each with the weight
-        left over.
+    def blocks(self, pieces, weight: FlatWeight) -> list[Block]:
+        """The bases of the pieces (i, j) at a fine weight, numbered in order.
+        Level j holds the wedges of degree j that fit, as (weight left over,
+        wedge), in decreasing lexicographic order, which ranks faster.  Label
+        k goes before the wedges of level j - 1 that start above k: they lead it."""
+        wanted = {j for _, j in pieces}
+        top = max(wanted)
+        levels = {}
+        level = [(weight, ())]
+        for j in range(top + 1):
+            if j in wanted:
+                levels[j] = level
+            if j == top or not level:
+                break
+            grown = []
+            for k in range(len(self.weight_positions) - j - 1, -1, -1):
+                qs = self.weight_positions[k]
+                for left, rest in level:
+                    if rest and rest[0] <= k:
+                        break
+                    if all(left[q] for q in qs):
+                        bumped = list(left)
+                        for q in qs:
+                            bumped[q] -= 1
+                        grown.append((tuple(bumped), (k, *rest)))
+            level = grown
+        out = []
+        for i, j in pieces:
+            block = self.level_block(i, levels.get(j, ()))
+            self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
+            out.append(block)
+        return out
 
-        Labels are walked from the last down and one that no longer fits is
-        skipped; budget is restored after each branch.  Blocks numbered in
-        this order rank faster than in increasing order.
-        """
-        if j == 0:
-            yield (), tuple(budget)
-        if j <= 0:
-            return
-        for k in range(len(self.weight_positions) - j, start - 1, -1):
-            qs = self.weight_positions[k]
-            if all(budget[q] > 0 for q in qs):
-                for q in qs:
-                    budget[q] -= 1
-                for rest, left in self.wedges(j - 1, budget, k + 1):
-                    yield (k, *rest), left
-                for q in qs:
-                    budget[q] += 1
-
-    def rings(self, i: int, weight: FlatWeight):
-        """The ring monomials of degree i and the given fine weight."""
-        return (weight,)
-
-    def block(self, i: int, j: int, weight: FlatWeight) -> Block:
-        """The basis of piece (i, j) at a fine weight, numbered in order."""
-        block: Block = {}
-        for wedge, left in self.wedges(j, list(weight)):
-            for r in self.rings(i, left):
-                block[(r, wedge)] = len(block)
-        self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
-        return block
+    def level_block(self, i: int, level) -> Block:
+        """The block of ring degree i over a level: each entry is an element."""
+        return dict(zip(level, range(len(level))))
 
     def images(self, source: Block, target: Block) -> list[dict[int, int]]:
         """The Koszul differential of each element of a block, in block order,
@@ -309,8 +310,8 @@ class _MergedMap(_Complex):
     enumerated by lexicographic tuples, so every merged basis datum decodes
     to fine data.  On ring elements the map expands merged monomials
     factor-wise; on wedge elements it relabels and sorts, tracking parity.
-    Wedges are enumerated by the fine weight of their image, and ring
-    monomials are grouped by it.
+    Wedges grow by the fine weight of their image, and ring monomials are
+    grouped by it.
     """
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
@@ -350,8 +351,14 @@ class _MergedMap(_Complex):
             self._rings[i] = table
         return self._rings[i]
 
-    def rings(self, i: int, weight: FlatWeight):
-        return self.ring_table(i).get(weight, ())
+    def level_block(self, i: int, level) -> Block:
+        # the ring table is built, and its size checked, once some wedge fits
+        table = self.ring_table(i) if level else {}
+        block: Block = {}
+        for left, wedge in level:
+            for r in table.get(left, ()):
+                block[(r, wedge)] = len(block)
+        return block
 
     def map_ring(self, r: tuple[int, ...]) -> FlatWeight:
         fine = [0] * self.width
@@ -413,7 +420,7 @@ def _block_new_dimension(
     image of a merged element stacked on its differential, whose rows sit
     after the middle block and the targets of the earlier merges.
     """
-    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
+    left, mid, right = fine.blocks(pieces, weight)
     if not mid:
         return 0
     cycles = len(mid) - rank(fine.images(mid, right))
@@ -426,7 +433,7 @@ def _block_new_dimension(
     # merges with cycles at this weight: (merge, source block, target size, D, rank D)
     merged = []
     for mm in merges:
-        source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
+        source, target = mm.blocks(pieces[1:], weight)
         if source:
             diff = mm.images(source, target)
             diff_rank = rank(diff)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .errors import ConsistencyError, UnsupportedError
 from .linalg import Combination, collect, echelon
@@ -399,6 +399,17 @@ def _times_one_minus(p, a):
     return _trim([x - a * y for x, y in zip(p + [0], [0] + p)])
 
 
+def _times_one_minus_power(p, a, m):
+    """p * (1 - a t)^m for an int polynomial p, skipping its zero terms."""
+    power = [comb(m, j) * (-a) ** j for j in range(m + 1)]
+    out = [0] * (len(p) + m)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(power):
+                out[i + j] += x * y
+    return _trim(out)
+
+
 def _divide_one_minus(p, a):
     """p / (1 - a t) when the division is exact, else None.
 
@@ -448,8 +459,12 @@ class PoleFraction:
         holds self's."""
         num = [x * factor for x in self.num] if factor != 1 else self.num
         for a, m in poles.items():
-            for _ in range(m - self.poles.get(a, 0)):
-                num = _times_one_minus(num, a)
+            gap = m - self.poles.get(a, 0)
+            if gap > 2:  # a long gap: one product beats a pass per factor
+                num = _times_one_minus_power(num, a, gap)
+            else:
+                for _ in range(gap):
+                    num = _times_one_minus(num, a)
         return num
 
     def __add__(self, other):
@@ -554,11 +569,13 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
 
     poly maps exponent tuples of length d to rational coefficients (a bare
     number means a constant polynomial); C is the multinomial coefficient,
-    zero on vectors with a negative entry.  Recursion: a variable k_i in the
-    polynomial part is traded for a shift of e_i and an application of
-    t d/dt, and shifted plain sums are split along the boundary until the
-    closed form 1/(1 - d t) applies.  The recursion runs on `PoleFraction`
-    values; the result is brought to lowest terms once, at the end.
+    zero on vectors with a negative entry.  Each variable of a monomial is
+    written in falling factorials of k_i + e_i, each of which trades for a
+    shift of e_i and a polynomial in t d/dt, so a monomial takes one t d/dt
+    per unit of degree and the recursion is at most d deep; shifted plain
+    sums are split along the boundary until the closed form 1/(1 - d t)
+    applies.  The recursion runs on `PoleFraction` values; the result is
+    brought to lowest terms once, at the end.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -584,16 +601,41 @@ def _poly_sum(terms, e, d) -> PoleFraction:
 
 @cache
 def _monomial_sum(expo, e, d) -> PoleFraction:
-    if not any(expo):
+    # With m = k + e, write k_i^x = (m_i - e_i)^x for the first variable of
+    # the monomial in falling factorials m_i^(r) = m_i (m_i - 1) ... (m_i - r + 1).
+    # Since m_i^(r) C_m = |m|^(r) C_(m - r u_i) at every m (both sides vanish
+    # off the support), the sum is sum_r a_r F_r(theta + |e|) of the sum with
+    # k_i dropped and e_i lowered by r, with theta = t d/dt and
+    # F_r(y) = y (y - 1) ... (y - r + 1); Horner's rule takes it with one
+    # theta per unit of exponent, so the depth is at most d.
+    i = next((idx for idx, x in enumerate(expo) if x), None)
+    if i is None:
         return _base_sum(e, d)
-    i = next(idx for idx, x in enumerate(expo) if x)
-    expo2 = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-    e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-    lowered = _monomial_sum(expo2, e2, d)
-    result = lowered.euler_operator() + lowered.scale(sum(e))
-    if e[i]:
-        result = result - _monomial_sum(expo2, e, d).scale(e[i])
+    rest = expo[:i] + (0,) + expo[i + 1 :]
+    coeffs = _falling_factorial_coefficients(expo[i], -e[i])
+    total = sum(e)
+    result = None
+    for r in range(expo[i], -1, -1):
+        if result is not None:
+            result = result.euler_operator() + result.scale(total - r)
+        if coeffs[r]:
+            term = _monomial_sum(rest, e[:i] + (e[i] - r,) + e[i + 1 :], d)
+            term = term if coeffs[r] == 1 else term.scale(coeffs[r])
+            result = term if result is None else result + term
     return result
+
+
+@cache
+def _falling_factorial_coefficients(x: int, c: int) -> list[int]:
+    """The a_r with (m + c)^x = sum_r a_r m (m - 1) ... (m - r + 1)."""
+    coeffs = [1]
+    for _ in range(x):
+        grown = [0] * (len(coeffs) + 1)
+        for r, a in enumerate(coeffs):
+            grown[r] += (r + c) * a
+            grown[r + 1] += a
+        coeffs = grown
+    return coeffs
 
 
 @cache

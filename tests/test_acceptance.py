@@ -59,11 +59,31 @@ acceptance.rational_reconstruct = last_den_entry_off
 print(acceptance.criterion_12().line())
 """
 
+# Only the d = 3 sums are wrong, so the three closed forms checked by hand
+# (d = 1, 2) pass and the brute-force reference must catch the error.
+SABOTAGED_CRITERION_11 = """
+from segre_syzygies import acceptance
+from segre_syzygies.rationality import RationalFunction
+
+real = acceptance.multinomial_sum_rational
+
+
+def numerator_off_by_one(poly, e, d):
+    rf = real(poly, e, d)
+    if d < 3:
+        return rf
+    return RationalFunction(rf.num[:-1] + [rf.num[-1] + 1], rf.den)
+
+
+acceptance.multinomial_sum_rational = numerator_off_by_one
+print(acceptance.criterion_11().line())
+"""
+
 
 @pytest.mark.parametrize(
     "number, sabotage",
-    [(5, SABOTAGED_CRITERION_5), (12, SABOTAGED_CRITERION_12)],
-    ids=["criterion_5", "criterion_12"],
+    [(5, SABOTAGED_CRITERION_5), (11, SABOTAGED_CRITERION_11), (12, SABOTAGED_CRITERION_12)],
+    ids=["criterion_5", "criterion_11", "criterion_12"],
 )
 def test_gate_fails_under_optimize_flag(number, sabotage):
     # python -O strips assert statements; the gate must still catch a

@@ -94,11 +94,11 @@ def nondiscrete_groupings(n):
 def reference_new_dimension(fine, pieces, groupings, weight):
     """New syzygies at one weight from explicit kernel bases: cycles modulo
     the boundaries and the images of the cycles of every given grouping."""
-    left, mid, right = (fine.block(i, j, weight) for i, j in pieces)
+    left, mid, right = fine.blocks(pieces, weight)
     cycles = kernel_basis(dense(fine, mid, right), len(mid))
     old = [[Fraction(x) for x in col] for col in zip(*dense(fine, left, mid))]
     for mm in groupings:
-        source, target = (mm.block(i, j, weight) for i, j in pieces[1:])
+        source, target = mm.blocks(pieces[1:], weight)
         images = map_matrix(mm, source, mid)
         for vec in kernel_basis(dense(mm, source, target), len(source)):
             old.append([sum(a * b for a, b in zip(row, vec)) for row in images])
@@ -126,6 +126,23 @@ def filtered_wedges(cx, j, weight):
     return out[::-1]
 
 
+def grown_levels(cx, top, weight):
+    """The levels 0..top of wedges that the block walk grows at a weight, as
+    (wedge, weight left over), read off the step that turns each into a block."""
+    levels = {}
+
+    def record(j, level):
+        levels[j] = [(wedge, left) for left, wedge in level]
+        return {}
+
+    cx.level_block = record
+    try:
+        cx.blocks([(j, j) for j in range(top + 1)], weight)
+    finally:
+        del cx.level_block
+    return levels
+
+
 def test_wedges_match_filtered_combinations():
     # the fine complex and every pair merge, at balanced and unbalanced weights
     for dims in [(2, 3), (2, 2, 2)]:
@@ -134,11 +151,10 @@ def test_wedges_match_filtered_combinations():
         weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
         for cx in [fine, *_merged_maps(fine)]:
             for w in weights:
-                assert not list(cx.wedges(-1, list(w)))
+                assert cx.blocks([(0, -1)], w) == [{}]
+                levels = grown_levels(cx, 4, w)
                 for j in range(5):
-                    budget = list(w)
-                    assert list(cx.wedges(j, budget)) == filtered_wedges(cx, j, w), (dims, w, j)
-                    assert budget == list(w)
+                    assert levels[j] == filtered_wedges(cx, j, w), (dims, w, j)
 
 
 def test_differential_squares_to_zero():
@@ -149,7 +165,7 @@ def test_differential_squares_to_zero():
             for j in range(2, 4):
                 seen = set()
                 for w in all_weights(dims, i + j):
-                    source, mid, target = (cx.block(i + k, j - k, w) for k in range(3))
+                    source, mid, target = cx.blocks([(i + k, j - k) for k in range(3)], w)
                     seen.update(source)
                     once = dense(cx, source, mid)
                     twice = matmul(dense(cx, mid, target), once, len(mid))
@@ -414,8 +430,9 @@ def test_merged_chain_map_commutes_with_differentials():
             for i, j in [(1, 2), (0, 2), (2, 1)]:
                 seen = set()
                 for w in all_weights(dims, i + j):
-                    merged = [mm.block(i + k, j - k, w) for k in range(2)]
-                    ends = [fine.block(i + k, j - k, w) for k in range(2)]
+                    pieces = [(i + k, j - k) for k in range(2)]
+                    merged = mm.blocks(pieces, w)
+                    ends = fine.blocks(pieces, w)
                     seen.update(merged[0])
                     mapped_then_diff = matmul(
                         dense(fine, *ends), map_matrix(mm, merged[0], ends[0]), len(ends[0])

@@ -3,8 +3,8 @@ sparse integer ranks, the rank identity behind the new-syzygy dimension, the low
 of multinomial sums, the integer pole fractions behind them, the integer
 exponential kernel, the arithmetic of series, Schur-ring elements and
 polynomials that skips re-canonicalisation,
-fraction-free reconstruction over polynomial coefficients, and the Schur
-peel of a dominant weight table.
+fraction-free reconstruction over polynomial coefficients, the Schur
+peel of a dominant weight table, and the numbering of Koszul weight blocks.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -19,7 +19,13 @@ from math import factorial, prod
 from hypothesis import configuration, example, given, settings, strategies as st
 
 from segre_syzygies.acceptance import _direct_multinomial_sum
-from segre_syzygies.koszul import _dimension_and_decomposition
+from segre_syzygies.koszul import (
+    DEFAULT_CAPACITY,
+    _canonical_weights,
+    _dimension_and_decomposition,
+    _merged_maps,
+    _slice,
+)
 from segre_syzygies.linalg import rank
 from segre_syzygies.partitions import gl_dimension, kostka, partitions_of
 from segre_syzygies.rationality import (
@@ -322,3 +328,22 @@ def test_schur_peel_inverts_a_dominant_table(data):
         mult * prod(gl_dimension(lam, n) for lam, n in zip(lams, dims))
         for lams, mult in decomposition.items()
     )
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2)
+)
+def test_koszul_block_keys_are_in_position_order(dims, p, excess):
+    # every block of the fine complex and of each pair merge, at every
+    # canonical weight: its elements are distinct and numbered in key order
+    d = p + excess
+    pieces, fine = _slice(tuple(dims), p, d, DEFAULT_CAPACITY)
+    complexes = [(fine, pieces)]
+    if len(dims) > 1:
+        complexes += [(mm, pieces[1:]) for mm in _merged_maps(fine)]
+    for weight in _canonical_weights(tuple(dims), d):
+        flat = sum(weight, ())
+        for cx, cx_pieces in complexes:
+            for block in cx.blocks(cx_pieces, flat):
+                assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
