@@ -400,14 +400,16 @@ def _times_one_minus(p, a):
 
 
 def _times_one_minus_power(p, a, m):
-    """p * (1 - a t)^m for an int polynomial p, skipping its zero terms."""
-    power = [comb(m, j) * (-a) ** j for j in range(m + 1)]
-    out = [0] * (len(p) + m)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(power):
-                out[i + j] += x * y
-    return _trim(out)
+    """p * (1 - a t)^m for a trimmed non-zero p and a != 0: one pass per
+    power of t, over p past its leading zeros."""
+    z = 0
+    while not p[z]:
+        z += 1
+    q, out = (p[z:] if z else p), p + [0] * m
+    for j in range(1, m + 1):
+        c, lo = comb(m, j) * (-a) ** j, z + j
+        out[lo : lo + len(q)] = [x + c * y for x, y in zip(out[lo:], q)]
+    return out
 
 
 def _divide_one_minus(p, a):
@@ -460,11 +462,8 @@ class PoleFraction:
         num = [x * factor for x in self.num] if factor != 1 else self.num
         for a, m in poles.items():
             gap = m - self.poles.get(a, 0)
-            if gap > 2:  # a long gap: one product beats a pass per factor
+            if gap:
                 num = _times_one_minus_power(num, a, gap)
-            else:
-                for _ in range(gap):
-                    num = _times_one_minus(num, a)
         return num
 
     def __add__(self, other):

@@ -177,17 +177,19 @@ def test_reconstruct_polynomial_round_trip(tail, num):
 def test_multinomial_sum_is_in_lowest_terms(data):
     d = data.draw(st.integers(1, 3))
     e = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
-    degrees = st.lists(st.integers(0, 2), min_size=d, max_size=d)
-    expo = tuple(data.draw(degrees.filter(lambda v: sum(v) <= 2)))
+    # up to degree 4: a shifted variable of degree 3 or 4, a monomial spread
+    # over several variables, and pole gaps above 2 in the sums
+    degrees = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+    expo = tuple(data.draw(degrees.filter(lambda v: sum(v) <= 4)))
     rf = multinomial_sum_rational({expo: 1}, e, d)
     assert rf.den[0] == 1
     assert len(_poly_gcd_q(rf.num, rf.den)) == 1
-    assert rf.coefficients(8) == _direct_multinomial_sum({expo: 1}, e, d, 8)
+    assert rf.coefficients(16) == _direct_multinomial_sum({expo: 1}, e, d, 16)
 
 
 pole_fractions = st.tuples(
     st.lists(fractions, max_size=4),
-    st.dictionaries(st.sampled_from((1, 2, 3)), st.integers(1, 2), max_size=3),
+    st.dictionaries(st.sampled_from((1, 2, 3)), st.integers(1, 4), max_size=3),
 )
 POLE_TERMS = 8
 
@@ -213,6 +215,7 @@ def series_of(pf):
 @PROPERTY
 @given(pole_fractions, pole_fractions, fractions, st.integers(0, 2))
 @example(([Fraction(-1, 3), 2], {1: 2, 3: 1}), ([Fraction(1, 2)], {2: 1}), Fraction(3, 4), 1)
+@example(([0, 0, Fraction(2, 3)], {1: 4}), ([1, -1], {1: 1, 2: 4}), Fraction(-1, 2), 2)
 def test_pole_fraction_integer_arithmetic(x, y, c, n):
     fx, fy = PoleFraction(*x), PoleFraction(*y)
     sx, sy = pole_series(*x), pole_series(*y)
