@@ -50,8 +50,9 @@ Block = dict[Element, int]  # basis element -> position
 
 
 def check_dims(dims) -> Dims:
+    dims = tuple(dims)
     out = tuple(int(x) for x in dims)
-    if not out or any(x < 1 for x in out):
+    if not out or out != dims or any(x < 1 for x in out):
         raise ValueError(f"dims must be a non-empty tuple of positive integers: {dims}")
     return out
 

@@ -20,7 +20,10 @@ Partition = tuple[int, ...]
 
 def check_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of parts into a Partition."""
+    parts = tuple(parts)
     lam = tuple(int(x) for x in parts)
+    if lam != parts:
+        raise ValueError(f"partition parts must be integers: {parts}")
     if any(x <= 0 for x in lam):
         raise ValueError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

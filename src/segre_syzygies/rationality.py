@@ -62,10 +62,12 @@ class MPoly(Combination):
         self.terms = collect(terms.items(), self._exponent) if terms else {}
 
     def _exponent(self, expo) -> tuple[int, ...]:
-        expo = tuple(int(x) for x in expo)
-        if len(expo) != self.nvars:
-            raise ValueError(f"exponent {expo} has wrong arity for {self.nvars} variables")
-        return expo
+        ints = tuple(int(x) for x in expo)
+        if ints != tuple(expo):
+            raise ValueError(f"exponent {expo} must have integer entries")
+        if len(ints) != self.nvars:
+            raise ValueError(f"exponent {ints} has wrong arity for {self.nvars} variables")
+        return ints
 
     def _like(self, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
         poly = MPoly.__new__(MPoly)
@@ -483,14 +485,6 @@ class PoleFraction:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __mul__(self, other):
-        poles = dict(self.poles)
-        for a, m in other.poles.items():
-            poles[a] = poles.get(a, 0) + m
-        return PoleFraction._of(
-            _poly_mul(self.num, other.num), self.den * other.den, poles
-        )
-
     def __eq__(self, other):
         if not isinstance(other, PoleFraction):
             return NotImplemented
@@ -517,18 +511,20 @@ class PoleFraction:
             raise ValueError(f"numerator not divisible by t^{-n}")
         return PoleFraction._of(self.num[-n:], self.den, self.poles)
 
-    def euler_operator(self) -> "PoleFraction":
-        """Apply t d/dt: the numerator becomes t (N' R + N S) and every pole
-        exponent grows by one, where R = prod (1 - a t) over the poles and
-        S = sum of m a R / (1 - a t)."""
+    def euler_operator(self, a: int = 0) -> "PoleFraction":
+        """Apply t d/dt + a: the numerator becomes t (N' R + N S) + a N R and
+        every pole exponent grows by one, where R = prod (1 - b t) over the
+        poles and S = sum of m b R / (1 - b t)."""
         r, s = [1], []
-        for a, m in self.poles.items():
-            s = _poly_add(_times_one_minus(s, a), [m * a * x for x in r])
-            r = _times_one_minus(r, a)
-        num = _poly_add(_poly_mul(_poly_derivative(self.num), r), _poly_mul(self.num, s))
-        return PoleFraction._of(
-            [0] + num if num else [], self.den, {a: m + 1 for a, m in self.poles.items()}
+        for b, m in self.poles.items():
+            s = _poly_add(_times_one_minus(s, b), [m * b * x for x in r])
+            r = _times_one_minus(r, b)
+        # t N' R + N (t S + a R)
+        num = _poly_add(
+            [0] + _poly_mul(_poly_derivative(self.num), r),
+            _poly_mul(self.num, _poly_add([0] + s, [a * x for x in r])),
         )
+        return PoleFraction._of(num, self.den, {b: m + 1 for b, m in self.poles.items()})
 
     def to_rational(self) -> RationalFunction:
         """The same function in lowest terms: each (1 - a t) dividing the
@@ -571,14 +567,19 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     zero on vectors with a negative entry.  Each variable of a monomial is
     written in falling factorials of k_i + e_i, each of which trades for a
     shift of e_i and a polynomial in t d/dt, so a monomial takes one t d/dt
-    per unit of degree and the recursion is at most d deep; shifted plain
-    sums are split along the boundary until the closed form 1/(1 - d t)
-    applies.  The recursion runs on `PoleFraction` values; the result is
-    brought to lowest terms once, at the end.
+    per unit of degree and the recursion is at most d deep.  A shifted plain
+    sum is the unshifted one, 1/(1 - d t), less its boundary slices; the
+    slices of a shift b in one variable come from one chain of b - 1 steps
+    of t d/dt + c off the sum in the other variables, so a shift costs one
+    step per slice.  The recursion runs on `PoleFraction` values; the result
+    is brought to lowest terms once, at the end.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    e = tuple(int(x) for x in e)
+    given = tuple(e)
+    e = tuple(int(x) for x in given)
+    if e != given:
+        raise ValueError(f"shift vector {given} must have integer entries")
     if len(e) != d:
         raise ValueError(f"shift vector {e} has wrong length for d={d}")
     if isinstance(poly, (int, Fraction)):
@@ -588,14 +589,10 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     terms = MPoly(d, poly).terms
     if any(x < 0 for expo in terms for x in expo):
         raise ValueError(f"exponents of the polynomial part must be non-negative: {poly}")
-    return _poly_sum(terms.items(), e, d).to_rational()
-
-
-def _poly_sum(terms, e, d) -> PoleFraction:
     total = PoleFraction([])
-    for expo, c in terms:
+    for expo, c in terms.items():
         total = total + _monomial_sum(expo, e, d).scale(c)
-    return total
+    return total.to_rational()
 
 
 @cache
@@ -616,7 +613,7 @@ def _monomial_sum(expo, e, d) -> PoleFraction:
     result = None
     for r in range(expo[i], -1, -1):
         if result is not None:
-            result = result.euler_operator() + result.scale(total - r)
+            result = result.euler_operator(total - r)
         if coeffs[r]:
             term = _monomial_sum(rest, e[:i] + (e[i] - r,) + e[i + 1 :], d)
             term = term if coeffs[r] == 1 else term.scale(coeffs[r])
@@ -648,28 +645,23 @@ def _base_sum(e, d) -> PoleFraction:
 
 @cache
 def _tail_sum(eb, d) -> PoleFraction:
-    # sum over m >= eb (componentwise, eb >= 0) of C_m t^{|m|}
+    # sum over m >= eb (componentwise, eb >= 0) of C_m t^{|m|}: the sum from
+    # m_i >= 0 less the slices m_i = c < eb_i.  With n the total of the other
+    # entries, C_m = binom(n + c, c) C_(m without m_i), so slice c is t^c G_c
+    # for G_c the tail sum in d - 1 variables weighted by binom(n + c, c).
+    # Since binom(n + c, c) = binom(n + c - 1, c - 1) (n + c) / c, the chain
+    # G_c = (theta + c) G_(c-1) / c starts from the plain tail sum G_0.
     if d == 0:
         return PoleFraction([1])
     if not any(eb):
         return PoleFraction([1], {d: 1})
     i = next(idx for idx, x in enumerate(eb) if x)
-    result = _tail_sum(eb[:i] + (0,) + eb[i + 1 :], d)
-    rest = eb[:i] + eb[i + 1 :]
-    s = sum(rest)
-    for c in range(eb[i]):
-        inner = _poly_sum(_binomial_in_total(c, s, d - 1).terms.items(), rest, d - 1)
-        result = result - inner.shift(c + s)
+    inner = _tail_sum(eb[:i] + eb[i + 1 :], d - 1)
+    result = _tail_sum(eb[:i] + (0,) + eb[i + 1 :], d) - inner
+    for c in range(1, eb[i]):
+        inner = inner.euler_operator(c).scale(Fraction(1, c))
+        result = result - inner.shift(c)
     return result
-
-
-def _binomial_in_total(c: int, offset: int, nvars: int) -> MPoly:
-    """binom(|k| + offset + c, c) expanded as a polynomial in k_1..k_nvars."""
-    total = sum((MPoly.variable(nvars, i) for i in range(nvars)), MPoly(nvars))
-    acc = MPoly.constant(nvars, Fraction(1, factorial(c)))
-    for j in range(1, c + 1):
-        acc = acc * (total + (offset + j))
-    return acc
 
 
 def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:
@@ -729,6 +721,8 @@ def weyl_series(d: int, torus_coeffs, num_terms: int | None = None) -> list[Frac
         raise ValueError("d must be positive")
     if num_terms is None:
         num_terms = len(torus_coeffs)
+    if num_terms < 0:
+        raise ValueError(f"number of terms must be non-negative, got {num_terms}")
     if num_terms > len(torus_coeffs):
         raise ValueError("not enough torus coefficients supplied")
     disc = discriminant_squared(d)

@@ -221,6 +221,15 @@ def test_sumlem_answers_at_high_degree(capsys):
     assert payload["series"] == [str(k**500) for k in range(4)]
 
 
+def test_sumlem_answers_at_a_large_shift(capsys):
+    # 700 boundary slices, one Euler step each
+    code, out, err = run_cli(
+        capsys, "sumlem", "--poly", "1", "--d", "2", "--e", "700,0", "--terms", "3"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["series"] == ["1", "702", str(1 + 702 + comb(702, 2))]
+
+
 def test_sumlem_negative_term_count(capsys):
     code, out, err = run_cli(capsys, "sumlem", "--d", "2", "--terms", "-3")
     assert code == 2 and out == "" and "non-negative" in err

@@ -92,6 +92,12 @@ def test_check_partition_rejects():
         check_partition((2, 0))
 
 
+def test_check_partition_rejects_fractional_parts():
+    with pytest.raises(ValueError, match="integers"):
+        check_partition((2.7, 1))
+    assert check_partition((2.0, 1)) == (2, 1)
+
+
 def test_dimension_sn_examples():
     for n in range(1, 7):
         assert dimension_sn((n,)) == 1

@@ -176,7 +176,7 @@ def test_reconstruct_polynomial_round_trip(tail, num):
 @given(st.data())
 def test_multinomial_sum_is_in_lowest_terms(data):
     d = data.draw(st.integers(1, 3))
-    e = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    e = tuple(data.draw(st.lists(st.integers(-2, 6), min_size=d, max_size=d)))
     # up to degree 4: a shifted variable of degree 3 or 4, a monomial spread
     # over several variables, and pole gaps above 2 in the sums
     degrees = st.lists(st.integers(0, 4), min_size=d, max_size=d)

@@ -46,7 +46,7 @@ def test_zero_function_has_unit_denominator():
 def test_pole_fraction_arithmetic():
     f = PoleFraction([1], {1: 1})  # 1/(1 - t)
     g = PoleFraction([0, 1], {1: 2})  # t/(1 - t)^2
-    assert (f * f) == g.shift(-1)
+    assert g.shift(-1) == PoleFraction([1], {1: 2})
     assert f.euler_operator() == g
     assert f.to_rational() == RationalFunction([1], [1, -1])
     assert g.to_rational() == RationalFunction([0, 1], [1, -2, 1])
@@ -77,6 +77,12 @@ def test_multinomial_sum_rejects_a_negative_exponent():
     for poly in ({(-1,): 1}, MPoly(1, {(2,): 1, (-1,): Fraction(1, 2)})):
         with pytest.raises(ValueError, match="non-negative"):
             multinomial_sum_rational(poly, (0,), 1)
+
+
+def test_multinomial_sum_rejects_a_fractional_shift():
+    with pytest.raises(ValueError, match="integer"):
+        multinomial_sum_rational(1, (1.5,), 1)
+    assert multinomial_sum_rational(1, (1.0,), 1) == multinomial_sum_rational(1, (1,), 1)
 
 
 def test_coefficients_reject_negative_term_count():
@@ -205,6 +211,9 @@ def test_weyl_series_exponential_module():
 def test_weyl_series_finite_module():
     one = [MPoly.constant(1, 1), MPoly(1), MPoly(1)]
     assert weyl_series(1, one, 3) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert weyl_series(1, one, 0) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        weyl_series(1, one, -1)
 
 
 def doubled_torus_coeffs(d, n_terms):
@@ -299,6 +308,12 @@ def test_mpoly_arithmetic():
     # torus characters: every exponent other than one is printed
     assert str(MPoly(1, {(-1,): 1})) == "s^-1"
     assert str(MPoly(2, {(-2, 1): 3})) == "3*s^-2*w"
+
+
+def test_mpoly_rejects_fractional_exponents():
+    with pytest.raises(ValueError, match="integer"):
+        MPoly(1, {(Fraction(5, 2),): 1})
+    assert MPoly(1, {(Fraction(4, 2),): 1}) == MPoly(1, {(2,): 1})
 
 
 def test_mpoly_floor_division_is_exact_or_faults():
