@@ -5,8 +5,9 @@ three-term slice of the Koszul complex over the ambient polynomial ring,
 with terms built from graded pieces of the Segre coordinate ring tensored
 with exterior powers of the space of degree-one coordinates.  Differentials
 never mix torus weights, so the slice splits into one block per weight, and
-every rank is taken there, exactly over Z, on the sparse column images of a
-differential: each has at most one entry +-1 per wedge label.
+every rank is taken there, exactly over Z, on the sparse rows of a transposed
+differential: one per target element, with source positions numbered from the
+end, and one entry +-1 per wedge label of each source element.
 
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
@@ -24,7 +25,7 @@ surjects onto the fine one, and the induced chain map carries merged cycles
 onto the old classes.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
-ranks of one stacked set of columns, with no kernel basis.  The merged
+ranks of one stacked set of rows, with no kernel basis.  The merged
 complexes use the same block builder: their wedges grow by the fine weight
 of their image, and their ring monomials are grouped by it.
 """
@@ -173,21 +174,25 @@ class _Complex:
         return dict(zip(level, range(len(level))))
 
     def images(self, source: Block, target: Block) -> list[dict[int, int]]:
-        """The Koszul differential of each element of a block, in block order,
-        as {position in target: coefficient}, where target is the block of the
-        next piece at the same weight.  Dropping distinct labels of a wedge
-        gives distinct elements, so an image has one entry +-1 per label."""
-        out = []
-        for r, wedge in source:
-            image = {}
+        """The Koszul differential from a block to the block of the next piece
+        at the same weight, transposed: one row per target element, in block
+        order, as {len(source) - 1 - s: coefficient} for source position s.
+        Dropping distinct labels of a wedge gives distinct elements, so each
+        source element has one entry +-1 per label.
+
+        Source positions are numbered from the end, so each row leads at its
+        latest source element, and pivots meet first the wedges that `blocks`
+        numbers last.  Elimination fills in several times less in this order
+        than with the rows led by their first source element."""
+        rows = [{} for _ in range(len(target))]
+        for c, (r, wedge) in enumerate(reversed(source)):
             for t, k in enumerate(wedge):
                 bumped = list(r)
                 for q in self.positions[k]:
                     bumped[q] += 1
-                row = target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]
-                image[row] = -1 if t % 2 else 1
-            out.append(image)
-        return out
+                row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
+                row[c] = -1 if t % 2 else 1
+        return rows
 
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
@@ -417,9 +422,11 @@ def _block_new_dimension(
     map and the differential of merge k, the old classes span
     B + sum_k M_k ker D_k, of dimension
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
-    Each matrix is held as its columns: a column of merge k is the chain map
-    image of a merged element stacked on its differential, whose rows sit
-    after the middle block and the targets of the earlier merges.
+    Each matrix is held as its rows, as `images` gives them: the rows are the
+    middle block's positions, then each merge's target positions; the columns
+    are the boundaries, then each merge's source elements, all numbered from
+    the end.  A merged element's column holds its chain map image, in the row
+    of that fine element, over its differential.
     """
     left, mid, right = fine.blocks(pieces, weight)
     if not mid:
@@ -431,7 +438,7 @@ def _block_new_dimension(
         raise ConsistencyError(f"negative homology dimension at weight {weight}")
     if not homology:  # new syzygies are a quotient of the homology
         return 0
-    # merges with cycles at this weight: (merge, source block, target size, D, rank D)
+    # merges with cycles at this weight: (merge, source block, D, rank D)
     merged = []
     for mm in merges:
         source, target = mm.blocks(pieces[1:], weight)
@@ -439,20 +446,19 @@ def _block_new_dimension(
             diff = mm.images(source, target)
             diff_rank = rank(diff)
             if diff_rank < len(source):
-                merged.append((mm, source, len(target), diff, diff_rank))
+                merged.append((mm, source, diff, diff_rank))
     if not merged:
         return homology
-    columns = list(boundaries)
-    offset = len(mid)
-    for mm, source, size, diff, _ in merged:
-        for elem, image in zip(source, diff):
-            column = {offset + i: x for i, x in image.items()}
+    # columns after those of the merges still to be stacked
+    after = sum(len(source) for _, source, *_ in merged)
+    stack = [{c + after: x for c, x in row.items()} for row in boundaries]
+    for mm, source, diff, _ in merged:
+        after -= len(source)
+        for c, elem in enumerate(reversed(source), after):
             sign, fine_elem = mm.map_element(*elem)
-            row = mid[fine_elem]
-            column[row] = column.get(row, 0) + sign
-            columns.append(column)
-        offset += size
-    old = rank(columns) - sum(diff_rank for *_, diff_rank in merged)
+            stack[mid[fine_elem]][c] = sign
+        stack.extend({c + after: x for c, x in row.items()} for row in diff)
+    old = rank(stack) - sum(diff_rank for *_, diff_rank in merged)
     new_dim = cycles - old
     if new_dim < 0:
         raise ConsistencyError(f"old classes exceed cycles at weight {weight}")

@@ -3,7 +3,8 @@ combinations.
 
 `rank` eliminates sparse integer vectors over Z: it serves the Koszul
 oracle, where every homology and new-syzygy dimension is a difference of
-ranks of the differentials' column images, each with a few entries +-1.
+ranks of the differentials' rows, one per target element with its source
+positions numbered from the end, each with a few entries +-1.
 `echelon` is dense Bareiss elimination: every division in it is exact, so
 it runs on any integral domain whose `//` is exact division, and it serves
 rational reconstruction on integers or on multivariate polynomials.

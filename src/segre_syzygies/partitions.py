@@ -128,7 +128,10 @@ def kostka(lam: Partition, mu) -> int:
     mu is a composition of |lam|; trailing or internal zeros are allowed and
     the count only depends on mu up to permutation.
     """
+    mu = tuple(mu)
     content = tuple(int(x) for x in mu)
+    if content != mu:
+        raise ValueError(f"content entries must be integers: {mu}")
     if any(x < 0 for x in content):
         raise ValueError(f"content entries must be non-negative: {content}")
     if sum(content) != sum(lam):

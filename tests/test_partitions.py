@@ -134,6 +134,12 @@ def test_kostka_size_mismatch():
         kostka((2, 1), (1, 1))
 
 
+def test_kostka_rejects_fractional_content():
+    with pytest.raises(ValueError, match="integers"):
+        kostka((2,), (1.5, 1.5))
+    assert kostka((2,), (1.0, 1.0)) == 1
+
+
 def test_lr_examples():
     assert lr_coefficient((1,), (1,), (2,)) == 1
     assert lr_coefficient((1,), (1,), (1, 1)) == 1

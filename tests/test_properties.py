@@ -1,5 +1,6 @@
 """Property tests of the exact core: polynomial division, torus characters,
-sparse integer ranks, the rank identity behind the new-syzygy dimension, the lowest-terms form
+sparse integer ranks of columns and of reversed transposes, the rank
+identity behind the new-syzygy dimension, the lowest-terms form
 of multinomial sums, the integer pole fractions behind them, the integer
 exponential kernel, the arithmetic of series, Schur-ring elements and
 polynomials that skips re-canonicalisation,
@@ -147,6 +148,22 @@ def test_sparse_rank_matches_fraction_elimination(vectors, data):
     dense = [[Fraction(v.get(i, 0)) for v in vectors] for i in range(6)]
     assert rank(vectors) == len(gauss_jordan(dense, len(vectors)))
     assert vectors == before
+
+
+@PROPERTY
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-6, 6)),
+)
+def test_rank_of_reversed_transpose_matches_columns(nrows, ncols, entries):
+    # the Koszul differentials are ranked as rows with their columns numbered
+    # from the end; that must give the rank of their columns
+    entries = {(r, c): x for (r, c), x in entries.items() if r < nrows and c < ncols}
+    cols = [{r: x for (r, c), x in entries.items() if c == k} for k in range(ncols)]
+    rows = [{ncols - 1 - c: x for (r, c), x in entries.items() if r == k} for k in range(nrows)]
+    dense = [[Fraction(entries.get((r, c), 0)) for c in range(ncols)] for r in range(nrows)]
+    assert rank(cols) == rank(rows) == len(gauss_jordan(dense, ncols))
 
 
 # polynomials in Q[s] of degree at most 2
