@@ -50,12 +50,12 @@ def parse_partition(text: str) -> Partition:
     return check_partition(parts)
 
 
-def parse_dims(text: str) -> tuple[int, ...]:
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, such as dims or a shift vector."""
     try:
-        dims = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"invalid dims syntax: {text!r}") from exc
-    return dims
+        raise ValueError(f"invalid {what} syntax: {text!r}") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -292,7 +292,7 @@ def run_command(args) -> int:
     if args.command == "koszul":
         if args.cosocle and args.weights:
             raise ValueError("--weights lists the homology's weights; it cannot go with --cosocle")
-        dims = parse_dims(args.dims)
+        dims = parse_ints(args.dims, "dims")
         capacity = _capacity()
         if args.cosocle:
             dim, decomposition = new_syzygy_dimension(dims, args.p, args.d, capacity)
@@ -314,7 +314,7 @@ def run_command(args) -> int:
 
     if args.command == "sumlem":
         d = args.d
-        e = tuple(int(x) for x in args.e.split(",")) if args.e else (0,) * d
+        e = parse_ints(args.e, "shift") if args.e else (0,) * d
         poly = parse_poly(args.poly, d)
         rf = multinomial_sum_rational(poly, e, d)
         payload = rf.to_json()

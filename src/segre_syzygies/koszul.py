@@ -20,14 +20,17 @@ swaps; the Schur decomposition is peeled over dominant weights alone, and
 the dimension is summed over Weyl orbits.
 
 The "new syzygy" computation quotients the homology by everything induced
-from coarser groupings of the tensor factors.  A merged coordinate ring
-surjects onto the fine one, and the induced chain map carries merged cycles
-onto the old classes.  Every coarser grouping's chain map factors through
+from coarser groupings of the tensor factors.  A merged Segre variety lies
+in the same projective space as the fine one, so its Koszul complex is built
+on the same exterior algebra, with the same wedge labels; only the ring
+differs, and the chain map is the ring surjection on the ring part and the
+identity on the wedge.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
-ranks of one stacked set of rows, with no kernel basis.  The merged
-complexes use the same block builder: their wedges grow by the fine weight
-of their image, and their ring monomials are grouped by it.
+ranks of one stacked set of rows, with no kernel basis.  The wedges that fit
+under a weight are the same for every complex, so they are grown once per
+weight, and each merged block pairs them with its ring monomials of that
+fine weight.
 """
 
 from __future__ import annotations
@@ -107,14 +110,13 @@ class HomologyReport:
 
 
 class _Complex:
-    """The Koszul complex of a Segre ring; each weight's wedges grow level by level.
+    """The Koszul complex of a Segre ring, built a weight's blocks at a time.
 
-    Tensor basis elements are labelled by lexicographic position.  Label k is
-    the degree-one coordinate whose exponents sit at `positions[k]` of a flat
-    ring exponent vector (one per factor) and whose fine weight sits at
-    `weight_positions[k]`.  In the fine complex the two agree, so a ring
-    monomial is its own weight, and the weight a wedge leaves over is the
-    ring monomial of its block element.
+    Tensor basis elements are labelled by lexicographic position of their
+    fine index tuples.  Label k is the degree-one coordinate whose exponents
+    sit at `positions[k]` of a flat ring exponent vector (one per factor).
+    In the fine complex a ring monomial is its own weight, and the weight a
+    wedge leaves over is the ring monomial of its block element.
     """
 
     def __init__(self, dims: Dims, capacity: int):
@@ -127,7 +129,6 @@ class _Complex:
             tuple(offsets[f] + a for f, a in enumerate(idx))
             for idx in itertools.product(*(range(n) for n in dims))
         ]
-        self.weight_positions = self.positions
 
     def _check_capacity(self, what: str, size: int) -> None:
         if size > self.capacity:
@@ -136,35 +137,12 @@ class _Complex:
                 f"for dims {self.dims}"
             )
 
-    def blocks(self, pieces, weight: FlatWeight) -> list[Block]:
-        """The bases of the pieces (i, j) at a fine weight, numbered in order.
-        Level j holds the wedges of degree j that fit, as (weight left over,
-        wedge), in decreasing lexicographic order, which ranks faster.  Label
-        k goes before the wedges of level j - 1 that start above k: they lead it."""
-        wanted = {j for _, j in pieces}
-        top = max(wanted)
-        levels = {}
-        level = [(weight, ())]
-        for j in range(top + 1):
-            if j in wanted:
-                levels[j] = level
-            if j == top or not level:
-                break
-            grown = []
-            for k in range(len(self.weight_positions) - j - 1, -1, -1):
-                qs = self.weight_positions[k]
-                for left, rest in level:
-                    if rest and rest[0] <= k:
-                        break
-                    if all(left[q] for q in qs):
-                        bumped = list(left)
-                        for q in qs:
-                            bumped[q] -= 1
-                        grown.append((tuple(bumped), (k, *rest)))
-            level = grown
+    def blocks(self, pieces, weight: FlatWeight, levels) -> list[Block]:
+        """The bases of the pieces (i, j) at a fine weight, numbered in order,
+        over the levels of `_wedge_levels` at that weight."""
         out = []
         for i, j in pieces:
-            block = self.level_block(i, levels.get(j, ()))
+            block = self.level_block(i, levels[j] if 0 <= j < len(levels) else ())
             self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
             out.append(block)
         return out
@@ -193,6 +171,30 @@ class _Complex:
                 row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
                 row[c] = -1 if t % 2 else 1
         return rows
+
+
+def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[FlatWeight, Wedge]]]:
+    """The wedges that fit under a fine weight, by degree 0..top, over the
+    fine complex's label positions; the walk stops early at an empty level.
+    Level j holds the wedges of degree j that fit, as (weight left over,
+    wedge), in decreasing lexicographic order, which ranks faster.  Label k
+    goes before the wedges of level j - 1 that start above k: they lead it."""
+    levels = [[(weight, ())]]
+    while len(levels) <= top and levels[-1]:
+        j = len(levels) - 1
+        grown = []
+        for k in range(len(positions) - j - 1, -1, -1):
+            qs = positions[k]
+            for left, rest in levels[-1]:
+                if rest and rest[0] <= k:
+                    break
+                if all(left[q] for q in qs):
+                    bumped = list(left)
+                    for q in qs:
+                        bumped[q] -= 1
+                    grown.append((tuple(bumped), (k, *rest)))
+        levels.append(grown)
+    return levels
 
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
@@ -313,11 +315,11 @@ class _MergedMap(_Complex):
     """The complex of a merged grouping, with its chain map into the fine complex.
 
     Each merged factor is a tensor product of fine factors; its basis is
-    enumerated by lexicographic tuples, so every merged basis datum decodes
-    to fine data.  On ring elements the map expands merged monomials
-    factor-wise; on wedge elements it relabels and sorts, tracking parity.
-    Wedges grow by the fine weight of their image, and ring monomials are
-    grouped by it.
+    enumerated by lexicographic tuples, so every merged ring coordinate
+    decodes to fine ones.  The wedge labels are the fine ones: label k sits
+    at the merged ring coordinates of its fine index tuple, one per block of
+    the grouping.  The chain map expands merged monomials factor-wise and
+    keeps the wedge, and ring monomials are grouped by their fine image.
     """
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
@@ -333,16 +335,12 @@ class _MergedMap(_Complex):
             for block, tuples in zip(blocks, block_tuples)
             for t in tuples
         ]
-        strides = [prod(dims[x + 1 :]) for x in range(len(dims))]
-        self.fine_labels = [
-            sum(
-                a * strides[x]
-                for block, tuples, m in zip(blocks, block_tuples, idx)
-                for x, a in zip(block, tuples[m])
-            )
-            for idx in itertools.product(*(range(n) for n in self.dims))
+        # the labels stay the fine ones, at the merged coordinates they lie in
+        coordinate = {qs: c for c, qs in enumerate(self.coordinate_images)}
+        self.positions = [
+            tuple(coordinate[tuple(qs[x] for x in block)] for block in blocks)
+            for qs in fine.positions
         ]
-        self.weight_positions = [fine.positions[k] for k in self.fine_labels]
         self.width = offsets[-1]
         self._rings: dict[int, dict[FlatWeight, list[tuple[int, ...]]]] = {}
 
@@ -374,28 +372,6 @@ class _MergedMap(_Complex):
                     fine[q] += e
         return tuple(fine)
 
-    def map_element(self, r: tuple[int, ...], wedge: Wedge) -> tuple[int, Element]:
-        images = [self.fine_labels[k] for k in wedge]
-        keyed = sorted(range(len(images)), key=images.__getitem__)
-        return _permutation_sign(keyed), (self.map_ring(r), tuple(images[t] for t in keyed))
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
 
 def _merged_maps(fine: _Complex) -> list[_MergedMap]:
     """The merged complexes of the groupings that merge exactly two factors.
@@ -425,10 +401,12 @@ def _block_new_dimension(
     Each matrix is held as its rows, as `images` gives them: the rows are the
     middle block's positions, then each merge's target positions; the columns
     are the boundaries, then each merge's source elements, all numbered from
-    the end.  A merged element's column holds its chain map image, in the row
-    of that fine element, over its differential.
+    the end.  A merged element's column holds its chain map image, a 1 in the
+    row of its fine image, over its differential.  The wedges that fit under
+    the weight are grown once, for the fine complex and every merge.
     """
-    left, mid, right = fine.blocks(pieces, weight)
+    levels = _wedge_levels(fine.positions, weight, pieces[0][1])
+    left, mid, right = fine.blocks(pieces, weight, levels)
     if not mid:
         return 0
     cycles = len(mid) - rank(fine.images(mid, right))
@@ -441,7 +419,7 @@ def _block_new_dimension(
     # merges with cycles at this weight: (merge, source block, D, rank D)
     merged = []
     for mm in merges:
-        source, target = mm.blocks(pieces[1:], weight)
+        source, target = mm.blocks(pieces[1:], weight, levels)
         if source:
             diff = mm.images(source, target)
             diff_rank = rank(diff)
@@ -454,9 +432,8 @@ def _block_new_dimension(
     stack = [{c + after: x for c, x in row.items()} for row in boundaries]
     for mm, source, diff, _ in merged:
         after -= len(source)
-        for c, elem in enumerate(reversed(source), after):
-            sign, fine_elem = mm.map_element(*elem)
-            stack[mid[fine_elem]][c] = sign
+        for c, (r, wedge) in enumerate(reversed(source), after):
+            stack[mid[mm.map_ring(r), wedge]][c] = 1
         stack.extend({c + after: x for c, x in row.items()} for row in diff)
     old = rank(stack) - sum(diff_rank for *_, diff_rank in merged)
     new_dim = cycles - old

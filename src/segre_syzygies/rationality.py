@@ -605,8 +605,8 @@ def _monomial_sum(expo, e, d) -> PoleFraction:
     # F_r(y) = y (y - 1) ... (y - r + 1); Horner's rule takes it with one
     # theta per unit of exponent, so the depth is at most d.
     i = next((idx for idx, x in enumerate(expo) if x), None)
-    if i is None:
-        return _base_sum(e, d)
+    if i is None:  # sum over k >= 0 of C_(k + e) t^|k|
+        return _tail_sum(tuple(max(x, 0) for x in e), d).shift(-sum(e))
     rest = expo[:i] + (0,) + expo[i + 1 :]
     coeffs = _falling_factorial_coefficients(expo[i], -e[i])
     total = sum(e)
@@ -632,15 +632,6 @@ def _falling_factorial_coefficients(x: int, c: int) -> list[int]:
             grown[r + 1] += a
         coeffs = grown
     return coeffs
-
-
-@cache
-def _base_sum(e, d) -> PoleFraction:
-    # sum over k >= 0 of C_{k+e} t^{|k|}
-    if d == 0:
-        return PoleFraction([1])
-    eplus = tuple(max(x, 0) for x in e)
-    return _tail_sum(eplus, d).shift(-sum(e))
 
 
 @cache
@@ -709,7 +700,7 @@ def discriminant_squared(d: int) -> MPoly:
     return result
 
 
-def weyl_series(d: int, torus_coeffs, num_terms: int | None = None) -> list[Fraction]:
+def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
     """Plain Hilbert-series coefficients from torus-equivariant ones.
 
     Each t-coefficient is multiplied by the squared discriminant; the
@@ -719,8 +710,6 @@ def weyl_series(d: int, torus_coeffs, num_terms: int | None = None) -> list[Frac
     """
     if d < 1:
         raise ValueError("d must be positive")
-    if num_terms is None:
-        num_terms = len(torus_coeffs)
     if num_terms < 0:
         raise ValueError(f"number of terms must be non-negative, got {num_terms}")
     if num_terms > len(torus_coeffs):

@@ -317,9 +317,7 @@ def tensor_schur_series_recurrence(
     return PartitionSeries._trusted(policy, {mono: v for mono, v in total.items() if v})
 
 
-def lascoux_leading(
-    p: int, d: int, policy: TruncationPolicy | None = None
-) -> PartitionSeries:
+def lascoux_leading(p: int, d: int) -> PartitionSeries:
     """Order-two, degree-d leading term of the p-syzygy series.
 
     Built from the rank-one case of the resolution of determinantal
@@ -330,8 +328,7 @@ def lascoux_leading(
         raise ValueError("p must be positive")
     if d < 0:
         raise ValueError("d must be non-negative")
-    if policy is None:
-        policy = TruncationPolicy(max_order=2, max_part_size=max(d, 1))
+    policy = TruncationPolicy(max_order=2, max_part_size=max(d, 1))
     h = d - p
     if h <= 0 or h * h > p:
         return PartitionSeries.zero(policy)

@@ -212,6 +212,12 @@ def test_sumlem_negative_shift(capsys):
     assert payload["series"] == ["0", "1", "2", "4"]
 
 
+def test_sumlem_rejects_a_fractional_shift(capsys):
+    code, out, err = run_cli(capsys, "sumlem", "--d", "1", "--e", "1.5")
+    assert code == 2 and out == ""
+    assert "invalid shift syntax: '1.5'" in err and "Traceback" not in err
+
+
 def test_sumlem_answers_at_high_degree(capsys):
     # k1^500 once ran out of recursion depth, one level per unit of exponent
     code, out, err = run_cli(capsys, "sumlem", "--poly", "k1^500", "--d", "1", "--terms", "4")

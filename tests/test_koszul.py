@@ -13,6 +13,7 @@ from segre_syzygies.koszul import (
     _merged_maps,
     _MergedMap,
     _slice,
+    _wedge_levels,
     graded_ring_dimension,
     koszul_homology,
     new_syzygy_dimension,
@@ -72,11 +73,11 @@ def dense(cx, source, target):
 
 
 def map_matrix(mm, merged_block, fine_block):
-    """The merged-to-fine chain map between two blocks at one fine weight."""
+    """The merged-to-fine chain map between two blocks at one fine weight:
+    the ring map on the ring part, the wedge kept, with coefficient 1."""
     m = [[0] * len(merged_block) for _ in range(len(fine_block))]
-    for elem, col in merged_block.items():
-        sign, image = mm.map_element(*elem)
-        m[fine_block[image]][col] += sign
+    for (r, wedge), col in merged_block.items():
+        m[fine_block[mm.map_ring(r), wedge]][col] += 1
     return m
 
 
@@ -98,11 +99,12 @@ def nondiscrete_groupings(n):
 def reference_new_dimension(fine, pieces, groupings, weight):
     """New syzygies at one weight from explicit kernel bases: cycles modulo
     the boundaries and the images of the cycles of every given grouping."""
-    left, mid, right = fine.blocks(pieces, weight)
+    levels = _wedge_levels(fine.positions, weight, pieces[0][1])
+    left, mid, right = fine.blocks(pieces, weight, levels)
     cycles = kernel_basis(dense(fine, mid, right), len(mid))
     old = [[Fraction(x) for x in col] for col in zip(*dense(fine, left, mid))]
     for mm in groupings:
-        source, target = mm.blocks(pieces[1:], weight)
+        source, target = mm.blocks(pieces[1:], weight, levels)
         images = map_matrix(mm, source, mid)
         for vec in kernel_basis(dense(mm, source, target), len(source)):
             old.append([sum(a * b for a, b in zip(row, vec)) for row in images])
@@ -116,49 +118,44 @@ def test_graded_ring_dimension():
     assert graded_ring_dimension((2, 3), 2) == 3 * 6
 
 
-def filtered_wedges(cx, j, weight):
+def filtered_wedges(fine, j, weight):
     """Every j-subset of labels whose fine weight fits under weight, with the
     weight left over, by filtering all of them, in decreasing order."""
     out = []
-    for wedge in itertools.combinations(range(len(cx.positions)), j):
+    for wedge in itertools.combinations(range(len(fine.positions)), j):
         left = list(weight)
         for k in wedge:
-            for q in cx.weight_positions[k]:
+            for q in fine.positions[k]:
                 left[q] -= 1
         if min(left) >= 0:
             out.append((wedge, tuple(left)))
     return out[::-1]
 
 
-def grown_levels(cx, top, weight):
-    """The levels 0..top of wedges that the block walk grows at a weight, as
-    (wedge, weight left over), read off the step that turns each into a block."""
-    levels = {}
-
-    def record(j, level):
-        levels[j] = [(wedge, left) for left, wedge in level]
-        return {}
-
-    cx.level_block = record
-    try:
-        cx.blocks([(j, j) for j in range(top + 1)], weight)
-    finally:
-        del cx.level_block
-    return levels
+def grown_levels(fine, top, weight):
+    """The levels 0..top of wedges that the walk grows at a weight, as
+    (wedge, weight left over); the levels after an empty one are empty."""
+    levels = _wedge_levels(fine.positions, weight, top)
+    assert len(levels) == top + 1 or not levels[-1]
+    levels += [[]] * (top + 1 - len(levels))
+    return [[(wedge, left) for left, wedge in level] for level in levels]
 
 
 def test_wedges_match_filtered_combinations():
-    # the fine complex and every pair merge, at balanced and unbalanced weights
+    # the one walk over the fine labels, at balanced and unbalanced weights;
+    # a piece of negative wedge degree is empty in every complex
     for dims in [(2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
         weights = [w for total in (1, 2, 3) for w in all_weights(dims, total)]
         weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
-        for cx in [fine, *_merged_maps(fine)]:
-            for w in weights:
-                assert cx.blocks([(0, -1)], w) == [{}]
-                levels = grown_levels(cx, 4, w)
-                for j in range(5):
-                    assert levels[j] == filtered_wedges(cx, j, w), (dims, w, j)
+        complexes = [fine, *_merged_maps(fine)]
+        for w in weights:
+            levels = grown_levels(fine, 4, w)
+            for j in range(5):
+                assert levels[j] == filtered_wedges(fine, j, w), (dims, w, j)
+            walked = _wedge_levels(fine.positions, w, 4)
+            for cx in complexes:
+                assert cx.blocks([(0, -1)], w, walked) == [{}]
 
 
 def test_differential_squares_to_zero():
@@ -169,7 +166,8 @@ def test_differential_squares_to_zero():
             for j in range(2, 4):
                 seen = set()
                 for w in all_weights(dims, i + j):
-                    source, mid, target = cx.blocks([(i + k, j - k) for k in range(3)], w)
+                    levels = _wedge_levels(cx.positions, w, j)
+                    source, mid, target = cx.blocks([(i + k, j - k) for k in range(3)], w, levels)
                     seen.update(source)
                     once = dense(cx, source, mid)
                     twice = matmul(dense(cx, mid, target), once, len(mid))
@@ -427,6 +425,15 @@ def test_former_limits_of_the_oracle():
         ((2, 1, 1), (2, 2), (2, 2)): 1,
         ((2, 1, 1), (2, 1, 1), (2, 1, 1)): 1,
     }
+    # the cosocle merging factors of unequal size has the same Schur tuples
+    dim, decomp = new_syzygy_dimension((3, 3, 4), 3, 4)
+    assert dim == 1395
+    assert decomp == {
+        ((2, 2), (2, 2), (2, 1, 1)): 1,
+        ((2, 2), (2, 1, 1), (2, 2)): 1,
+        ((2, 1, 1), (2, 2), (2, 2)): 1,
+        ((2, 1, 1), (2, 1, 1), (2, 1, 1)): 1,
+    }
     assert new_syzygy_dimension((2, 2, 2, 2), 3, 4)[0] == 0
     # the sparse elimination's own former limits, 2-5 s each when ranked as columns
     for dims, d in [((4, 4, 4), 5), ((3, 3, 3), 6)]:
@@ -444,8 +451,9 @@ def test_merged_chain_map_commutes_with_differentials():
                 seen = set()
                 for w in all_weights(dims, i + j):
                     pieces = [(i + k, j - k) for k in range(2)]
-                    merged = mm.blocks(pieces, w)
-                    ends = fine.blocks(pieces, w)
+                    levels = _wedge_levels(fine.positions, w, j)
+                    merged = mm.blocks(pieces, w, levels)
+                    ends = fine.blocks(pieces, w, levels)
                     seen.update(merged[0])
                     mapped_then_diff = matmul(
                         dense(fine, *ends), map_matrix(mm, merged[0], ends[0]), len(ends[0])

@@ -26,6 +26,7 @@ from segre_syzygies.koszul import (
     _dimension_and_decomposition,
     _merged_maps,
     _slice,
+    _wedge_levels,
 )
 from segre_syzygies.linalg import rank
 from segre_syzygies.partitions import gl_dimension, kostka, partitions_of
@@ -364,6 +365,7 @@ def test_koszul_block_keys_are_in_position_order(dims, p, excess):
         complexes += [(mm, pieces[1:]) for mm in _merged_maps(fine)]
     for weight in _canonical_weights(tuple(dims), d):
         flat = sum(weight, ())
+        levels = _wedge_levels(fine.positions, flat, p + 1)
         for cx, cx_pieces in complexes:
-            for block in cx.blocks(cx_pieces, flat):
+            for block in cx.blocks(cx_pieces, flat, levels):
                 assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
