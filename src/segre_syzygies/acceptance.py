@@ -1,14 +1,17 @@
 """Self-verification suite: every acceptance check, exact, with time budgets.
 
-Each criterion is a function returning a CriterionResult; run_all executes
-them in order and is shared by the command-line `verify` subcommand and the
-test suite.  All comparisons are exact; the per-criterion time limits are
-part of the contract.  Checks raise AssertionError explicitly rather than
-through `assert`, so the gate still fails under `python -O`.
+Each criterion is a check declared once, with its number, name and time
+budget, by `_criterion`; the registered function returns a CriterionResult.
+run_all executes them in order and is shared by the command-line `verify`
+subcommand and the test suite.  All comparisons are exact; the
+per-criterion time limits are part of the contract.  Checks raise
+AssertionError explicitly rather than through `assert`, so the gate still
+fails under `python -O`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -77,6 +80,24 @@ def _run(number: int, name: str, limit: float, fn) -> CriterionResult:
     return CriterionResult(number, name, passed, detail if not passed else "", elapsed, limit)
 
 
+ALL_CRITERIA: list = []  # in order of definition, filled by `_criterion`
+
+
+def _criterion(number: int, name: str, limit: float):
+    """Register a check as criterion `number`: the registered function runs
+    it under `_run` and keeps the check's name."""
+
+    def register(check):
+        @functools.wraps(check)
+        def criterion() -> CriterionResult:
+            return _run(number, name, limit, check)
+
+        ALL_CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
 def _check(condition, message: str) -> None:
     if not condition:
         raise AssertionError(message)
@@ -86,76 +107,66 @@ S2 = (2,)
 W2 = (1, 1)
 
 
-def criterion_1() -> CriterionResult:
-    def check():
-        policy = TruncationPolicy(5, 4)
-        _check(
-            exp_combination(small_p_exponential_form(1), policy) == f_segre(1, policy),
-            "exponential form and Euler slice disagree for p=1",
-        )
-
-    return _run(1, "exponential-form-p1", 1.0, check)
+@_criterion(1, "exponential-form-p1", 1.0)
+def criterion_1():
+    policy = TruncationPolicy(5, 4)
+    _check(
+        exp_combination(small_p_exponential_form(1), policy) == f_segre(1, policy),
+        "exponential form and Euler slice disagree for p=1",
+    )
 
 
-def criterion_2() -> CriterionResult:
-    def check():
-        star = order_normalize(f_segre(1, TruncationPolicy(4, 2)))
-        mono = canonical_monomial
-        _check(star.order_component(2).terms == {mono((W2, W2)): Fraction(1)}, "order 2")
-        _check(star.order_component(3).terms == {mono((S2, W2, W2)): Fraction(3)}, "order 3")
-        expected = {mono((S2, S2, W2, W2)): Fraction(6), mono((W2, W2, W2, W2)): Fraction(1)}
-        _check(star.order_component(4).terms == expected, "order 4")
-
-    return _run(2, "f1-star-expansion", 1.0, check)
+@_criterion(2, "f1-star-expansion", 1.0)
+def criterion_2():
+    star = order_normalize(f_segre(1, TruncationPolicy(4, 2)))
+    mono = canonical_monomial
+    _check(star.order_component(2).terms == {mono((W2, W2)): Fraction(1)}, "order 2")
+    _check(star.order_component(3).terms == {mono((S2, W2, W2)): Fraction(3)}, "order 3")
+    expected = {mono((S2, S2, W2, W2)): Fraction(6), mono((W2, W2, W2, W2)): Fraction(1)}
+    _check(star.order_component(4).terms == expected, "order 4")
 
 
-def criterion_3() -> CriterionResult:
-    def check():
-        policy = TruncationPolicy(5, 5)
-        _check(
-            exp_combination(small_p_exponential_form(2), policy) == euler_chi(3, policy),
-            "p=2 exponential form disagrees with the degree-3 Euler slice",
-        )
-        _check(
-            exp_combination(small_p_exponential_form(3), policy)
-            == euler_chi(4, policy).scale(-1),
-            "p=3 exponential form disagrees with minus the degree-4 Euler slice",
-        )
-
-    return _run(3, "exponential-forms-p2-p3", 30.0, check)
+@_criterion(3, "exponential-forms-p2-p3", 30.0)
+def criterion_3():
+    policy = TruncationPolicy(5, 5)
+    _check(
+        exp_combination(small_p_exponential_form(2), policy) == euler_chi(3, policy),
+        "p=2 exponential form disagrees with the degree-3 Euler slice",
+    )
+    _check(
+        exp_combination(small_p_exponential_form(3), policy)
+        == euler_chi(4, policy).scale(-1),
+        "p=3 exponential form disagrees with minus the degree-4 Euler slice",
+    )
 
 
-def criterion_4() -> CriterionResult:
-    def check():
-        for p in (1, 2, 3):
-            policy = TruncationPolicy(2, 2 * p + 1)
-            series = f_segre(p, policy)
-            for d in range(0, 2 * p + 2):
-                lhs = lascoux_leading(p, d)
-                rhs = series.degree_slice(d, order=2)
-                _check(lhs == rhs, f"leading-term mismatch at p={p}, d={d}")
-        lhs = lascoux_leading(4, 5)
-        rhs = f4_degree5(TruncationPolicy(2, 5)).degree_slice(5, order=2)
-        _check(lhs == rhs, "leading-term mismatch at p=4, d=5")
-
-    return _run(4, "lascoux-leading-term", 60.0, check)
+@_criterion(4, "lascoux-leading-term", 60.0)
+def criterion_4():
+    for p in (1, 2, 3):
+        policy = TruncationPolicy(2, 2 * p + 1)
+        series = f_segre(p, policy)
+        for d in range(0, 2 * p + 2):
+            lhs = lascoux_leading(p, d)
+            rhs = series.degree_slice(d, order=2)
+            _check(lhs == rhs, f"leading-term mismatch at p={p}, d={d}")
+    lhs = lascoux_leading(4, 5)
+    rhs = f4_degree5(TruncationPolicy(2, 5)).degree_slice(5, order=2)
+    _check(lhs == rhs, "leading-term mismatch at p=4, d=5")
 
 
-def criterion_5() -> CriterionResult:
-    def check():
-        r = koszul_homology((2, 2), 1, 2)
-        _check(r.dimension == 1 and r.decomposition == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
-        r = koszul_homology((2, 2, 2), 1, 2)
-        expected = {
-            ((2,), (1, 1), (1, 1)): 1,
-            ((1, 1), (2,), (1, 1)): 1,
-            ((1, 1), (1, 1), (2,)): 1,
-        }
-        _check(r.dimension == 9 and r.decomposition == expected, "(2,2,2) p=1 d=2")
-        for d in (3, 4):
-            _check(koszul_homology((2, 2), 1, d).dimension == 0, f"(2,2) p=1 d={d}")
-
-    return _run(5, "oracle-ground-truth", 10.0, check)
+@_criterion(5, "oracle-ground-truth", 10.0)
+def criterion_5():
+    r = koszul_homology((2, 2), 1, 2)
+    _check(r.dimension == 1 and r.decomposition == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
+    r = koszul_homology((2, 2, 2), 1, 2)
+    expected = {
+        ((2,), (1, 1), (1, 1)): 1,
+        ((1, 1), (2,), (1, 1)): 1,
+        ((1, 1), (1, 1), (2,)): 1,
+    }
+    _check(r.dimension == 9 and r.decomposition == expected, "(2,2,2) p=1 d=2")
+    for d in (3, 4):
+        _check(koszul_homology((2, 2), 1, d).dimension == 0, f"(2,2) p=1 d={d}")
 
 
 def _support_grid():
@@ -165,84 +176,74 @@ def _support_grid():
                 yield p, dims
 
 
-def criterion_6() -> CriterionResult:
-    def check():
-        for p, dims in _support_grid():
-            for d in range(0, 2 * p + 3):
-                if p + 1 <= d <= 2 * p:
-                    continue
-                r = koszul_homology(dims, p, d)
-                _check(r.dimension == 0, f"non-zero outside support: {dims} p={p} d={d}")
-
-    return _run(6, "degree-support-sweep", 120.0, check)
+@_criterion(6, "degree-support-sweep", 120.0)
+def criterion_6():
+    for p, dims in _support_grid():
+        for d in range(0, 2 * p + 3):
+            if p + 1 <= d <= 2 * p:
+                continue
+            r = koszul_homology(dims, p, d)
+            _check(r.dimension == 0, f"non-zero outside support: {dims} p={p} d={d}")
 
 
-def criterion_7() -> CriterionResult:
-    def check():
-        stars = {
-            p: order_normalize(f_segre(p, TruncationPolicy(3, 2 * p))) for p in (1, 2)
-        }
-        for p, dims in _support_grid():
-            for d in range(p + 1, 2 * p + 1):
-                predicted = dimension_on_factors(stars[p], dims, d)
-                actual = koszul_homology(dims, p, d).dimension
-                _check(
-                    predicted == actual,
-                    f"series predicts {predicted}, oracle finds {actual} "
-                    f"at {dims} p={p} d={d}",
-                )
-
-    return _run(7, "series-oracle-agreement", 120.0, check)
+@_criterion(7, "series-oracle-agreement", 120.0)
+def criterion_7():
+    stars = {
+        p: order_normalize(f_segre(p, TruncationPolicy(3, 2 * p))) for p in (1, 2)
+    }
+    for p, dims in _support_grid():
+        for d in range(p + 1, 2 * p + 1):
+            predicted = dimension_on_factors(stars[p], dims, d)
+            actual = koszul_homology(dims, p, d).dimension
+            _check(
+                predicted == actual,
+                f"series predicts {predicted}, oracle finds {actual} "
+                f"at {dims} p={p} d={d}",
+            )
 
 
-def criterion_8() -> CriterionResult:
-    def check():
-        dim, decomp = new_syzygy_dimension((2, 2), 1, 2)
-        _check(dim == 1 and decomp == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
-        dim, _ = new_syzygy_dimension((2, 2, 2), 1, 2)
-        _check(dim == 0, "(2,2,2) p=1 d=2")
-        dim, _ = new_syzygy_dimension((2, 2, 3), 2, 3)
-        _check(dim == 0, "(2,2,3) p=2 d=3")
-
-    return _run(8, "cosocle-new-syzygies", 300.0, check)
+@_criterion(8, "cosocle-new-syzygies", 300.0)
+def criterion_8():
+    dim, decomp = new_syzygy_dimension((2, 2), 1, 2)
+    _check(dim == 1 and decomp == {((1, 1), (1, 1)): 1}, "(2,2) p=1 d=2")
+    dim, _ = new_syzygy_dimension((2, 2, 2), 1, 2)
+    _check(dim == 0, "(2,2,2) p=1 d=2")
+    dim, _ = new_syzygy_dimension((2, 2, 3), 2, 3)
+    _check(dim == 0, "(2,2,3) p=2 d=3")
 
 
-def criterion_9() -> CriterionResult:
-    def check():
-        policy = TruncationPolicy(4, 3)
-        for p in (1, 2, 3):
-            for lam in partitions_of(p):
-                closed = tensor_schur_series_closed(lam, policy)
-                recur = tensor_schur_series_recurrence(lam, policy)
-                _check(closed == recur, f"two-sided mismatch at {lam}")
-
-    return _run(9, "tensor-schur-two-sided", 30.0, check)
+@_criterion(9, "tensor-schur-two-sided", 30.0)
+def criterion_9():
+    policy = TruncationPolicy(4, 3)
+    for p in (1, 2, 3):
+        for lam in partitions_of(p):
+            closed = tensor_schur_series_closed(lam, policy)
+            recur = tensor_schur_series_recurrence(lam, policy)
+            _check(closed == recur, f"two-sided mismatch at {lam}")
 
 
-def criterion_10() -> CriterionResult:
-    def check():
-        for p in range(1, 7):
-            character_table(p)  # constructor validates orthonormality
-        for p in range(1, 6):
-            labels = partitions_of(p)
-            for lam in labels:
-                for mu in labels:
-                    for nu in labels:
-                        base = kronecker_coefficient(lam, mu, nu)
-                        for perm in itertools.permutations((lam, mu, nu)):
-                            _check(
-                                kronecker_coefficient(*perm) == base,
-                                f"Kronecker symmetry broken at {lam}, {mu}, {nu}",
-                            )
-        for n in range(1, 8):
-            identity = (1,) * n
-            for lam in partitions_of(n):
-                _check(
-                    mn_character(lam, identity) == dimension_sn(lam),
-                    f"character at the identity disagrees with hook dimension at {lam}",
-                )
-
-    return _run(10, "character-infrastructure", 30.0, check)
+@_criterion(10, "character-infrastructure", 30.0)
+def criterion_10():
+    for p in range(1, 7):
+        character_table(p)  # constructor validates orthonormality
+    for p in range(1, 6):
+        labels = partitions_of(p)
+        for lam in labels:
+            for mu in labels:
+                for nu in labels:
+                    base = kronecker_coefficient(lam, mu, nu)
+                    for perm in itertools.permutations((lam, mu, nu)):
+                        _check(
+                            kronecker_coefficient(*perm) == base,
+                            f"Kronecker symmetry broken at {lam}, {mu}, {nu}",
+                        )
+    for n in range(1, 8):
+        identity = (1,) * n
+        for lam in partitions_of(n):
+            _check(
+                mn_character(lam, identity) == dimension_sn(lam),
+                f"character at the identity disagrees with hook dimension at {lam}",
+            )
 
 
 def _direct_monomial_sums(expos, shifts, d, nterms) -> dict[tuple, dict[tuple, list[int]]]:
@@ -273,40 +274,38 @@ def _direct_multinomial_sum(poly, e, d, nterms):
     ]
 
 
-def criterion_11() -> CriterionResult:
-    def check():
-        one_t = multinomial_sum_rational(1, (0,), 1)
-        _check(one_t.num == [Fraction(1)] and one_t.den == [Fraction(1), Fraction(-1)], "1/(1-t)")
-        two_t = multinomial_sum_rational(1, (0, 0), 2)
-        _check(
-            two_t.num == [Fraction(1)] and two_t.den == [Fraction(1), Fraction(-2)],
-            "1/(1-2t)",
-        )
-        k1 = multinomial_sum_rational({(1,): 1}, (0,), 1)
-        _check(
-            k1.num == [Fraction(0), Fraction(1)]
-            and k1.den == [Fraction(1), Fraction(-2), Fraction(1)],
-            "t/(1-t)^2",
-        )
-        for d in (1, 2, 3):
-            monomials = [(0,) * d]
-            monomials += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-            monomials += [
-                tuple((1 if j == i else 0) + (1 if j == k else 0) for j in range(d))
-                for i in range(d)
-                for k in range(i, d)
-            ]
-            shifts = list(itertools.product((-2, 0, 2), repeat=d))
-            direct = _direct_monomial_sums(monomials, shifts, d, 10)
-            for e in shifts:
-                for expo in monomials:
-                    closed = multinomial_sum_rational({expo: 1}, e, d)
-                    _check(
-                        closed.coefficients(10) == direct[e][expo],
-                        f"re-expansion mismatch at d={d}, e={e}, monomial={expo}",
-                    )
-
-    return _run(11, "multinomial-sum-closed-forms", 10.0, check)
+@_criterion(11, "multinomial-sum-closed-forms", 10.0)
+def criterion_11():
+    one_t = multinomial_sum_rational(1, (0,), 1)
+    _check(one_t.num == [Fraction(1)] and one_t.den == [Fraction(1), Fraction(-1)], "1/(1-t)")
+    two_t = multinomial_sum_rational(1, (0, 0), 2)
+    _check(
+        two_t.num == [Fraction(1)] and two_t.den == [Fraction(1), Fraction(-2)],
+        "1/(1-2t)",
+    )
+    k1 = multinomial_sum_rational({(1,): 1}, (0,), 1)
+    _check(
+        k1.num == [Fraction(0), Fraction(1)]
+        and k1.den == [Fraction(1), Fraction(-2), Fraction(1)],
+        "t/(1-t)^2",
+    )
+    for d in (1, 2, 3):
+        monomials = [(0,) * d]
+        monomials += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        monomials += [
+            tuple((1 if j == i else 0) + (1 if j == k else 0) for j in range(d))
+            for i in range(d)
+            for k in range(i, d)
+        ]
+        shifts = list(itertools.product((-2, 0, 2), repeat=d))
+        direct = _direct_monomial_sums(monomials, shifts, d, 10)
+        for e in shifts:
+            for expo in monomials:
+                closed = multinomial_sum_rational({expo: 1}, e, d)
+                _check(
+                    closed.coefficients(10) == direct[e][expo],
+                    f"re-expansion mismatch at d={d}, e={e}, monomial={expo}",
+                )
 
 
 def star_polynomial_coefficients(p: int, n_terms: int) -> list[MPoly]:
@@ -326,53 +325,33 @@ def star_polynomial_coefficients(p: int, n_terms: int) -> list[MPoly]:
     return out
 
 
-def criterion_12() -> CriterionResult:
-    def check():
-        s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
-        coeffs = star_polynomial_coefficients(1, 8)
-        rec = rational_reconstruct(coeffs, 3)
-        _check(rec is not None, "no rational function found")
-        _check(rec.coefficients(8) == coeffs, "re-expansion disagrees with the data")
-        one = MPoly.constant(2, 1)
-        lin = [one, -s]
-        quad = [one, -2 * s, s * s - w * w]
-        target = [MPoly(2)] * 4
-        for i, a in enumerate(lin):
-            for j, b in enumerate(quad):
-                target[i + j] = target[i + j] + a * b
-        _check(
-            divides_up_to_unit(rec.den, target),
-            "denominator does not divide the closed-form denominator",
-        )
-
-    return _run(12, "rational-reconstruction-f1", 10.0, check)
+@_criterion(12, "rational-reconstruction-f1", 10.0)
+def criterion_12():
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    coeffs = star_polynomial_coefficients(1, 8)
+    rec = rational_reconstruct(coeffs, 3)
+    _check(rec is not None, "no rational function found")
+    _check(rec.coefficients(8) == coeffs, "re-expansion disagrees with the data")
+    one = MPoly.constant(2, 1)
+    lin = [one, -s]
+    quad = [one, -2 * s, s * s - w * w]
+    target = [MPoly(2)] * 4
+    for i, a in enumerate(lin):
+        for j, b in enumerate(quad):
+            target[i + j] = target[i + j] + a * b
+    _check(
+        divides_up_to_unit(rec.den, target),
+        "denominator does not divide the closed-form denominator",
+    )
 
 
-def criterion_13() -> CriterionResult:
-    def check():
-        for d in (1, 2, 3):
-            coeffs = geometric_torus_coefficients(d, 5)
-            values = weyl_series(d, coeffs, 5)
-            _check(values == [Fraction(1)] * 5, f"constant-term pairing wrong at d={d}")
+@_criterion(13, "weyl-constant-term", 5.0)
+def criterion_13():
+    for d in (1, 2, 3):
+        coeffs = geometric_torus_coefficients(d, 5)
+        values = weyl_series(d, coeffs, 5)
+        _check(values == [Fraction(1)] * 5, f"constant-term pairing wrong at d={d}")
 
-    return _run(13, "weyl-constant-term", 5.0, check)
-
-
-ALL_CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-]
 
 def run_all() -> list[CriterionResult]:
     return [fn() for fn in ALL_CRITERIA]

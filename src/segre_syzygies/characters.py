@@ -55,7 +55,6 @@ def _hooks_to_partition(hooks: tuple[int, ...]) -> Partition:
     return tuple(x for x in lam if x > 0)
 
 
-@cache
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible for lam on the class of cycle type mu.
 

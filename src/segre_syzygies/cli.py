@@ -23,6 +23,7 @@ from .partitions import Partition, check_partition, lr_coefficient
 from .rationality import multinomial_sum_rational, rational_reconstruct
 from .schur_ring import SymFunc, boxtimes, power_sum, sym_to_json
 from .series import (
+    DEFAULT_POLICY,
     TruncationPolicy,
     euler_chi,
     f_segre,
@@ -81,6 +82,8 @@ def parse_poly(text: str, d: int) -> dict:
                 raise ValueError(f"empty factor in polynomial term {term!r}")
             if factor[0] == "k":
                 name, caret, power = factor.partition("^")
+                if not name[1:].isdecimal():
+                    raise ValueError(f"invalid variable {name!r}")
                 idx = int(name[1:]) - 1
                 if not 0 <= idx < d:
                     raise ValueError(f"variable {name} out of range for d={d}")
@@ -157,10 +160,11 @@ def _policy(args) -> TruncationPolicy:
     return TruncationPolicy(args.order, args.max_part)
 
 
-def _add_policy_flags(sub, order=5, max_part=6):
-    sub.add_argument("--order", type=int, default=order, help="truncation order")
-    sub.add_argument("--max-part", type=int, default=max_part, dest="max_part",
-                     help="largest partition size kept")
+def _add_policy_flags(sub):
+    sub.add_argument("--order", type=int, default=DEFAULT_POLICY.max_order,
+                     help="truncation order")
+    sub.add_argument("--max-part", type=int, default=DEFAULT_POLICY.max_part_size,
+                     dest="max_part", help="largest partition size kept")
 
 
 def build_parser() -> argparse.ArgumentParser:

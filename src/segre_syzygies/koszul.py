@@ -6,8 +6,8 @@ with terms built from graded pieces of the Segre coordinate ring tensored
 with exterior powers of the space of degree-one coordinates.  Differentials
 never mix torus weights, so the slice splits into one block per weight, and
 every rank is taken there, exactly over Z, on the sparse rows of a transposed
-differential: one per target element, with source positions numbered from the
-end, and one entry +-1 per wedge label of each source element.
+differential: one per target element, keyed by source position, with one
+entry +-1 per wedge label of each source element.
 
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
@@ -154,22 +154,18 @@ class _Complex:
     def images(self, source: Block, target: Block) -> list[dict[int, int]]:
         """The Koszul differential from a block to the block of the next piece
         at the same weight, transposed: one row per target element, in block
-        order, as {len(source) - 1 - s: coefficient} for source position s.
-        Dropping distinct labels of a wedge gives distinct elements, so each
-        source element has one entry +-1 per label.
-
-        Source positions are numbered from the end, so each row leads at its
-        latest source element, and pivots meet first the wedges that `blocks`
-        numbers last.  Elimination fills in several times less in this order
-        than with the rows led by their first source element."""
+        order, as {s: coefficient} for source position s.  Dropping distinct
+        labels of a wedge gives distinct elements, so each source element has
+        one entry +-1 per label.  `rank` leads each row at its latest source
+        element."""
         rows = [{} for _ in range(len(target))]
-        for c, (r, wedge) in enumerate(reversed(source)):
+        for s, (r, wedge) in enumerate(source):
             for t, k in enumerate(wedge):
                 bumped = list(r)
                 for q in self.positions[k]:
                     bumped[q] += 1
                 row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
-                row[c] = -1 if t % 2 else 1
+                row[s] = -1 if t % 2 else 1
         return rows
 
 
@@ -400,10 +396,11 @@ def _block_new_dimension(
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
     Each matrix is held as its rows, as `images` gives them: the rows are the
     middle block's positions, then each merge's target positions; the columns
-    are the boundaries, then each merge's source elements, all numbered from
-    the end.  A merged element's column holds its chain map image, a 1 in the
-    row of its fine image, over its differential.  The wedges that fit under
-    the weight are grown once, for the fine complex and every merge.
+    are the boundaries, then each merge's source elements, in block order.
+    A merged element's column holds its chain map image, a 1 in the row of
+    its fine image, over its differential.  A merge with no cycles at the
+    weight adds nothing and is left out.  The wedges that fit under the
+    weight are grown once, for the fine complex and every merge.
     """
     levels = _wedge_levels(fine.positions, weight, pieces[0][1])
     left, mid, right = fine.blocks(pieces, weight, levels)
@@ -416,26 +413,24 @@ def _block_new_dimension(
         raise ConsistencyError(f"negative homology dimension at weight {weight}")
     if not homology:  # new syzygies are a quotient of the homology
         return 0
-    # merges with cycles at this weight: (merge, source block, D, rank D)
-    merged = []
+    # the boundary rows grow in place into the stack, a merge with cycles at a time
+    stack, offset, diff_ranks = boundaries, len(left), 0
     for mm in merges:
         source, target = mm.blocks(pieces[1:], weight, levels)
-        if source:
-            diff = mm.images(source, target)
-            diff_rank = rank(diff)
-            if diff_rank < len(source):
-                merged.append((mm, source, diff, diff_rank))
-    if not merged:
-        return homology
-    # columns after those of the merges still to be stacked
-    after = sum(len(source) for _, source, *_ in merged)
-    stack = [{c + after: x for c, x in row.items()} for row in boundaries]
-    for mm, source, diff, _ in merged:
-        after -= len(source)
-        for c, (r, wedge) in enumerate(reversed(source), after):
+        if not source:
+            continue
+        diff = mm.images(source, target)
+        diff_rank = rank(diff)
+        if diff_rank == len(source):
+            continue
+        for c, (r, wedge) in enumerate(source, offset):
             stack[mid[mm.map_ring(r), wedge]][c] = 1
-        stack.extend({c + after: x for c, x in row.items()} for row in diff)
-    old = rank(stack) - sum(diff_rank for *_, diff_rank in merged)
+        stack.extend({s + offset: x for s, x in row.items()} for row in diff)
+        offset += len(source)
+        diff_ranks += diff_rank
+    if offset == len(left):
+        return homology
+    old = rank(stack) - diff_ranks
     new_dim = cycles - old
     if new_dim < 0:
         raise ConsistencyError(f"old classes exceed cycles at weight {weight}")

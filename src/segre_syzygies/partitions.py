@@ -188,7 +188,6 @@ def _lr_fillings(outer: Partition, inner: Partition, content: Partition) -> int:
     return backtrack(0)
 
 
-@cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient of nu in the product of lam and mu."""
     if sum(nu) != sum(lam) + sum(mu):

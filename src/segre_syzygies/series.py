@@ -14,7 +14,7 @@ from itertools import groupby, permutations
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .characters import character_table, class_data
+from .characters import character_table, class_data, kronecker_coefficient
 from .errors import ConsistencyError, UnsupportedError
 from .linalg import Combination, collect
 from .partitions import (
@@ -289,8 +289,6 @@ def tensor_schur_series_recurrence(
     every part has size p, so appending mu to a monomial and sorting keeps
     it canonical.
     """
-    from .characters import kronecker_coefficient
-
     lam = check_partition(lam)
     p = sum(lam)
     if p < 1:

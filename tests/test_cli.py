@@ -218,6 +218,13 @@ def test_sumlem_rejects_a_fractional_shift(capsys):
     assert "invalid shift syntax: '1.5'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("poly", ["kx", "k", "k1.5"])
+def test_sumlem_rejects_a_bad_variable(capsys, poly):
+    code, out, err = run_cli(capsys, "sumlem", "--d", "1", "--poly", poly)
+    assert code == 2 and out == ""
+    assert f"error: invalid variable {poly!r}" in err and "Traceback" not in err
+
+
 def test_sumlem_answers_at_high_degree(capsys):
     # k1^500 once ran out of recursion depth, one level per unit of exponent
     code, out, err = run_cli(capsys, "sumlem", "--poly", "k1^500", "--d", "1", "--terms", "4")

@@ -61,14 +61,14 @@ def matmul(a, b, inner):
 def dense(cx, source, target):
     """The Koszul differential between two blocks as a dense matrix, rows
     indexed by target and columns by source, read off the transposed rows
-    of `images`, whose source positions are numbered from the end."""
+    of `images`, keyed by source position."""
     rows = cx.images(source, target)
     assert len(rows) == len(target)
     m = [[0] * len(source) for _ in range(len(target))]
     for row, image in zip(m, rows):
         for col, x in image.items():
             assert 0 <= col < len(source)
-            row[len(source) - 1 - col] += x
+            row[col] += x
     return m
 
 

@@ -1,9 +1,9 @@
 """Property tests of the exact core: polynomial division, torus characters,
-sparse integer ranks of columns and of reversed transposes, the rank
-identity behind the new-syzygy dimension, the lowest-terms form
-of multinomial sums, the integer pole fractions behind them, the integer
-exponential kernel, the arithmetic of series, Schur-ring elements and
-polynomials that skips re-canonicalisation,
+sparse integer ranks of columns and of transposes with their columns
+numbered either way, the rank identity behind the new-syzygy dimension,
+the lowest-terms form of multinomial sums, the integer pole fractions
+behind them, the integer exponential kernel, the arithmetic of series,
+Schur-ring elements and polynomials that skips re-canonicalisation,
 fraction-free reconstruction over polynomial coefficients, the Schur
 peel of a dominant weight table, and the numbering of Koszul weight blocks.
 
@@ -158,13 +158,16 @@ def test_sparse_rank_matches_fraction_elimination(vectors, data):
     st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-6, 6)),
 )
 def test_rank_of_reversed_transpose_matches_columns(nrows, ncols, entries):
-    # the Koszul differentials are ranked as rows with their columns numbered
-    # from the end; that must give the rank of their columns
+    # the Koszul differentials are ranked as rows keyed by column, so the
+    # elimination order is whichever index `rank` leads at; the rank of the
+    # rows must not depend on it, with the columns numbered either way, and
+    # must equal the rank of the columns
     entries = {(r, c): x for (r, c), x in entries.items() if r < nrows and c < ncols}
     cols = [{r: x for (r, c), x in entries.items() if c == k} for k in range(ncols)]
-    rows = [{ncols - 1 - c: x for (r, c), x in entries.items() if r == k} for k in range(nrows)]
+    rows = [{c: x for (r, c), x in entries.items() if r == k} for k in range(nrows)]
+    reversed_rows = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
     dense = [[Fraction(entries.get((r, c), 0)) for c in range(ncols)] for r in range(nrows)]
-    assert rank(cols) == rank(rows) == len(gauss_jordan(dense, ncols))
+    assert rank(cols) == rank(rows) == rank(reversed_rows) == len(gauss_jordan(dense, ncols))
 
 
 # polynomials in Q[s] of degree at most 2
