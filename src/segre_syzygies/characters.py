@@ -157,16 +157,14 @@ def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     if p == 0:
         return 1
     table = character_table(p)
-    total = Fraction(0)
-    for rho in table.labels:
-        size = class_data(rho).class_size
-        total += Fraction(
-            size * table.entry(lam, rho) * table.entry(mu, rho) * table.entry(nu, rho),
-            factorial(p),
-        )
-    if total.denominator != 1 or total < 0:
+    total = sum(
+        class_data(rho).class_size * a * b * c
+        for rho, a, b, c in zip(table.labels, table.row(lam), table.row(mu), table.row(nu))
+    )
+    coefficient, remainder = divmod(total, factorial(p))
+    if remainder or coefficient < 0:
         raise ConsistencyError(
             f"Kronecker coefficient for {lam}, {mu}, {nu} is not a non-negative "
-            f"integer: {total}"
+            f"integer: {Fraction(total, factorial(p))}"
         )
-    return int(total)
+    return coefficient

@@ -65,6 +65,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"invalid rational syntax: {text!r}") from exc
 
 
 def parse_poly(text: str, d: int) -> dict:
@@ -354,9 +356,27 @@ def run_command(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _join_dashed_values(parser: argparse.ArgumentParser, argv) -> list[str]:
+    """argv with each value that starts with a single "-" joined to its option
+    as --opt=value: argparse takes such a token, "-3,-4" say, for an option."""
+    parsers, takes_value, out = [parser], set(), []
+    for p in parsers:
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.nargs is None:
+                takes_value.update(action.option_strings)
+    for token in argv:
+        if out and out[-1] in takes_value and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dashed_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         return run_command(args)
     except CapacityError as exc:

@@ -398,8 +398,9 @@ def _block_new_dimension(
     middle block's positions, then each merge's target positions; the columns
     are the boundaries, then each merge's source elements, in block order.
     A merged element's column holds its chain map image, a 1 in the row of
-    its fine image, over its differential.  A merge with no cycles at the
-    weight adds nothing and is left out.  The wedges that fit under the
+    its fine image, over its differential.  Every merge is stacked: one with
+    no cycles at the weight raises the stack's rank by exactly rank D_k, so
+    it leaves the old classes as they are.  The wedges that fit under the
     weight are grown once, for the fine complex and every merge.
     """
     levels = _wedge_levels(fine.positions, weight, pieces[0][1])
@@ -413,23 +414,18 @@ def _block_new_dimension(
         raise ConsistencyError(f"negative homology dimension at weight {weight}")
     if not homology:  # new syzygies are a quotient of the homology
         return 0
-    # the boundary rows grow in place into the stack, a merge with cycles at a time
+    if not merges:
+        return homology
+    # the boundary rows grow in place into the stack, a merge at a time
     stack, offset, diff_ranks = boundaries, len(left), 0
     for mm in merges:
         source, target = mm.blocks(pieces[1:], weight, levels)
-        if not source:
-            continue
         diff = mm.images(source, target)
-        diff_rank = rank(diff)
-        if diff_rank == len(source):
-            continue
         for c, (r, wedge) in enumerate(source, offset):
             stack[mid[mm.map_ring(r), wedge]][c] = 1
         stack.extend({s + offset: x for s, x in row.items()} for row in diff)
         offset += len(source)
-        diff_ranks += diff_rank
-    if offset == len(left):
-        return homology
+        diff_ranks += rank(diff)
     old = rank(stack) - diff_ranks
     new_dim = cycles - old
     if new_dim < 0:

@@ -9,7 +9,6 @@ polynomial-representation dimensions of GL(m).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -223,13 +222,15 @@ def gl_dimension(lam: Partition, m: int) -> int:
     if m == 0:
         return 1  # lam is the zero partition here
     padded = tuple(lam) + (0,) * (m - len(lam))
-    dim = Fraction(1)
+    top = bottom = 1
     for i in range(m):
         for j in range(i + 1, m):
-            dim *= Fraction(padded[i] - padded[j] + j - i, j - i)
-    if dim.denominator != 1:
-        raise ConsistencyError(f"Weyl dimension of {lam} on C^{m} is not an integer: {dim}")
-    return int(dim)
+            top *= padded[i] - padded[j] + j - i
+            bottom *= j - i
+    dim, remainder = divmod(top, bottom)
+    if remainder:
+        raise ConsistencyError(f"Weyl dimension {top}/{bottom} of {lam} on C^{m} is fractional")
+    return dim
 
 
 def partition_to_json(lam: Partition) -> list[int]:

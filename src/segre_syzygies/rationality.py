@@ -10,15 +10,14 @@ Three engines live here:
   pole by pole, no polynomial GCD is computed, and the result is brought to
   lowest terms once by cancelling the factors (1 - a t) that divide it.
   The numerators are integer lists over one common integer denominator, so
-  the recursion does integer arithmetic and makes one Fraction per output
-  coefficient; the power-series expansion over Q runs on ints likewise;
+  the recursion runs on ints and makes one Fraction per output coefficient;
 * the formal torus constant term and the Weyl-integration pairing that
   turns equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
-  coefficients, with the denominator degree minimized.  Its linear system
-  is solved without fractions, by the one Bareiss elimination of `linalg`
-  and Cramer's rule, on integers over Q and on the polynomials themselves
-  otherwise.
+  coefficients, with the denominator degree minimized, which leaves the
+  result in lowest terms.  Its linear system is solved without fractions,
+  by the one Bareiss elimination of `linalg` and Cramer's rule, on integers
+  over Q and on the polynomials themselves otherwise.
 
 Coefficients are Fractions, or sparse multivariate polynomials over the
 rationals when a series has polynomial coefficients.  No ring is passed
@@ -29,14 +28,16 @@ whose coefficients are not polynomials (a denominator needing 1/s, say)
 raises UnsupportedError.  One sparse class, `MPoly`, serves both as those
 polynomial coefficients and as the torus characters of the Weyl pairing
 (whose exponents may be negative); one division, `_poly_divmod`, serves
-every univariate quotient and remainder over Q, and one exact division,
-`_divide_one_minus`, cancels a factor (1 - a t) on ints or Fractions alike.
+every univariate quotient and remainder over Q, one exact division,
+`_cancel_one_minus`, cancels the factors (1 - a t) on ints or Fractions
+alike, and one division-free recurrence expands every power series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, zip_longest
 from math import comb, factorial, lcm
 
 from .errors import ConsistencyError, UnsupportedError
@@ -248,27 +249,17 @@ def _trim(coeffs):
 
 
 def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] + b[i])
-        elif i < len(a):
-            out.append(a[i])
-        else:
-            out.append(b[i])
-    return _trim(out)
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    out = [None] * (len(a) + len(b) - 1)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            prod = x * y
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return _trim([c if c is not None else a[0] * 0 for c in out])
+            out[i + j] += x * y
+    return _trim(out)
 
 
 def _poly_derivative(p):
@@ -338,7 +329,7 @@ class RationalFunction:
 
     @classmethod
     def _lowest_terms(cls, num, den) -> "RationalFunction":
-        """Wrap a Fraction quotient already coprime with den[0] == 1, skipping the GCD."""
+        """Wrap a num/den already in lowest terms with den[0] == 1, over Q or the polynomials."""
         rf = object.__new__(cls)
         rf.num, rf.den = num, den
         return rf
@@ -352,34 +343,30 @@ class RationalFunction:
         return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
     def coefficients(self, n: int) -> list:
-        """First n power-series coefficients.
+        """First n power-series coefficients, by one division-free recurrence.
 
-        Over Q the expansion runs on ints: with num = N/D and den = B/E
-        (so B[0] = E), coefficient k is y_k / (D E^k), where
-        y_k = N_k E^k - sum over i >= 1 of B_i E^(i-1) y_(k-i).
+        With num = N/D and den = B/E (so B[0] = E), coefficient k is
+        y_k / (D E^k), where y_k = N_k E^k - sum over i >= 1 of
+        B_i E^(i-1) y_(k-i).  Over Q, N and B are integer lists; over the
+        polynomials, D = E = 1 and y_k is the coefficient itself.
         """
         if n < 0:
             raise ValueError(f"number of terms must be non-negative, got {n}")
-        if isinstance(self.den[0], Fraction):
-            big_n, big_d = _int_poly(self.num)
-            big_b, big_e = _int_poly(self.den)
-            tail = [b * big_e ** (i - 1) for i, b in enumerate(big_b) if i]
-            out, ys, power = [], [], 1
-            for k in range(n):
-                y = big_n[k] * power if k < len(big_n) else 0
-                for i, b in enumerate(tail[:k], 1):
-                    y -= b * ys[k - i]
-                ys.append(y)
-                out.append(Fraction(y, big_d * power))
-                power *= big_e
-            return out
-        out = []
-        zero = self.den[0] * 0
+        over_q = isinstance(self.den[0], Fraction)
+        if over_q:
+            (big_n, big_d), (big_b, big_e) = _int_poly(self.num), _int_poly(self.den)
+        else:
+            big_n, big_d, big_b, big_e = self.num, 1, self.den, 1
+        zero = big_b[0] * 0
+        tail = [b * big_e ** (i - 1) for i, b in enumerate(big_b) if i]
+        out, ys, power = [], [], 1
         for k in range(n):
-            value = self.num[k] if k < len(self.num) else zero
-            for i in range(1, min(k, len(self.den) - 1) + 1):
-                value = value - self.den[i] * out[k - i]
-            out.append(value)
+            y = big_n[k] * power if k < len(big_n) else zero
+            for i, b in enumerate(tail[:k], 1):
+                y -= b * ys[k - i]
+            ys.append(y)
+            out.append(Fraction(y, big_d * power) if over_q else y)
+            power *= big_e
         return out
 
     def to_json(self) -> dict:
@@ -414,17 +401,19 @@ def _times_one_minus_power(p, a, m):
     return out
 
 
-def _divide_one_minus(p, a):
-    """p / (1 - a t) when the division is exact, else None.
+def _cancel_one_minus(p, a, m):
+    """p / (1 - a t)^k for the largest k <= m whose division is exact, and m - k.
 
-    Bottom-up synthetic division, q_k = p_k + a q_(k-1): it never divides,
-    so it is exact on ints as on Fractions.  p must be trimmed.
+    Each factor is a bottom-up synthetic division, q_i = p_i + a q_(i-1): it
+    never divides, so it is exact on ints as on Fractions.  p must be trimmed
+    and non-zero.
     """
-    q, carry = [], 0
-    for x in p:
-        carry = x + a * carry
-        q.append(carry)
-    return None if q and q[-1] else q[:-1]
+    while m:
+        q = list(accumulate(p, lambda carry, x: x + a * carry))
+        if q[-1]:
+            break
+        p, m = q[:-1], m - 1
+    return p, m
 
 
 def _int_poly(coeffs) -> tuple[list[int], int]:
@@ -449,7 +438,7 @@ class PoleFraction:
 
     def __init__(self, num, poles=None):
         self.num, self.den = _int_poly(_trim(num))
-        self.poles = dict(poles) if poles else {}
+        self.poles = {a: m for a, m in dict(poles or {}).items() if a}  # 1 - 0 t = 1
 
     @classmethod
     def _of(cls, num, den, poles) -> "PoleFraction":
@@ -530,18 +519,13 @@ class PoleFraction:
         """The same function in lowest terms: each (1 - a t) dividing the
         numerator is cancelled, then the denominator is expanded.  Its
         constant term is one, so this is the unique reduced form."""
-        num = self.num
+        num, den = self.num, [1]
         if not num:
             return RationalFunction([])
-        den = [1]
         for a, m in self.poles.items():
-            while m:
-                quotient = _divide_one_minus(num, a)
-                if quotient is None:
-                    break
-                num, m = quotient, m - 1
-            for _ in range(m):
-                den = _times_one_minus(den, a)
+            num, m = _cancel_one_minus(num, a, m)
+            if m:
+                den = _times_one_minus_power(den, a, m)
         return RationalFunction._lowest_terms(
             [Fraction(x, self.den) for x in num], [Fraction(x) for x in den]
         )
@@ -663,12 +647,10 @@ def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:
     den = list(rf.den)
     factors: dict[int, int] = {}
     for a in range(1, d + 1):
-        while len(den) > 1:
-            quotient = _divide_one_minus(den, a)
-            if quotient is None:
-                break
-            den = quotient
-            factors[a] = factors.get(a, 0) + 1
+        degree = len(den) - 1
+        den, left = _cancel_one_minus(den, a, degree)
+        if left < degree:
+            factors[a] = degree - left
     if len(den) != 1:
         raise ConsistencyError(f"denominator has unexpected factors: {den}")
     return factors
@@ -784,7 +766,9 @@ def rational_reconstruct(coeffs, max_den_degree: int):
             scaled[pivots[k]] = acc // row[pivots[k]]  # exact: D alpha is in the ring
         den = _divide_all([big_d] + [-x for x in scaled], big_d)
         num = _trim(_poly_mul(den, coeffs)[: length - m])
-        return RationalFunction(num, den)
+        # lowest terms: a factor of num and den, or a zero top coefficient of
+        # den, would have let a smaller degree fit the same coefficients first
+        return RationalFunction._lowest_terms(num, den)
     return None
 
 

@@ -218,6 +218,27 @@ def test_sumlem_rejects_a_fractional_shift(capsys):
     assert "invalid shift syntax: '1.5'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, value, message",
+    [
+        (("sumlem", "--d", "2"), "--e", "-3,-4", None),
+        (("sumlem", "--d", "1"), "--poly", "-k1", None),
+        (("reconstruct", "--max-den", "1"), "--coeffs", "-1,1,-1,1", None),
+        (("reconstruct", "--max-den", "1"), "--coeffs", "1,2,x,4", "invalid rational syntax: 'x'"),
+        (("sumlem", "--d", "1"), "--poly", "2x", "invalid rational syntax: '2x'"),
+    ],
+)
+def test_option_values_parse_like_their_equals_forms(capsys, argv, option, value, message):
+    # a value that starts with "-" is not read as an option
+    spaced = run_cli(capsys, *argv, option, value)
+    assert spaced == run_cli(capsys, *argv, f"{option}={value}")
+    code, out, err = spaced
+    if message is None:
+        assert code == 0 and out and not err
+    else:
+        assert code == 2 and not out and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("poly", ["kx", "k", "k1.5"])
 def test_sumlem_rejects_a_bad_variable(capsys, poly):
     code, out, err = run_cli(capsys, "sumlem", "--d", "1", "--poly", poly)

@@ -53,6 +53,9 @@ def test_pole_fraction_arithmetic():
     # reduction: (1 - t^2)/(1 - t) is a polynomial
     h = PoleFraction([1, 0, -1], {1: 1}).to_rational()
     assert h.num == [Fraction(1), Fraction(1)] and h.den == [Fraction(1)]
+    # a pole that cancels only in part: (1 - t)/(1 - t)^3
+    assert PoleFraction([1, -1], {1: 3}).to_rational() == RationalFunction([1], [1, -2, 1])
+    assert PoleFraction([1], {0: 2}).to_rational().den == [Fraction(1)]  # 1 - 0 t is no pole
     # sums take the larger exponent per pole: 1/(1 - t) + 1/(1 - 2t)^2
     s = (f + PoleFraction([1], {2: 2})).to_rational()
     assert s.den == [1, -5, 8, -4]
@@ -296,6 +299,8 @@ def test_reconstruct_round_trip_random():
         rec = rational_reconstruct(data, 3)
         assert rec is not None
         assert rec == original
+        # lowest terms rest on the minimal degree, not on a GCD pass
+        assert rec.num == original.num and rec.den == original.den
 
 
 def test_mpoly_arithmetic():
