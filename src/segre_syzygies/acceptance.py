@@ -148,10 +148,10 @@ def criterion_4():
         for d in range(0, 2 * p + 2):
             lhs = lascoux_leading(p, d)
             rhs = series.degree_slice(d, order=2)
-            _check(lhs == rhs, f"leading-term mismatch at p={p}, d={d}")
+            _check(lhs == rhs, f"order-two slice mismatch at p={p}, d={d}")
     lhs = lascoux_leading(4, 5)
     rhs = f4_degree5(TruncationPolicy(2, 5)).degree_slice(5, order=2)
-    _check(lhs == rhs, "leading-term mismatch at p=4, d=5")
+    _check(lhs == rhs, "order-two slice mismatch at p=4, d=5")
 
 
 @_criterion(5, "oracle-ground-truth", 10.0)

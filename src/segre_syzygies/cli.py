@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(sub)
     sub.add_argument("--star", action="store_true", help="order-normalized form")
 
-    sub = commands.add_parser("lascoux", help="order-two leading term")
+    sub = commands.add_parser("lascoux", help="order-two slice of the p-syzygy series")
     sub.add_argument("p", type=int)
     sub.add_argument("d", type=int)
 

@@ -3,15 +3,16 @@
 A monomial is a multiset of partitions; its order is the multiset size, and
 it is degree-homogeneous of degree d when every partition in it has size d.
 All closed-form syzygy series live here: the Euler-characteristic slices,
-the small-p syzygy series of the Segre embedding, the Lascoux leading term
-and the two sides of the tensor-Schur identity.
+the small-p syzygy series of the Segre embedding, the Lascoux order-two
+slice and the two sides of the tensor-Schur identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby, permutations
+from itertools import permutations
 from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .characters import character_table, class_data, kronecker_coefficient
@@ -174,51 +175,59 @@ def exp_combination(
     denominators of an element's kept support, x_mu = a_mu / D for integers
     a_mu.  Order n gets one common denominator L_n, the lcm of den(c) * D^n
     over all terms, and a term adds the integer
-    num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.  Each
-    non-zero sum then becomes one Fraction over L_n * prod m_mu!.
+    num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.
+
+    One depth-first walk over the multisets of the union of the kept
+    supports serves every term: each partition has a column of the terms'
+    a_mu (0 where a term lacks it), a node carries the vector of the terms'
+    prod a_mu^m_mu, and a subtree whose vector is all zero is skipped.  The
+    walk also carries prod m_mu!, so each non-zero node becomes one
+    Fraction over L_n * prod m_mu!.
     """
     for name, value in zip(policy._fields, policy):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    orders = range(policy.max_order + 1)
-    expanded = []
+    coeffs, dens, kept = [], [], []
     for coeff, x in terms:
         if () in x.terms:
             raise ValueError("exponential arguments must have no constant term")
         coeff = Fraction(coeff)
         if not coeff:
             continue
-        support = sorted(
-            (lam for lam in x.terms if sum(lam) <= policy.max_part_size), key=_part_key
-        )
-        den = lcm(*(x.terms[lam].denominator for lam in support))
-        numerators = [
-            x.terms[lam].numerator * (den // x.terms[lam].denominator) for lam in support
+        support = {lam: v for lam, v in x.terms.items() if sum(lam) <= policy.max_part_size}
+        coeffs.append(coeff)
+        dens.append(lcm(*(v.denominator for v in support.values())))
+        kept.append(support)
+    union = sorted(set().union(*kept), key=_part_key)
+    columns = [
+        [
+            support[lam].numerator * (den // support[lam].denominator) if lam in support else 0
+            for support, den in zip(kept, dens)
         ]
-        expanded.append((coeff, den, support, numerators))
-    common = [lcm(*(c.denominator * den**n for c, den, _, _ in expanded)) for n in orders]
-    total: dict[Monomial, int] = {}
-    for coeff, den, support, numerators in expanded:
-        scales = [coeff.numerator * (common[n] // (coeff.denominator * den**n)) for n in orders]
-        # depth-first over the multisets of the support, in canonical order:
-        # (monomial, index of its last part, prod a_mu^m_mu)
-        stack = [((), 0, 1)]
-        while stack:
-            mono, first, value = stack.pop()
-            n = len(mono)
-            total[mono] = total.get(mono, 0) + scales[n] * value
-            if n < policy.max_order:
-                stack.extend(
-                    (mono + (support[j],), j, value * numerators[j])
-                    for j in range(first, len(support))
-                )
+        for lam in union
+    ]
+    orders = range(policy.max_order + 1)
+    commons = [lcm(*(c.denominator * den**n for c, den in zip(coeffs, dens))) for n in orders]
+    scales = [
+        [c.numerator * (commons[n] // (c.denominator * den**n)) for c, den in zip(coeffs, dens)]
+        for n in orders
+    ]
     result: dict[Monomial, Fraction] = {}
-    for mono, value in total.items():
+    # (monomial, index of its last part, the terms' prod a_mu^m_mu,
+    #  multiplicity of the last part, prod m_mu!)
+    stack = [((), 0, [1] * len(coeffs), 0, 1)]
+    while stack:
+        mono, last, values, run, fact = stack.pop()
+        n = len(mono)
+        value = sum(map(mul, scales[n], values))
         if value:
-            den = common[len(mono)]
-            for _, run in groupby(mono):
-                den *= factorial(sum(1 for _ in run))
-            result[mono] = Fraction(value, den)
+            result[mono] = Fraction(value, commons[n] * fact)
+        if n < policy.max_order:
+            for j in range(last, len(union)):
+                child = list(map(mul, values, columns[j]))
+                if any(child):
+                    m = run + 1 if j == last else 1
+                    stack.append((mono + (union[j],), j, child, m, fact * m))
     return PartitionSeries._trusted(policy, result)
 
 
@@ -283,11 +292,14 @@ def tensor_schur_series_recurrence(
 ) -> PartitionSeries:
     """Same series as the closed form, built from the Kronecker recurrence.
 
-    The order-n vector is 1/n times the Kronecker-matrix product of the
-    order-(n-1) vector with the degree-p variables; the order-0 vector is
-    supported at the one-row partition.  Each vector entry is a term dict;
-    every part has size p, so appending mu to a monomial and sorting keeps
-    it canonical.
+    The order-n vector x_n is 1/n times the Kronecker-matrix product of
+    x_(n-1) with the degree-p variables; x_0 is supported at the one-row
+    partition.  The recurrence runs over the integers on y_n = n! * x_n:
+    y_n[target] = sum of c * y_(n-1)[nu] * X_mu over the Kronecker
+    coefficients c of (target, mu, nu), and the coefficient of an order-n
+    monomial is y_n[lam] over n!.  Kronecker coefficients are non-negative,
+    so no entry cancels.  Each vector entry is a term dict; every part has
+    size p, so appending mu to a monomial and sorting keeps it canonical.
     """
     lam = check_partition(lam)
     p = sum(lam)
@@ -295,12 +307,12 @@ def tensor_schur_series_recurrence(
         raise ValueError("lam must be a non-zero partition")
     labels = partitions_of(p)
     variables = labels if p <= policy.max_part_size else []
-    current = {target: {(): Fraction(1)} if target == (p,) else {} for target in labels}
-    total = dict(current[lam])
+    current = {target: {(): 1} if target == (p,) else {} for target in labels}
+    result = {(): Fraction(1)} if lam == (p,) else {}
     for n in range(1, policy.max_order + 1):
         step = {}
         for target in labels:
-            acc: dict[Monomial, Fraction] = {}
+            acc = step[target] = {}
             for mu in variables:
                 for nu in labels:
                     c = kronecker_coefficient(target, mu, nu)
@@ -308,19 +320,18 @@ def tensor_schur_series_recurrence(
                         for mono, v in current[nu].items():
                             key = tuple(sorted(mono + (mu,)))
                             acc[key] = acc.get(key, 0) + c * v
-            step[target] = {mono: v / n for mono, v in acc.items() if v}
         current = step
-        for mono, v in current[lam].items():
-            total[mono] = total.get(mono, 0) + v
-    return PartitionSeries._trusted(policy, {mono: v for mono, v in total.items() if v})
+        result.update((mono, Fraction(v, factorial(n))) for mono, v in current[lam].items())
+    return PartitionSeries._trusted(policy, result)
 
 
 def lascoux_leading(p: int, d: int) -> PartitionSeries:
-    """Order-two, degree-d leading term of the p-syzygy series.
+    """Order-two, degree-d slice of the p-syzygy series, at every p.
 
-    Built from the rank-one case of the resolution of determinantal
-    varieties: pairs of partitions decorate an h-column, (h+1)-row rectangle,
-    h = d - p; the term vanishes unless 1 <= h <= sqrt(p).
+    Lascoux's resolution of the 2x2 minors (the rank-one determinantal
+    variety) gives the whole order-two slice: pairs of partitions decorate
+    an h-column, (h+1)-row rectangle, h = d - p; the slice vanishes unless
+    1 <= h <= sqrt(p).
     """
     if p < 1:
         raise ValueError("p must be positive")

@@ -550,3 +550,31 @@ def test_series_oracle_agreement_full_grid():
                     predicted = dimension_on_factors(stars[p], dims, d)
                     actual = koszul_homology(dims, p, d).dimension
                     assert predicted == actual, (dims, p, d)
+
+
+def test_oracle_matches_lascoux_order_two_slice():
+    # Lascoux's resolution of the 2x2 minors gives the whole order-two slice
+    # at every p; each ordering of a monomial's partitions whose rows fit
+    # the dims is one Schur tuple of the two-factor homology
+    from segre_syzygies.series import lascoux_leading
+
+    for dims, p, d, dimension in [((4, 4), 4, 6, 100), ((3, 5), 4, 6, 50), ((3, 6), 5, 7, 630)]:
+        expected = {}
+        for mono, coeff in lascoux_leading(p, d).terms.items():
+            for tup in itertools.permutations(mono):
+                if all(len(lam) <= n for lam, n in zip(tup, dims)):
+                    expected[tup] = expected.get(tup, 0) + coeff
+        report = koszul_homology(dims, p, d)
+        assert report.decomposition == expected, (dims, p, d)
+        assert report.dimension == dimension, (dims, p, d)
+
+
+def test_oracle_matches_f4_degree5():
+    # the Euler slice determines the degree-5 part of f_4 at every order
+    from segre_syzygies.series import dimension_on_factors, f4_degree5, order_normalize
+
+    star = order_normalize(f4_degree5())
+    expected = {(2, 2, 3): 84, (2, 2, 2, 2): 1408, (4, 4): 288, (3, 3, 3): 30456}
+    for dims, dimension in expected.items():
+        assert dimension_on_factors(star, dims, 5) == dimension
+        assert koszul_homology(dims, 4, 5).dimension == dimension, dims

@@ -2,10 +2,11 @@
 sparse integer ranks of columns and of transposes with their columns
 numbered either way, the rank identity behind the new-syzygy dimension,
 the lowest-terms form of multinomial sums, the integer pole fractions
-behind them, the integer exponential kernel, the arithmetic of series,
-Schur-ring elements and polynomials that skips re-canonicalisation,
-fraction-free reconstruction over polynomial coefficients, the Schur
-peel of a dominant weight table, and the numbering of Koszul weight blocks.
+behind them, the integer exponential kernel and tensor-Schur recurrence,
+the arithmetic of series, Schur-ring elements and polynomials that skips
+re-canonicalisation, fraction-free reconstruction over polynomial
+coefficients, the Schur peel of a dominant weight table, and the numbering
+of Koszul weight blocks.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -47,6 +48,7 @@ from segre_syzygies.series import (
     TruncationPolicy,
     canonical_monomial,
     exp_combination,
+    tensor_schur_series_recurrence,
 )
 
 from reference import columns, gauss_jordan, kernel_basis
@@ -279,11 +281,40 @@ def assert_trusted(a):
 
 
 @PROPERTY
-@given(st.lists(st.tuples(fractions, sym_funcs), min_size=1, max_size=3), policies)
+@given(st.lists(st.tuples(fractions, sym_funcs), min_size=1, max_size=6), policies)
+@example(  # disjoint supports, different denominators
+    [
+        (Fraction(1, 2), SymFunc({(1,): Fraction(1, 3), (2,): Fraction(-1, 2)})),
+        (Fraction(-2, 3), SymFunc({(1, 1): Fraction(3, 5), (3,): Fraction(1, 4)})),
+    ],
+    TruncationPolicy(4, 3),
+)
+@example(  # the first term's whole support is cut by max_part_size
+    [
+        (Fraction(3, 2), SymFunc({(3,): Fraction(1, 2), (2, 1): Fraction(1)})),
+        (Fraction(1), SymFunc({(1,): Fraction(2, 3)})),
+    ],
+    TruncationPolicy(3, 2),
+)
+@example(  # a zero coefficient beside non-zero ones
+    [
+        (Fraction(0), SymFunc({(1,): Fraction(1)})),
+        (Fraction(-1, 4), SymFunc({(1,): Fraction(1, 2), (2,): Fraction(2)})),
+        (Fraction(2), SymFunc({(2,): Fraction(-1)})),
+    ],
+    TruncationPolicy(3, 2),
+)
 def test_exp_combination_matches_fraction_reference(terms, policy):
     result = exp_combination(terms, policy)
     assert result.terms == reference_exp_combination(terms, policy).terms
     assert_trusted(result)
+
+
+def test_tensor_schur_recurrence_returns_trusted_fractions():
+    for policy in (TruncationPolicy(4, 4), TruncationPolicy(3, 2)):
+        for p in range(1, 5):
+            for lam in partitions_of(p):
+                assert_trusted(tensor_schur_series_recurrence(lam, policy))
 
 
 def assert_checked(result, checked):
