@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from numbers import Number
 
 
 def rank(vectors: list[dict[int, int]]) -> int:
@@ -112,13 +113,27 @@ def echelon(rows: list[list], ncols: int) -> list[int]:
     return pivots
 
 
+def exact(c) -> Fraction:
+    """c as a Fraction: an int, a Fraction, or a string such as "1/2" (as
+    JSON stores them), and a whole-number float as its int, as with shifts and
+    parts.  Any other float is a binary approximation, so it raises
+    ValueError, as does any other kind of number."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    if isinstance(c, float) and c.is_integer():
+        return Fraction(int(c))
+    if isinstance(c, Number):
+        raise ValueError(f"coefficient {c!r} must be an integer or a Fraction")
+    return Fraction(c)
+
+
 def collect(items, key) -> dict:
     """Checked terms from (key, coefficient) pairs: each coefficient becomes a
-    Fraction, each key passes through `key` (None drops the term), equal keys
-    are summed and zeros dropped."""
+    Fraction by `exact`, each key passes through `key` (None drops the term),
+    equal keys are summed and zeros dropped."""
     terms: dict = {}
     for k, c in items:
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             continue
         k = key(k)
@@ -166,5 +181,5 @@ class Combination:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         return self._like({k: c * v for k, v in self.terms.items()} if c else {})

@@ -10,7 +10,10 @@ Three engines live here:
   pole by pole, no polynomial GCD is computed, and the result is brought to
   lowest terms once by cancelling the factors (1 - a t) that divide it.
   The numerators are integer lists over one common integer denominator, so
-  the recursion runs on ints and makes one Fraction per output coefficient;
+  the recursion runs on ints and makes one Fraction per output coefficient.
+  A sum is cached once per permutation class of its (exponent, shift)
+  pairs, with the negative shift -s of a variable of exponent 0 lifted to
+  0 as a factor t^s;
 * the formal torus constant term and the Weyl-integration pairing that
   turns equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
@@ -39,9 +42,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, zip_longest
 from math import comb, factorial, lcm
+from numbers import Number
 
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect, echelon
+from .linalg import Combination, collect, echelon, exact
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
@@ -78,7 +82,7 @@ class MPoly(Combination):
 
     @staticmethod
     def constant(nvars: int, c) -> "MPoly":
-        return MPoly(nvars, {(0,) * nvars: Fraction(c)})
+        return MPoly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(nvars: int, i: int) -> "MPoly":
@@ -216,7 +220,7 @@ def _in_common_ring(coeffs) -> tuple[list, Fraction | MPoly]:
     if len(nvars) > 1:
         raise ValueError("variable count mismatch")
     if not nvars:
-        return [Fraction(c) for c in coeffs], Fraction(1)
+        return [exact(c) for c in coeffs], Fraction(1)
     n = nvars.pop()
     lifted = [c if isinstance(c, MPoly) else MPoly.constant(n, c) for c in coeffs]
     return lifted, MPoly.constant(n, 1)
@@ -547,7 +551,8 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     """Closed form of the sum over non-negative k of p(k) C_{k+e} t^{|k|}.
 
     poly maps exponent tuples of length d to rational coefficients (a bare
-    number means a constant polynomial); C is the multinomial coefficient,
+    number means a constant polynomial; coefficients follow
+    `linalg.exact`); C is the multinomial coefficient,
     zero on vectors with a negative entry.  Each variable of a monomial is
     written in falling factorials of k_i + e_i, each of which trades for a
     shift of e_i and a polynomial in t d/dt, so a monomial takes one t d/dt
@@ -556,7 +561,11 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     slices of a shift b in one variable come from one chain of b - 1 steps
     of t d/dt + c off the sum in the other variables, so a shift costs one
     step per slice.  The recursion runs on `PoleFraction` values; the result
-    is brought to lowest terms once, at the end.
+    is brought to lowest terms once, at the end.  C is symmetric in the
+    entries of its vector, so each monomial sum, at the top as inside the
+    recursion, is cached once per permutation class of its (exponent,
+    shift) pairs, and a variable of exponent 0 with shift -s < 0 is lifted
+    to shift 0 as a factor t^s.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -566,7 +575,7 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
         raise ValueError(f"shift vector {given} must have integer entries")
     if len(e) != d:
         raise ValueError(f"shift vector {e} has wrong length for d={d}")
-    if isinstance(poly, (int, Fraction)):
+    if isinstance(poly, Number):
         poly = {(0,) * d: poly}
     elif isinstance(poly, MPoly):
         poly = poly.terms
@@ -575,8 +584,20 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
         raise ValueError(f"exponents of the polynomial part must be non-negative: {poly}")
     total = PoleFraction([])
     for expo, c in terms.items():
-        total = total + _monomial_sum(expo, e, d).scale(c)
+        total = total + _shared_monomial_sum(expo, e, d).scale(c)
     return total.to_rational()
+
+
+def _shared_monomial_sum(expo, e, d) -> PoleFraction:
+    """`_monomial_sum` at the canonical key of its permutation class: C_m is
+    symmetric in m, so the (exponent, shift) pairs are sorted, and a shift
+    -s < 0 of exponent 0 only forces k_i >= s, so it is lifted to 0 and paid
+    as t^s.  Pairs of exponent 0 sort first, so the shifts that reach
+    `_tail_sum` are sorted too, and stay so down its recursion."""
+    lift = sum(-s for x, s in zip(expo, e) if not x and s < 0)
+    pairs = sorted((x, s if x or s > 0 else 0) for x, s in zip(expo, e))
+    expo, e = tuple(x for x, _ in pairs), tuple(s for _, s in pairs)
+    return _monomial_sum(expo, e, d).shift(lift)
 
 
 @cache
@@ -589,8 +610,8 @@ def _monomial_sum(expo, e, d) -> PoleFraction:
     # F_r(y) = y (y - 1) ... (y - r + 1); Horner's rule takes it with one
     # theta per unit of exponent, so the depth is at most d.
     i = next((idx for idx, x in enumerate(expo) if x), None)
-    if i is None:  # sum over k >= 0 of C_(k + e) t^|k|
-        return _tail_sum(tuple(max(x, 0) for x in e), d).shift(-sum(e))
+    if i is None:  # sum over k >= 0 of C_(k + e) t^|k|, with e >= 0 once lifted
+        return _tail_sum(e, d).shift(-sum(e))
     rest = expo[:i] + (0,) + expo[i + 1 :]
     coeffs = _falling_factorial_coefficients(expo[i], -e[i])
     total = sum(e)
@@ -599,7 +620,7 @@ def _monomial_sum(expo, e, d) -> PoleFraction:
         if result is not None:
             result = result.euler_operator(total - r)
         if coeffs[r]:
-            term = _monomial_sum(rest, e[:i] + (e[i] - r,) + e[i + 1 :], d)
+            term = _shared_monomial_sum(rest, e[:i] + (e[i] - r,) + e[i + 1 :], d)
             term = term if coeffs[r] == 1 else term.scale(coeffs[r])
             result = term if result is None else result + term
     return result

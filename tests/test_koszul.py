@@ -578,3 +578,20 @@ def test_oracle_matches_f4_degree5():
     for dims, dimension in expected.items():
         assert dimension_on_factors(star, dims, 5) == dimension
         assert koszul_homology(dims, 4, 5).dimension == dimension, dims
+
+
+def test_oracle_is_gorenstein_self_dual():
+    # a Segre product of polynomial rings with equal dims is Gorenstein
+    # (Goto and Watanabe), so the minimal resolution of (2,2,2,2) is
+    # self-dual: (p, d) pairs with (11 - p, 14 - d), and each factor's Schur
+    # label (a, b) with (7 - b, 7 - a)
+    def dual(lam):
+        a, b = (lam + (0,))[:2]
+        return tuple(x for x in (7 - b, 7 - a) if x)
+
+    for (p, d), (q, c), dimension in [((5, 7), (6, 7), 192), ((4, 6), (7, 8), 28)]:
+        report = koszul_homology((2, 2, 2, 2), p, d)
+        mirror = koszul_homology((2, 2, 2, 2), q, c)
+        dualized = {tuple(map(dual, tup)): n for tup, n in report.decomposition.items()}
+        assert dualized == mirror.decomposition, (p, d)
+        assert report.dimension == mirror.dimension == dimension, (p, d)

@@ -1,7 +1,8 @@
 """Property tests of the exact core: polynomial division, torus characters,
 sparse integer ranks of columns and of transposes with their columns
 numbered either way, the rank identity behind the new-syzygy dimension,
-the lowest-terms form of multinomial sums, the integer pole fractions
+the lowest-terms form of multinomial sums and their sharing across
+permuted variables, the integer pole fractions
 behind them, the integer exponential kernel and tensor-Schur recurrence,
 the arithmetic of series, Schur-ring elements and polynomials that skips
 re-canonicalisation, fraction-free reconstruction over polynomial
@@ -208,6 +209,25 @@ def test_multinomial_sum_is_in_lowest_terms(data):
     assert rf.den[0] == 1
     assert len(_poly_gcd_q(rf.num, rf.den)) == 1
     assert rf.coefficients(16) == _direct_multinomial_sum({expo: 1}, e, d, 16)
+
+
+@PROPERTY
+@given(st.data())
+def test_multinomial_sum_is_shared_across_permuted_variables(data):
+    # C_m is symmetric in the entries of m, so permuting the (exponent,
+    # shift) pairs changes nothing, down to num and den
+    d = data.draw(st.integers(1, 4))
+    e = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    degrees = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    expo = tuple(data.draw(degrees.filter(lambda v: sum(v) <= 3)))
+    sigma = data.draw(st.permutations(range(d)))
+    rf = multinomial_sum_rational({expo: 1}, e, d)
+    twin = multinomial_sum_rational(
+        {tuple(expo[i] for i in sigma): 1}, tuple(e[i] for i in sigma), d
+    )
+    assert (twin.num, twin.den) == (rf.num, rf.den)
+    direct = _direct_multinomial_sum({expo: 1}, e, d, 12)
+    assert rf.coefficients(12) == twin.coefficients(12) == direct
 
 
 pole_fractions = st.tuples(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 
@@ -12,6 +13,7 @@ from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
     RationalFunction,
+    _monomial_sum,
     denominator_pole_factors,
     discriminant_squared,
     divides_up_to_unit,
@@ -21,6 +23,7 @@ from segre_syzygies.rationality import (
     torus_constant_term,
     weyl_series,
 )
+from segre_syzygies.schur_ring import SymFunc
 from segre_syzygies.series import small_p_exponential_form
 
 
@@ -86,6 +89,44 @@ def test_multinomial_sum_rejects_a_fractional_shift():
     with pytest.raises(ValueError, match="integer"):
         multinomial_sum_rational(1, (1.5,), 1)
     assert multinomial_sum_rational(1, (1.0,), 1) == multinomial_sum_rational(1, (1,), 1)
+
+
+def test_coefficients_must_be_exact_numbers():
+    # a float is a binary approximation: only a whole-number one is taken, as its int
+    with pytest.raises(ValueError, match="0.1"):
+        MPoly(1, {(1,): 0.1})
+    assert MPoly(1, {(1,): 2.0}) == MPoly(1, {(1,): 2}) and str(MPoly(1, {(1,): 2.0})) == "2*s"
+    assert str(MPoly(1, {(1,): "1/2"})) == "1/2*s"
+    for bad in (0.5, Decimal("0.5"), 1j):
+        with pytest.raises(ValueError, match="integer or a Fraction"):
+            multinomial_sum_rational(bad, (0,), 1)
+    assert multinomial_sum_rational(2.0, (0,), 1) == multinomial_sum_rational(2, (0,), 1)
+    with pytest.raises(ValueError, match="0.5"):
+        RationalFunction([0.5])
+    assert RationalFunction([1.0], [1, -1.0]).den == [1, -1]
+    with pytest.raises(ValueError, match="0.25"):
+        SymFunc({(1,): 0.25})
+    with pytest.raises(ValueError, match="0.1"):
+        MPoly.variable(1, 0).scale(0.1)
+
+
+def test_negative_shift_of_an_unused_variable_lifts_to_a_power_of_t():
+    # k_2 >= s is forced, so the sum is t^s times the sum at shift 0
+    poly = {(2, 0, 1): Fraction(3, 2), (0, 0, 1): -1}
+    flat = multinomial_sum_rational(poly, (1, 0, -1), 3)
+    for s in (1, 2, 3):
+        lifted = multinomial_sum_rational(poly, (1, -s, -1), 3)
+        assert lifted.num == [0] * s + flat.num and lifted.den == flat.den
+        assert lifted.coefficients(12) == [0] * s + flat.coefficients(12 - s)
+
+
+def test_permuted_twin_adds_no_cache_miss():
+    _monomial_sum.cache_clear()
+    first = multinomial_sum_rational({(2, 1, 0): 1}, (1, -2, 3), 3)
+    misses = _monomial_sum.cache_info().misses
+    twin = multinomial_sum_rational({(0, 2, 1): 1}, (3, 1, -2), 3)
+    assert _monomial_sum.cache_info().misses == misses
+    assert (twin.num, twin.den) == (first.num, first.den)
 
 
 def test_coefficients_reject_negative_term_count():
