@@ -11,13 +11,13 @@ entry +-1 per wedge label of each source element.
 
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
-ring monomial that makes up the difference, so neither the ring basis nor a
-whole exterior power is ever enumerated.  The homology is a representation
-of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at dominant weights
-(each factor weakly decreasing).  Only the canonical ones, with equal-size
-factors in non-increasing order, are computed and copied to their factor
-swaps; the Schur decomposition is peeled over dominant weights alone, and
-the dimension is summed over Weyl orbits.
+ring monomial that makes up the difference, so no ring basis, fine or
+merged, and no whole exterior power is ever enumerated.  The homology is a
+representation of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at
+dominant weights (each factor weakly decreasing).  Only the canonical ones,
+with equal-size factors in non-increasing order, are computed and copied to
+their factor swaps; the Schur decomposition is peeled over dominant weights
+alone, and the dimension is summed over Weyl orbits.
 
 The "new syzygy" computation quotients the homology by everything induced
 from coarser groupings of the tensor factors.  A merged Segre variety lies
@@ -28,14 +28,15 @@ identity on the wedge.  Every coarser grouping's chain map factors through
 the complex that merges just two of its factors, so only the C(n, 2) pair
 merges are built.  The dimension of the old classes is read off integer
 ranks of one stacked set of rows, with no kernel basis.  The wedges that fit
-under a weight are the same for every complex, so they are grown once per
-weight, and each merged block pairs them with its ring monomials of that
-fine weight.
+under a weight are grown once for every complex.  Each merged block pairs
+them with the merged monomials over what they leave: a product over the
+merged factors of their exponent vectors with the right margins.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import comb, factorial, prod
 
@@ -130,20 +131,17 @@ class _Complex:
             for idx in itertools.product(*(range(n) for n in dims))
         ]
 
-    def _check_capacity(self, what: str, size: int) -> None:
-        if size > self.capacity:
-            raise CapacityError(
-                f"{what} has {size} elements, over capacity {self.capacity} "
-                f"for dims {self.dims}"
-            )
-
     def blocks(self, pieces, weight: FlatWeight, levels) -> list[Block]:
         """The bases of the pieces (i, j) at a fine weight, numbered in order,
         over the levels of `_wedge_levels` at that weight."""
         out = []
         for i, j in pieces:
             block = self.level_block(i, levels[j] if 0 <= j < len(levels) else ())
-            self._check_capacity(f"block of piece {(i, j)} at weight {weight}", len(block))
+            if len(block) > self.capacity:
+                raise CapacityError(
+                    f"block of piece {(i, j)} at weight {weight} has {len(block)} elements, "
+                    f"over capacity {self.capacity} for dims {self.dims}"
+                )
             out.append(block)
         return out
 
@@ -314,22 +312,19 @@ class _MergedMap(_Complex):
     enumerated by lexicographic tuples, so every merged ring coordinate
     decodes to fine ones.  The wedge labels are the fine ones: label k sits
     at the merged ring coordinates of its fine index tuple, one per block of
-    the grouping.  The chain map expands merged monomials factor-wise and
-    keeps the wedge, and ring monomials are grouped by their fine image.
+    the grouping.  The chain map keeps the wedge and sends each merged
+    factor's exponent vector to its margins, the rows of its fine factors.
     """
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
         dims = fine.dims
-        block_tuples = [
-            list(itertools.product(*(range(dims[x]) for x in block))) for block in blocks
-        ]
-        super().__init__(tuple(len(bt) for bt in block_tuples), fine.capacity)
+        super().__init__(tuple(prod(dims[x] for x in block) for block in blocks), fine.capacity)
         offsets = list(itertools.accumulate(dims, initial=0))
         # the fine weight positions of each merged ring coordinate
         self.coordinate_images = [
             tuple(offsets[x] + a for x, a in zip(block, t))
-            for block, tuples in zip(blocks, block_tuples)
-            for t in tuples
+            for block in blocks
+            for t in itertools.product(*(range(dims[x]) for x in block))
         ]
         # the labels stay the fine ones, at the merged coordinates they lie in
         coordinate = {qs: c for c, qs in enumerate(self.coordinate_images)}
@@ -338,25 +333,30 @@ class _MergedMap(_Complex):
             for qs in fine.positions
         ]
         self.width = offsets[-1]
-        self._rings: dict[int, dict[FlatWeight, list[tuple[int, ...]]]] = {}
-
-    def ring_table(self, i: int) -> dict[FlatWeight, list[tuple[int, ...]]]:
-        """The merged ring monomials of degree i, grouped by fine weight."""
-        if i not in self._rings:
-            self._check_capacity(f"ring table of degree {i}", graded_ring_dimension(self.dims, i))
-            table: dict[FlatWeight, list[tuple[int, ...]]] = {}
-            for combo in itertools.product(*(compositions(i, n) for n in self.dims)):
-                r = tuple(itertools.chain.from_iterable(combo))
-                table.setdefault(self.map_ring(r), []).append(r)
-            self._rings[i] = table
-        return self._rings[i]
+        # each merged factor's fine rows of a flat weight, which are its margins
+        self.rows = [
+            operator.itemgetter(*(offsets[x] + a for x in block for a in range(dims[x])))
+            for block in blocks
+        ]
+        self._tables: dict[int, list[tuple[dict, operator.itemgetter]]] = {}
 
     def level_block(self, i: int, level) -> Block:
-        # the ring table is built, and its size checked, once some wedge fits
-        table = self.ring_table(i) if level else {}
+        # the merged monomials over a fine weight: a product over the merged
+        # factors of their vectors of degree i with its rows, in table order
+        if level and i not in self._tables:
+            self._tables[i] = [({}, rows) for rows in self.rows]
+            starts = itertools.accumulate(self.dims, initial=0)
+            for (table, rows), n, start in zip(self._tables[i], self.dims, starts):
+                for c in compositions(i, n):
+                    table.setdefault(rows(self.map_ring((0,) * start + c)), []).append(c)
+        over: dict[FlatWeight, list[tuple[int, ...]]] = {}
         block: Block = {}
         for left, wedge in level:
-            for r in table.get(left, ()):
+            ring = over.get(left)
+            if ring is None:
+                parts = itertools.product(*(t.get(rows(left), ()) for t, rows in self._tables[i]))
+                ring = over[left] = [tuple(itertools.chain(*c)) for c in parts]
+            for r in ring:
                 block[(r, wedge)] = len(block)
         return block
 

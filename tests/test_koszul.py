@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -361,6 +362,23 @@ def test_capacity_error_reports_sizes():
         new_syzygy_dimension((2, 2), 1, 2, capacity=3)
 
 
+@pytest.mark.parametrize(
+    "dims, p, d, capacity, expected",
+    [
+        ((2, 2, 2), 1, 2, 8, (0, {})),
+        ((2, 3), 2, 3, 9, (2, {((2, 1), (1, 1, 1)): 1})),
+        ((2, 2, 3), 2, 3, 27, (0, {})),
+    ],
+)
+def test_capacity_bounds_blocks_alone(dims, p, d, capacity, expected):
+    # the smallest capacity the homology's own blocks admit; no merged ring
+    # piece, however large, is counted against it
+    with pytest.raises(CapacityError):
+        koszul_homology(dims, p, d, capacity=capacity - 1)
+    koszul_homology(dims, p, d, capacity=capacity)
+    assert new_syzygy_dimension(dims, p, d, capacity=capacity) == expected
+
+
 @pytest.mark.parametrize("capacity", [0, -5])
 def test_capacity_below_one_is_a_usage_error(capacity):
     # not a capacity limit: no block, however small, could be admitted
@@ -441,6 +459,18 @@ def test_former_limits_of_the_oracle():
         assert (report.dimension, report.decomposition) == (0, {})
 
 
+def test_first_cosocle_at_p4():
+    # the merges at p = 4 of three equal factors; the Schur tuples are
+    # invariant under permuting the factors
+    dim, decomp = new_syzygy_dimension((3, 3, 3), 4, 5)
+    assert dim == 5832
+    assert len(decomp) == 22 and sum(decomp.values()) == 30
+    assert decomp[(2, 2, 1), (2, 2, 1), (2, 2, 1)] == 3
+    assert decomp[(4, 1), (2, 2, 1), (2, 2, 1)] == 1
+    for s in itertools.permutations(range(3)):
+        assert {tuple(lams[f] for f in s): m for lams, m in decomp.items()} == decomp
+
+
 def test_merged_chain_map_commutes_with_differentials():
     # every merged basis element of piece (i, j), as the union of its blocks
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
@@ -465,6 +495,51 @@ def test_merged_chain_map_commutes_with_differentials():
                     )
                     assert mapped_then_diff == diff_then_mapped, (dims, blocks, i, j, w)
                 assert len(seen) == graded_ring_dimension(mm.dims, i) * comb(len(mm.positions), j)
+
+
+def test_merged_blocks_keep_the_product_order():
+    # per level entry, the merged ring monomials in the order of the product
+    # of the merged factors' compositions, filtered by their fine image
+    for dims in [(2, 2, 2), (2, 3)]:
+        fine = _Complex(dims, DEFAULT_CAPACITY)
+        for blocks in nondiscrete_groupings(len(dims)):
+            mm = _MergedMap(fine, blocks)
+            for total in range(4):
+                for w in all_weights(dims, total):
+                    for j, level in enumerate(_wedge_levels(fine.positions, w, total)):
+                        ring = [
+                            tuple(itertools.chain.from_iterable(combo))
+                            for combo in itertools.product(
+                                *(compositions(total - j, n) for n in mm.dims)
+                            )
+                        ]
+                        expected = [
+                            (r, wedge) for left, wedge in level for r in ring
+                            if mm.map_ring(r) == left
+                        ]
+                        block = mm.level_block(total - j, level)
+                        assert list(block.items()) == [(e, k) for k, e in enumerate(expected)], (
+                            dims, blocks, w, j,
+                        )
+
+
+def test_merged_blocks_table_only_the_factors_pieces():
+    # a merged ring of dims (16, 4, 4) has 326400 monomials of degree 3, as
+    # many as its tensor factors' pieces of 816, 20 and 20 multiply to
+    tracemalloc.start()
+    try:
+        pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
+        weight = (3, 3, 0, 0) * 4
+        levels = _wedge_levels(fine.positions, weight, pieces[0][1])
+        sizes = [
+            [len(block) for block in mm.blocks(pieces[1:], weight, levels)]
+            for mm in _merged_maps(fine)
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [[1544, 912]] * 6
+    assert peak < 64 * 2**20
 
 
 def test_report_json_shape():
