@@ -318,7 +318,10 @@ class _MergedMap(_Complex):
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
         dims = fine.dims
-        super().__init__(tuple(prod(dims[x] for x in block) for block in blocks), fine.capacity)
+        # _Complex.__init__ is skipped: its positions would be the merged
+        # product basis, and the labels here are the fine ones
+        self.dims = tuple(prod(dims[x] for x in block) for block in blocks)
+        self.capacity = fine.capacity
         offsets = list(itertools.accumulate(dims, initial=0))
         # the fine weight positions of each merged ring coordinate
         self.coordinate_images = [

@@ -10,7 +10,8 @@ Three engines live here:
   pole by pole, no polynomial GCD is computed, and the result is brought to
   lowest terms once by cancelling the factors (1 - a t) that divide it.
   The numerators are integer lists over one common integer denominator, so
-  the recursion runs on ints and makes one Fraction per output coefficient.
+  the recursion runs on ints; the expanded denominator of each set of poles
+  left after cancelling is cached.
   A sum is cached once per permutation class of its (exponent, shift)
   pairs, with the negative shift -s of a variable of exponent 0 lifted to
   0 as a factor t^s;
@@ -34,6 +35,14 @@ polynomial coefficients and as the torus characters of the Weyl pairing
 every univariate quotient and remainder over Q, one exact division,
 `_cancel_one_minus`, cancels the factors (1 - a t) on ints or Fractions
 alike, and one division-free recurrence expands every power series.
+
+Fractions appear only at the edges of the sums, the series expansion, the
+`MPoly` product and the Weyl pairing: each runs on integer numerators over
+one common denominator and makes one Fraction per value it returns.
+A `RationalFunction` over Q keeps the integer form that its coefficient
+recurrence runs on, from `PoleFraction.to_rational` or from its first
+expansion; an `MPoly` product sums integers per exponent; and the Weyl
+pairing sums integers per degree, without forming the product polynomial.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from functools import cache
 from itertools import accumulate, zip_longest
 from math import comb, factorial, lcm
 from numbers import Number
+from operator import add, mul
 
 from .errors import ConsistencyError, UnsupportedError
 from .linalg import Combination, collect, echelon, exact
@@ -121,13 +131,8 @@ class MPoly(Combination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return self._like({e: c for e, c in out.items() if c})
+        out, den = _int_product(self, other)
+        return self._like({e: Fraction(c, den) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -195,8 +200,31 @@ class MPoly(Combination):
     __repr__ = __str__
 
 
+def _whole(x, name: str) -> int:
+    """x as an int: a whole number becomes its int, as shift entries do, and
+    any other value raises ValueError."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
 def _grlex(expo):
     return sum(expo), expo
+
+
+def _int_product(p: MPoly, q: MPoly) -> tuple[dict[tuple[int, ...], int], int]:
+    """p * q over Z: each side's coefficients as integer numerators over
+    their lcm denominator, multiplied and summed per exponent, over the
+    product of the two denominators.  Sums that cancel are kept, as 0."""
+    (p_nums, d1), (q_nums, d2) = _int_poly(p.terms.values()), _int_poly(q.terms.values())
+    q_terms = list(zip(q.terms, q_nums))
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in zip(p.terms, p_nums):
+        for e2, c2 in q_terms:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out, d1 * d2
 
 
 def _var_names(nvars: int) -> list[str]:
@@ -301,9 +329,14 @@ def _poly_gcd_q(a, b):
 
 
 class RationalFunction:
-    """Quotient of polynomials in t; the denominator has constant term one."""
+    """Quotient of polynomials in t; the denominator has constant term one.
 
-    __slots__ = ("num", "den")
+    Over Q the integer form (N, D, B, E), with num = N/D and den = B/E, is
+    kept once known: `PoleFraction.to_rational` makes it, and any other value
+    computes it on its first `coefficients` call.
+    """
+
+    __slots__ = ("num", "den", "_ints")
 
     def __init__(self, num, den=None):
         num, den = list(num), [1] if den is None else list(den)
@@ -330,12 +363,14 @@ class RationalFunction:
             num, den = _divide_all(num, den[0]), _divide_all(den, den[0])
         self.num = num
         self.den = den
+        self._ints = None
 
     @classmethod
-    def _lowest_terms(cls, num, den) -> "RationalFunction":
-        """Wrap a num/den already in lowest terms with den[0] == 1, over Q or the polynomials."""
+    def _lowest_terms(cls, num, den, ints=None) -> "RationalFunction":
+        """Wrap a num/den already in lowest terms with den[0] == 1, over Q or
+        the polynomials, with its integer form (N, D, B, E) when known."""
         rf = object.__new__(cls)
-        rf.num, rf.den = num, den
+        rf.num, rf.den, rf._ints = num, den, ints
         return rf
 
     def __bool__(self):
@@ -357,17 +392,19 @@ class RationalFunction:
         if n < 0:
             raise ValueError(f"number of terms must be non-negative, got {n}")
         over_q = isinstance(self.den[0], Fraction)
-        if over_q:
-            (big_n, big_d), (big_b, big_e) = _int_poly(self.num), _int_poly(self.den)
-        else:
-            big_n, big_d, big_b, big_e = self.num, 1, self.den, 1
+        if self._ints is None:
+            if over_q:
+                (big_n, big_d), (big_b, big_e) = _int_poly(self.num), _int_poly(self.den)
+                self._ints = (tuple(big_n), big_d, tuple(big_b), big_e)
+            else:
+                self._ints = (tuple(self.num), 1, tuple(self.den), 1)
+        big_n, big_d, big_b, big_e = self._ints
         zero = big_b[0] * 0
         tail = [b * big_e ** (i - 1) for i, b in enumerate(big_b) if i]
         out, ys, power = [], [], 1
         for k in range(n):
             y = big_n[k] * power if k < len(big_n) else zero
-            for i, b in enumerate(tail[:k], 1):
-                y -= b * ys[k - i]
+            y -= sum(map(mul, tail, reversed(ys)), zero)
             ys.append(y)
             out.append(Fraction(y, big_d * power) if over_q else y)
             power *= big_e
@@ -523,19 +560,29 @@ class PoleFraction:
         """The same function in lowest terms: each (1 - a t) dividing the
         numerator is cancelled, then the denominator is expanded.  Its
         constant term is one, so this is the unique reduced form."""
-        num, den = self.num, [1]
+        num, left = self.num, []
         if not num:
             return RationalFunction([])
         for a, m in self.poles.items():
             num, m = _cancel_one_minus(num, a, m)
             if m:
-                den = _times_one_minus_power(den, a, m)
+                left.append((a, m))
+        big_b, den = _expanded_denominator(tuple(sorted(left)))
         return RationalFunction._lowest_terms(
-            [Fraction(x, self.den) for x in num], [Fraction(x) for x in den]
+            [Fraction(x, self.den) for x in num], list(den), (tuple(num), self.den, big_b, 1)
         )
 
     def __repr__(self):
         return f"PoleFraction(num={self.num}, den={self.den}, poles={self.poles})"
+
+
+@cache
+def _expanded_denominator(poles) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """prod over the (a, m) pairs of (1 - a t)^m, as ints and as Fractions."""
+    den = [1]
+    for a, m in poles:
+        den = _times_one_minus_power(den, a, m)
+    return tuple(den), tuple(Fraction(x) for x in den)
 
 
 def multinomial(vec) -> int:
@@ -567,6 +614,7 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     shift) pairs, and a variable of exponent 0 with shift -s < 0 is lifted
     to shift 0 as a factor t^s.
     """
+    d = _whole(d, "d")
     if d < 0:
         raise ValueError("d must be non-negative")
     given = tuple(e)
@@ -710,6 +758,9 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
     geometric series in the inverted variables is expanded exactly to the
     power forced by degree matching, so the pairing reduces to summing the
     non-negative monomials against multinomial coefficients, scaled by 1/d!.
+    No product polynomial is formed: the product is summed per monomial over
+    Z, each monomial meets its multinomial coefficient once (zero when an
+    exponent is negative), and one Fraction is made per degree.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -721,14 +772,13 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
     out = []
     for n in range(num_terms):
         c_n = torus_coeffs[n]
+        if not isinstance(c_n, MPoly):
+            raise ValueError(f"torus coefficient {n} is not an MPoly: {c_n!r}")
         if c_n.nvars != d:
             raise ValueError("torus coefficient arity mismatch")
-        paired = c_n * disc
-        total = Fraction(0)
-        for expo, c in paired.terms.items():
-            if all(x >= 0 for x in expo):
-                total += c * multinomial(expo)
-        out.append(total / factorial(d))
+        paired, den = _int_product(c_n, disc)
+        total = sum(c * multinomial(e) for e, c in paired.items())
+        out.append(Fraction(total, den * factorial(d)))
     return out
 
 
@@ -759,7 +809,7 @@ def rational_reconstruct(coeffs, max_den_degree: int):
     are first scaled to integers, which leaves the recurrence unchanged.
     """
     coeffs, one = _in_common_ring(coeffs)
-    m = max_den_degree
+    m = _whole(max_den_degree, "max_den_degree")
     if m < 0:
         raise ValueError("max_den_degree must be non-negative")
     length = len(coeffs)

@@ -13,6 +13,7 @@ from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
     RationalFunction,
+    _expanded_denominator,
     _monomial_sum,
     denominator_pole_factors,
     discriminant_squared,
@@ -91,6 +92,18 @@ def test_multinomial_sum_rejects_a_fractional_shift():
     assert multinomial_sum_rational(1, (1.0,), 1) == multinomial_sum_rational(1, (1,), 1)
 
 
+def test_a_whole_float_variable_count_is_its_int():
+    # d = 1.0 keys the sum cache as d = 1 does, so it must not store float poles
+    _monomial_sum.cache_clear()
+    with pytest.raises(ValueError, match="integer"):
+        multinomial_sum_rational({(1,): 1}, (0,), 1.5)
+    for d in (1.0, 1):
+        f = multinomial_sum_rational({(1,): 1}, (0,), d)
+        assert f.num == [0, 1] and f.den == [1, -2, 1]
+        assert all(type(c) is Fraction for c in f.num + f.den)
+        assert all(type(a) is int for a in _monomial_sum((1,), (0,), 1).poles)
+
+
 def test_coefficients_must_be_exact_numbers():
     # a float is a binary approximation: only a whole-number one is taken, as its int
     with pytest.raises(ValueError, match="0.1"):
@@ -148,6 +161,41 @@ def fraction_coefficients(rf, n):
             value = value - rf.den[i] * out[k - i]
         out.append(value)
     return out
+
+
+def test_coefficients_of_sums_match_the_fraction_recurrence():
+    # a seeded sample of criterion 11's grid, with fractional coefficients
+    rng = random.Random(11)
+    grid = []
+    for d in (1, 2, 3):
+        monomials = [(0,) * d] + [tuple(int(j == i) for j in range(d)) for i in range(d)]
+        monomials += [
+            tuple(int(j == i) + int(j == k) for j in range(d))
+            for i in range(d)
+            for k in range(i, d)
+        ]
+        grid += [(d, e, x) for e in itertools.product((-2, 0, 2), repeat=d) for x in monomials]
+    for d, e, expo in rng.sample(grid, 40):
+        poly = {expo: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))}
+        f = multinomial_sum_rational(poly, e, d)
+        got = f.coefficients(10)
+        assert got == fraction_coefficients(f, 10), (d, e, expo)
+        assert all(type(c) is Fraction for c in got)
+        got[0] = None  # the returned list is the caller's own
+        assert f.coefficients(10) == fraction_coefficients(f, 10)
+
+
+def test_pole_denominators_are_expanded_once():
+    _expanded_denominator.cache_clear()
+    first = PoleFraction([1, Fraction(1, 2)], {1: 2, 2: 1}).to_rational()
+    misses = _expanded_denominator.cache_info().misses
+    second = PoleFraction([3, 0, Fraction(-2, 7)], {2: 1, 1: 2}).to_rational()
+    assert _expanded_denominator.cache_info().misses == misses
+    assert first.den == second.den == [1, -4, 5, -2]
+    # each value owns its lists
+    first.den[1] = 0
+    assert second.den[1] == -4
+    assert PoleFraction([1], {1: 2, 2: 1}).to_rational().den == [1, -4, 5, -2]
 
 
 def test_coefficients_over_q_with_fractional_denominator():
@@ -252,6 +300,30 @@ def test_weyl_series_exponential_module():
         assert weyl_series(d, coeffs, 5) == [Fraction(1)] * 5
 
 
+def test_weyl_series_fractional_coefficients():
+    for d in (1, 2, 3):
+        third = [c.scale(Fraction(1, 3)) for c in geometric_torus_coefficients(d, 5)]
+        assert weyl_series(d, third, 5) == [Fraction(1, 3)] * 5
+    # the Schur characters of degree 3 in 3 variables pair to the numbers of
+    # standard tableaux, 1, 2 and 1; the products with the discriminant
+    # have negative coefficients on non-negative monomials here
+    schur = {
+        (3,): {e: 1 for e in itertools.product(range(4), repeat=3) if sum(e) == 3},
+        (2, 1): {e: 1 for e in itertools.permutations((2, 1, 0))} | {(1, 1, 1): 2},
+        (1, 1, 1): {(1, 1, 1): 1},
+    }
+    for lam, tableaux in [((3,), 1), ((2, 1), 2), ((1, 1, 1), 1)]:
+        coeff = MPoly(3, schur[lam]).scale(Fraction(1, 3))
+        assert weyl_series(3, [MPoly(3)] * 3 + [coeff], 4)[3] == Fraction(tableaux, 3)
+
+
+def test_weyl_series_rejects_a_coefficient_that_is_no_polynomial():
+    with pytest.raises(ValueError, match="MPoly"):
+        weyl_series(2, [MPoly(2, {(0, 0): 1}), 5], 2)
+    with pytest.raises(ValueError, match="torus coefficient arity mismatch"):
+        weyl_series(2, [MPoly(1, {(0,): 1})], 1)
+
+
 def test_weyl_series_finite_module():
     one = [MPoly.constant(1, 1), MPoly(1), MPoly(1)]
     assert weyl_series(1, one, 3) == [Fraction(1), Fraction(0), Fraction(0)]
@@ -310,6 +382,14 @@ def test_reconstruct_insufficient_data():
         rational_reconstruct([1, 1, 1], 1)
 
 
+def test_reconstruct_takes_a_whole_number_degree_only():
+    for n in (4, 6):
+        with pytest.raises(ValueError, match="integer"):
+            rational_reconstruct([1] * n, 1.5)
+    rec = rational_reconstruct([1] * 4, 1.0)
+    assert rec.num == [1] and rec.den == [1, -1]
+
+
 def test_reconstruct_none_when_tail_fits_no_recurrence():
     data = [0, 0, 0, 0, 0, 0, 1, 1]
     assert rational_reconstruct(data, 2) is None
@@ -354,6 +434,40 @@ def test_mpoly_arithmetic():
     # torus characters: every exponent other than one is printed
     assert str(MPoly(1, {(-1,): 1})) == "s^-1"
     assert str(MPoly(2, {(-2, 1): 3})) == "3*s^-2*w"
+
+
+def fraction_product(p, q):
+    """The product's terms by a plain Fraction double loop."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_mpoly_products_match_the_fraction_double_loop():
+    s, w = MPoly.variable(2, 0), MPoly.variable(2, 1)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # cross terms cancel to zero
+    p, q = s * half + w * third, s * half - w * third
+    assert (p * q).terms == fraction_product(p, q) == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+    assert p * MPoly(2) == MPoly(2)
+    rng = random.Random(77)
+    for _ in range(20):
+        p, q = (
+            MPoly(
+                2,
+                {
+                    (rng.randint(-2, 3), rng.randint(-2, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 6))
+                },
+            )
+            for _ in range(2)
+        )
+        product = p * q
+        assert product.terms == fraction_product(p, q)
+        assert all(type(c) is Fraction for c in product.terms.values())
 
 
 def test_mpoly_rejects_fractional_exponents():
