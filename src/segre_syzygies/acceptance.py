@@ -6,7 +6,7 @@ run_all executes them in order and is shared by the command-line `verify`
 subcommand and the test suite.  All comparisons are exact; the
 per-criterion time limits are part of the contract.  Checks raise
 AssertionError explicitly rather than through `assert`, so the gate still
-fails under `python -O`.
+fails under `python -O`, and format their messages only when they fail.
 """
 
 from __future__ import annotations
@@ -98,9 +98,14 @@ def _criterion(number: int, name: str, limit: float):
     return register
 
 
-def _check(condition, message: str) -> None:
+def _check(condition, message: str, *args) -> None:
+    """Raise AssertionError with message formatted by args if condition fails.
+
+    The message is formatted only on failure, so a check in a loop builds
+    no string while it passes.
+    """
     if not condition:
-        raise AssertionError(message)
+        raise AssertionError(message.format(*args))
 
 
 S2 = (2,)
@@ -148,7 +153,7 @@ def criterion_4():
         for d in range(0, 2 * p + 2):
             lhs = lascoux_leading(p, d)
             rhs = series.degree_slice(d, order=2)
-            _check(lhs == rhs, f"order-two slice mismatch at p={p}, d={d}")
+            _check(lhs == rhs, "order-two slice mismatch at p={}, d={}", p, d)
     lhs = lascoux_leading(4, 5)
     rhs = f4_degree5(TruncationPolicy(2, 5)).degree_slice(5, order=2)
     _check(lhs == rhs, "order-two slice mismatch at p=4, d=5")
@@ -166,7 +171,7 @@ def criterion_5():
     }
     _check(r.dimension == 9 and r.decomposition == expected, "(2,2,2) p=1 d=2")
     for d in (3, 4):
-        _check(koszul_homology((2, 2), 1, d).dimension == 0, f"(2,2) p=1 d={d}")
+        _check(koszul_homology((2, 2), 1, d).dimension == 0, "(2,2) p=1 d={}", d)
 
 
 def _support_grid():
@@ -183,7 +188,7 @@ def criterion_6():
             if p + 1 <= d <= 2 * p:
                 continue
             r = koszul_homology(dims, p, d)
-            _check(r.dimension == 0, f"non-zero outside support: {dims} p={p} d={d}")
+            _check(r.dimension == 0, "non-zero outside support: {} p={} d={}", dims, p, d)
 
 
 @_criterion(7, "series-oracle-agreement", 120.0)
@@ -197,8 +202,8 @@ def criterion_7():
             actual = koszul_homology(dims, p, d).dimension
             _check(
                 predicted == actual,
-                f"series predicts {predicted}, oracle finds {actual} "
-                f"at {dims} p={p} d={d}",
+                "series predicts {}, oracle finds {} at {} p={} d={}",
+                predicted, actual, dims, p, d,
             )
 
 
@@ -219,7 +224,7 @@ def criterion_9():
         for lam in partitions_of(p):
             closed = tensor_schur_series_closed(lam, policy)
             recur = tensor_schur_series_recurrence(lam, policy)
-            _check(closed == recur, f"two-sided mismatch at {lam}")
+            _check(closed == recur, "two-sided mismatch at {}", lam)
 
 
 @_criterion(10, "character-infrastructure", 30.0)
@@ -235,14 +240,16 @@ def criterion_10():
                     for perm in itertools.permutations((lam, mu, nu)):
                         _check(
                             kronecker_coefficient(*perm) == base,
-                            f"Kronecker symmetry broken at {lam}, {mu}, {nu}",
+                            "Kronecker symmetry broken at {}, {}, {}",
+                            lam, mu, nu,
                         )
     for n in range(1, 8):
         identity = (1,) * n
         for lam in partitions_of(n):
             _check(
                 mn_character(lam, identity) == dimension_sn(lam),
-                f"character at the identity disagrees with hook dimension at {lam}",
+                "character at the identity disagrees with hook dimension at {}",
+                lam,
             )
 
 
@@ -304,7 +311,8 @@ def criterion_11():
                 closed = multinomial_sum_rational({expo: 1}, e, d)
                 _check(
                     closed.coefficients(10) == direct[e][expo],
-                    f"re-expansion mismatch at d={d}, e={e}, monomial={expo}",
+                    "re-expansion mismatch at d={}, e={}, monomial={}",
+                    d, e, expo,
                 )
 
 
@@ -350,7 +358,7 @@ def criterion_13():
     for d in (1, 2, 3):
         coeffs = geometric_torus_coefficients(d, 5)
         values = weyl_series(d, coeffs, 5)
-        _check(values == [Fraction(1)] * 5, f"constant-term pairing wrong at d={d}")
+        _check(values == [Fraction(1)] * 5, "constant-term pairing wrong at d={}", d)
 
 
 def run_all() -> list[CriterionResult]:

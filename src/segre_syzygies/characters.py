@@ -1,8 +1,8 @@
 """Symmetric-group character theory.
 
 Conjugacy-class data, Murnaghan-Nakayama character values, full character
-tables (validated against orthonormality before use) and Kronecker
-coefficients.  Characters are normalized the standard way: the one-row
+tables (validated against orthonormality, over the integers, before use)
+and Kronecker coefficients.  Characters are normalized the standard way: the one-row
 partition is the trivial character and the one-column partition is sign.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import mul
 
 from .errors import CapacityError, ConsistencyError
 from .partitions import Partition, partitions_of
@@ -109,16 +110,19 @@ class CharacterTable:
         return self.values[self.index[lam]]
 
     def _validate(self) -> None:
-        # orthonormality: B diag(1/z) B^t must be the identity
-        zs = [class_data(mu).centralizer_order for mu in self.labels]
+        # orthonormality: B diag(1/z) B^t must be the identity; as
+        # z_mu * |C_mu| = p!, that is sum_k |C_k| B[i][k] B[j][k] = p! [i == j]
         n = len(self.labels)
-        for i in range(n):
+        if len(self.values) != n or any(len(row) != n for row in self.values):
+            raise ConsistencyError(
+                f"character table of S_{self.p} must have {n} rows of {n} values"
+            )
+        sizes = [class_data(mu).class_size for mu in self.labels]
+        order = factorial(self.p)
+        for i, row in enumerate(self.values):
+            weighted = list(map(mul, sizes, row))
             for j in range(i, n):
-                s = sum(
-                    Fraction(self.values[i][k] * self.values[j][k], zs[k])
-                    for k in range(n)
-                )
-                if s != (1 if i == j else 0):
+                if sum(map(mul, weighted, self.values[j])) != (order if i == j else 0):
                     raise ConsistencyError(
                         f"character table of S_{self.p} fails orthonormality at "
                         f"({self.labels[i]}, {self.labels[j]})"

@@ -2,14 +2,16 @@
 
 A SymFunc is a finite exact-rational combination of Schur basis symbols,
 one per partition.  The ring product is the point-wise tensor product of
-functors, computed by the Littlewood-Richardson rule; the power-sum basis
-(which multiplies by cycle-type concatenation) is available as a change of
-basis, not as a second storage format.
+functors, computed by the Littlewood-Richardson rule on integer numerators
+over one denominator per factor; the power-sum basis (which multiplies by
+cycle-type concatenation) is available as a change of basis, not as a
+second storage format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .characters import character_table, class_data
 from .linalg import Combination, collect
@@ -62,14 +64,24 @@ class SymFunc(Combination):
 
 
 def boxtimes(x: SymFunc, y: SymFunc) -> SymFunc:
-    """Point-wise tensor product, extended bilinearly from the Schur basis."""
-    result: dict[Partition, Fraction] = {}
+    """Point-wise tensor product, extended bilinearly from the Schur basis.
+
+    Summed over the integers: each side's coefficients are put over that
+    side's lcm denominator, and each non-zero output is one Fraction over
+    the product of the two.
+    """
+    dx = lcm(*(a.denominator for a in x.terms.values()))
+    dy = lcm(*(b.denominator for b in y.terms.values()))
+    ys = [(mu, b.numerator * (dy // b.denominator)) for mu, b in y.terms.items()]
+    result: dict[Partition, int] = {}
     for lam, a in x.terms.items():
-        for mu, b in y.terms.items():
+        a = a.numerator * (dx // a.denominator)
+        for mu, b in ys:
             ab = a * b
             for nu, n in schur_product(lam, mu).items():
-                result[nu] = result.get(nu, Fraction(0)) + ab * n
-    return SymFunc(result)
+                result[nu] = result.get(nu, 0) + ab * n
+    den = dx * dy
+    return x._like({nu: Fraction(v, den) for nu, v in result.items() if v})
 
 
 def power_sum(lam: Partition) -> SymFunc:
@@ -121,8 +133,9 @@ def sym_to_json(x: SymFunc) -> dict[str, str]:
 
 
 def sym_from_json(data: dict[str, str]) -> SymFunc:
-    terms: dict[Partition, Fraction] = {}
-    for key, value in data.items():
-        lam = () if key == "" else check_partition(int(s) for s in key.split(","))
-        terms[lam] = Fraction(value)
-    return SymFunc(terms)
+    """Inverse of `sym_to_json`; keys naming the same partition are summed."""
+    items = (
+        (() if key == "" else check_partition(int(s) for s in key.split(",")), value)
+        for key, value in data.items()
+    )
+    return SymFunc(collect(items, tuple))

@@ -4,14 +4,18 @@ A monomial is a multiset of partitions; its order is the multiset size, and
 it is degree-homogeneous of degree d when every partition in it has size d.
 All closed-form syzygy series live here: the Euler-characteristic slices,
 the small-p syzygy series of the Segre embedding, the Lascoux order-two
-slice and the two sides of the tensor-Schur identity.
+slice and the two sides of the tensor-Schur identity.  The kernels that
+build them (`exp_combination`, the Kronecker recurrence and
+`dimension_on_factors`) sum over the integers and make one Fraction per
+returned value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -172,62 +176,55 @@ def exp_combination(
     The coefficient of the monomial prod X_mu^m_mu in c * exp(sum x_mu X_mu)
     is c * prod x_mu^m_mu / m_mu!, so each admitted monomial is written
     directly, and the sum is taken over the integers.  With D the lcm of the
-    denominators of an element's kept support, x_mu = a_mu / D for integers
-    a_mu.  Order n gets one common denominator L_n, the lcm of den(c) * D^n
-    over all terms, and a term adds the integer
-    num(c) * (L_n / (den(c) * D^n)) * prod a_mu^m_mu to its monomial.
+    denominators of every kept x_mu and C the lcm of those of the
+    coefficients, x_mu = a_mu / D and c = b / C for integers a_mu and b, and
+    a term adds b * prod a_mu^m_mu to its monomial over C * D^n * prod m_mu!.
 
     One depth-first walk over the multisets of the union of the kept
     supports serves every term: each partition has a column of the terms'
     a_mu (0 where a term lacks it), a node carries the vector of the terms'
-    prod a_mu^m_mu, and a subtree whose vector is all zero is skipped.  The
-    walk also carries prod m_mu!, so each non-zero node becomes one
-    Fraction over L_n * prod m_mu!.
+    b * prod a_mu^m_mu, and a subtree whose vector is all zero is skipped.
+    The walk also carries C * D^n * prod m_mu!, so each non-zero node
+    becomes one Fraction of its vector's sum over that.
     """
     for name, value in zip(policy._fields, policy):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    coeffs, dens, kept = [], [], []
+    coeffs, kept = [], []
     for coeff, x in terms:
         if () in x.terms:
             raise ValueError("exponential arguments must have no constant term")
         coeff = Fraction(coeff)
         if not coeff:
             continue
-        support = {lam: v for lam, v in x.terms.items() if sum(lam) <= policy.max_part_size}
         coeffs.append(coeff)
-        dens.append(lcm(*(v.denominator for v in support.values())))
-        kept.append(support)
+        kept.append({lam: v for lam, v in x.terms.items() if sum(lam) <= policy.max_part_size})
     union = sorted(set().union(*kept), key=_part_key)
+    den = lcm(*(v.denominator for support in kept for v in support.values()))
+    common = lcm(*(c.denominator for c in coeffs))
     columns = [
         [
             support[lam].numerator * (den // support[lam].denominator) if lam in support else 0
-            for support, den in zip(kept, dens)
+            for support in kept
         ]
         for lam in union
     ]
-    orders = range(policy.max_order + 1)
-    commons = [lcm(*(c.denominator * den**n for c, den in zip(coeffs, dens))) for n in orders]
-    scales = [
-        [c.numerator * (commons[n] // (c.denominator * den**n)) for c, den in zip(coeffs, dens)]
-        for n in orders
-    ]
+    root = [c.numerator * (common // c.denominator) for c in coeffs]
     result: dict[Monomial, Fraction] = {}
-    # (monomial, index of its last part, the terms' prod a_mu^m_mu,
-    #  multiplicity of the last part, prod m_mu!)
-    stack = [((), 0, [1] * len(coeffs), 0, 1)]
+    # (monomial, index of its last part, the terms' b * prod a_mu^m_mu,
+    #  multiplicity of the last part, C * D^n * prod m_mu!)
+    stack = [((), 0, root, 0, common)]
     while stack:
-        mono, last, values, run, fact = stack.pop()
-        n = len(mono)
-        value = sum(map(mul, scales[n], values))
+        mono, last, values, run, scale = stack.pop()
+        value = sum(values)
         if value:
-            result[mono] = Fraction(value, commons[n] * fact)
-        if n < policy.max_order:
+            result[mono] = Fraction(value, scale)
+        if len(mono) < policy.max_order:
             for j in range(last, len(union)):
                 child = list(map(mul, values, columns[j]))
                 if any(child):
                     m = run + 1 if j == last else 1
-                    stack.append((mono + (union[j],), j, child, m, fact * m))
+                    stack.append((mono + (union[j],), j, child, m, scale * den * m))
     return PartitionSeries._trusted(policy, result)
 
 
@@ -294,22 +291,36 @@ def tensor_schur_series_recurrence(
 
     The order-n vector x_n is 1/n times the Kronecker-matrix product of
     x_(n-1) with the degree-p variables; x_0 is supported at the one-row
-    partition.  The recurrence runs over the integers on y_n = n! * x_n:
-    y_n[target] = sum of c * y_(n-1)[nu] * X_mu over the Kronecker
-    coefficients c of (target, mu, nu), and the coefficient of an order-n
-    monomial is y_n[lam] over n!.  Kronecker coefficients are non-negative,
-    so no entry cancels.  Each vector entry is a term dict; every part has
-    size p, so appending mu to a monomial and sorting keeps it canonical.
+    partition.  The coefficient of an order-n monomial is y_n[lam] over n!,
+    with y_n = n! * x_n the integer vectors of `_kronecker_orders`, which
+    every partition of p shares.
     """
     lam = check_partition(lam)
     p = sum(lam)
     if p < 1:
         raise ValueError("lam must be a non-zero partition")
+    result = {(): Fraction(1)} if lam == (p,) else {}
+    for n, y in enumerate(_kronecker_orders(p, policy), 1):
+        result.update((mono, Fraction(v, factorial(n))) for mono, v in y[lam].items())
+    return PartitionSeries._trusted(policy, result)
+
+
+@cache
+def _kronecker_orders(p: int, policy: TruncationPolicy) -> tuple[dict, ...]:
+    """The integer vectors y_1, ..., y_N of the tensor-Schur recurrence at size p.
+
+    y_n[target] = sum of c * y_(n-1)[nu] * X_mu over the Kronecker
+    coefficients c of (target, mu, nu), with y_0 the one-row partition.
+    Kronecker coefficients are non-negative, so no entry cancels.  Each
+    vector entry is a term dict of ints; every part has size p, so
+    appending mu to a monomial and sorting keeps it canonical.  Memoized
+    and shared by every partition of p: callers only read it.
+    """
     labels = partitions_of(p)
     variables = labels if p <= policy.max_part_size else []
     current = {target: {(): 1} if target == (p,) else {} for target in labels}
-    result = {(): Fraction(1)} if lam == (p,) else {}
-    for n in range(1, policy.max_order + 1):
+    orders = []
+    for _ in range(policy.max_order):
         step = {}
         for target in labels:
             acc = step[target] = {}
@@ -320,9 +331,9 @@ def tensor_schur_series_recurrence(
                         for mono, v in current[nu].items():
                             key = tuple(sorted(mono + (mu,)))
                             acc[key] = acc.get(key, 0) + c * v
+        orders.append(step)
         current = step
-        result.update((mono, Fraction(v, factorial(n))) for mono, v in current[lam].items())
-    return PartitionSeries._trusted(policy, result)
+    return tuple(orders)
 
 
 def lascoux_leading(p: int, d: int) -> PartitionSeries:
@@ -407,21 +418,31 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
 
     Sums, over monomials with the order and degree, the coefficient times the
     average over all assignments of the monomial's partitions to the factors.
+    Each partition's GL dimensions on the factors are computed once; the
+    assignment sums are integers, gathered per coefficient denominator, and
+    the total is one Fraction at the end.
     """
     n = len(dims)
-    total = Fraction(0)
+    on_factors: dict[Partition, list[int]] = {}
+    numerators: dict[int, int] = {}
     for mono, coeff in series_star.terms.items():
         if len(mono) != n or monomial_degree(mono) != degree:
             continue
-        perm_sum = 0
-        for sigma in permutations(range(n)):
-            prod = 1
-            for j in range(n):
-                prod *= gl_dimension(mono[sigma[j]], dims[j])
-                if not prod:
-                    break
-            perm_sum += prod
-        total += coeff * Fraction(perm_sum, factorial(n))
+        rows = []
+        for part in mono:
+            if part not in on_factors:
+                on_factors[part] = [gl_dimension(part, m) for m in dims]
+            rows.append(on_factors[part])
+        perm_sum = sum(
+            prod(rows[i][j] for j, i in enumerate(sigma)) for sigma in permutations(range(n))
+        )
+        if perm_sum:
+            den = coeff.denominator
+            numerators[den] = numerators.get(den, 0) + coeff.numerator * perm_sum
+    common = lcm(*numerators)
+    total = Fraction(
+        sum(v * (common // den) for den, v in numerators.items()), common * factorial(n)
+    )
     if total.denominator != 1 or total < 0:
         raise ConsistencyError(f"series does not evaluate to a dimension: {total}")
     return int(total)

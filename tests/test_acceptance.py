@@ -79,13 +79,34 @@ acceptance.multinomial_sum_rational = numerator_off_by_one
 print(acceptance.criterion_11().line())
 """
 
+# One ordering of one triple is off by one, so only the symmetry loop sees it.
+SABOTAGED_CRITERION_10 = """
+from segre_syzygies import acceptance
+
+real = acceptance.kronecker_coefficient
+
+
+def asymmetric(lam, mu, nu):
+    bump = (lam, mu, nu) == ((2, 1), (3,), (2, 1))
+    return real(lam, mu, nu) + bump
+
+
+acceptance.kronecker_coefficient = asymmetric
+print(acceptance.criterion_10().line())
+"""
+
 
 @pytest.mark.parametrize(
-    "number, sabotage",
-    [(5, SABOTAGED_CRITERION_5), (11, SABOTAGED_CRITERION_11), (12, SABOTAGED_CRITERION_12)],
-    ids=["criterion_5", "criterion_11", "criterion_12"],
+    "number, sabotage, named",
+    [
+        (5, SABOTAGED_CRITERION_5, "(2,2)"),
+        (10, SABOTAGED_CRITERION_10, "at (3,), (2, 1), (2, 1)"),
+        (11, SABOTAGED_CRITERION_11, "d=3"),
+        (12, SABOTAGED_CRITERION_12, "re-expansion disagrees"),
+    ],
+    ids=["criterion_5", "criterion_10", "criterion_11", "criterion_12"],
 )
-def test_gate_fails_under_optimize_flag(number, sabotage):
+def test_gate_fails_under_optimize_flag(number, sabotage, named):
     # python -O strips assert statements; the gate must still catch a
     # library call that returns a wrong answer
     src = Path(segre_syzygies.__file__).resolve().parents[1]
@@ -97,3 +118,4 @@ def test_gate_fails_under_optimize_flag(number, sabotage):
         cwd=src,
     )
     assert out.stdout.startswith(f"FAIL {number:02d}"), out.stdout
+    assert named in out.stdout, out.stdout

@@ -85,8 +85,10 @@ def test_character_table_small():
     assert [t3.entry((2, 1), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
 
 
-def test_character_table_orthonormality_up_to_6():
-    for p in range(1, 7):
+def test_character_table_orthonormality_up_to_8():
+    # in Fractions over the centralizer orders, apart from the integer check
+    # the constructor makes
+    for p in range(1, 9):
         table = character_table(p)
         zs = [class_data(mu).centralizer_order for mu in table.labels]
         n = len(table.labels)
@@ -109,6 +111,27 @@ def test_character_table_bounds():
 def test_character_table_validation_catches_bad_table():
     with pytest.raises(ConsistencyError):
         CharacterTable(2, ((2,), (1, 1)), ((1, 1), (1, 1)))
+
+
+def test_character_table_validation_checks_the_diagonal_and_off_it():
+    table = character_table(4)
+    rows = list(table.values)
+    doubled = rows[:2] + [tuple(2 * v for v in rows[2])] + rows[3:]
+    with pytest.raises(ConsistencyError, match=r"at \(\(2, 2\), \(2, 2\)\)"):
+        CharacterTable(4, table.labels, tuple(doubled))
+    repeated = rows[:3] + [rows[1]] + rows[4:]
+    with pytest.raises(ConsistencyError, match=r"at \(\(3, 1\), \(2, 1, 1\)\)"):
+        CharacterTable(4, table.labels, tuple(repeated))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [((1, 1, 5), (1, -1, 7)), ((1, 1), (1, -1), (9, 9)), ((1, 1), (1,))],
+    ids=["extra-columns", "extra-row", "short-row"],
+)
+def test_character_table_validation_rejects_a_table_of_the_wrong_shape(values):
+    with pytest.raises(ConsistencyError, match="2 rows of 2 values"):
+        CharacterTable(2, ((2,), (1, 1)), values)
 
 
 def test_character_table_csv():

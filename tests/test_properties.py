@@ -31,7 +31,7 @@ from segre_syzygies.koszul import (
     _wedge_levels,
 )
 from segre_syzygies.linalg import rank
-from segre_syzygies.partitions import gl_dimension, kostka, partitions_of
+from segre_syzygies.partitions import gl_dimension, kostka, partitions_of, schur_product
 from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
@@ -43,7 +43,7 @@ from segre_syzygies.rationality import (
     rational_reconstruct,
     torus_constant_term,
 )
-from segre_syzygies.schur_ring import SymFunc
+from segre_syzygies.schur_ring import SymFunc, boxtimes
 from segre_syzygies.series import (
     PartitionSeries,
     TruncationPolicy,
@@ -324,6 +324,10 @@ def assert_trusted(a):
     ],
     TruncationPolicy(3, 2),
 )
+@example(  # only the constant term is kept
+    [(Fraction(-3, 2), SymFunc({(1,): Fraction(1, 3), (2,): Fraction(-2)}))],
+    TruncationPolicy(0, 2),
+)
 def test_exp_combination_matches_fraction_reference(terms, policy):
     result = exp_combination(terms, policy)
     assert result.terms == reference_exp_combination(terms, policy).terms
@@ -376,6 +380,23 @@ def test_series_arithmetic_returns_canonical_nonzero_terms(policy, a, b, q, x, y
     for result in results:
         assert_checked(result, lambda terms: MPoly(2, terms))
     assert not (f - f) and f + g - g == f
+
+
+@PROPERTY
+@given(sym_funcs, sym_funcs)
+@example(  # different denominators; the two (3, 1) terms cancel
+    SymFunc({(1,): Fraction(1, 3), (2,): Fraction(2, 5)}),
+    SymFunc({(2,): Fraction(1, 2), (1, 1): Fraction(-1, 2), (1,): Fraction(3, 4)}),
+)
+def test_boxtimes_matches_the_fraction_double_loop(x, y):
+    products = {}
+    for lam, a in x.terms.items():
+        for mu, b in y.terms.items():
+            for nu, n in schur_product(lam, mu).items():
+                products[nu] = products.get(nu, Fraction(0)) + a * b * n
+    result = boxtimes(x, y)
+    assert result == SymFunc(products)
+    assert_checked(result, SymFunc)
 
 
 def padded_partitions(size, n):

@@ -105,3 +105,8 @@ def test_json_round_trip():
     data = sym_to_json(x)
     assert data == {"": "1", "1": "1", "2,1": "-3/2"}
     assert sym_from_json(data) == x
+
+
+def test_json_sums_keys_naming_one_partition():
+    assert sym_from_json({"2": "1/2", "02": "1/3"}) == s(2).scale(Fraction(5, 6))
+    assert sym_from_json({"1": "1", "01": "-1", "2,1": "2"}) == s(2, 1).scale(2)

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from segre_syzygies.schur_ring import SymFunc, boxtimes
 from segre_syzygies.series import (
     PartitionSeries,
     TruncationPolicy,
+    _kronecker_orders,
     canonical_monomial,
     dimension_on_factors,
     euler_chi,
@@ -284,14 +285,35 @@ def test_tensor_schur_closed_equals_recurrence():
         for lam in partitions_of(p):
             assert tensor_schur_series_closed(lam, pol) == tensor_schur_series_recurrence(lam, pol)
     pol = TruncationPolicy(4, 4)
-    for lam in partitions_of(4):
-        assert tensor_schur_series_closed(lam, pol) == tensor_schur_series_recurrence(lam, pol)
+    for p in range(1, 5):
+        for lam in partitions_of(p):
+            assert tensor_schur_series_closed(lam, pol) == tensor_schur_series_recurrence(lam, pol)
     # parts of size p are cut by the policy: only the order-0 term is left
     pol = TruncationPolicy(3, 2)
     for lam in partitions_of(3):
         rec = tensor_schur_series_recurrence(lam, pol)
         assert tensor_schur_series_closed(lam, pol) == rec
         assert rec.terms == ({mono(): Fraction(1)} if lam == (3,) else {})
+
+
+def test_kronecker_recurrence_runs_once_per_size():
+    pol = TruncationPolicy(3, 4)
+    for p in range(1, 5):
+        before = _kronecker_orders.cache_info().misses
+        for lam in partitions_of(p):
+            tensor_schur_series_recurrence(lam, pol)
+        assert _kronecker_orders.cache_info().misses - before <= 1
+
+
+def test_tensor_schur_recurrence_is_not_changed_by_its_callers():
+    pol = TruncationPolicy(3, 3)
+    for lam in partitions_of(3):
+        first = tensor_schur_series_recurrence(lam, pol)
+        expected = dict(first.terms)
+        for mono_key in first.terms:
+            first.terms[mono_key] += 1
+        first.terms[mono(S, W)] = Fraction(7)
+        assert tensor_schur_series_recurrence(lam, pol).terms == expected
 
 
 def test_lascoux_examples():
@@ -327,6 +349,61 @@ def test_dimension_on_factors_rejects_non_integer():
     third = PartitionSeries(TruncationPolicy(1, 1), {((1,),): Fraction(1, 3)})
     with pytest.raises(ConsistencyError):
         dimension_on_factors(third, (1,), 1)
+    negative = PartitionSeries(TruncationPolicy(1, 1), {((1,),): Fraction(-1)})
+    with pytest.raises(ConsistencyError, match="-2"):
+        dimension_on_factors(negative, (2,), 1)
+
+
+def reference_dimension(star, dims, degree):
+    """Fraction sum of each coefficient times its average over the assignments."""
+    n = len(dims)
+    total = Fraction(0)
+    for m, c in star.terms.items():
+        if len(m) == n and monomial_degree(m) == degree:
+            for sigma in itertools.permutations(range(n)):
+                value = prod(gl_dimension(m[i], dim) for i, dim in zip(sigma, dims))
+                total += c * Fraction(value, factorial(n))
+    return total
+
+
+def all_dims():
+    for n in (1, 2, 3):
+        yield from itertools.product((1, 2, 3), repeat=n)
+
+
+def test_dimension_on_factors_matches_the_fraction_reference():
+    for p in (1, 2, 3):
+        star = order_normalize(f_segre(p, TruncationPolicy(3, p + 1)))
+        for dims in all_dims():
+            expected = reference_dimension(star, dims, p + 1)
+            assert expected.denominator == 1
+            assert dimension_on_factors(star, dims, p + 1) == expected
+
+
+def test_dimension_on_factors_of_fractional_coefficients():
+    pol = TruncationPolicy(3, 2)
+    star = series(
+        pol,
+        {
+            mono(S, S): Fraction(1, 2),
+            mono(W, W): Fraction(3, 2),
+            mono(S, W): Fraction(-7, 3),
+            mono(S, S, W): Fraction(1, 6),
+            mono(W, W, W): Fraction(-2, 5),
+            mono(S): Fraction(1, 4),
+        },
+    )
+    outcomes = set()
+    for dims in all_dims():
+        expected = reference_dimension(star, dims, 2)
+        if expected.denominator == 1 and expected >= 0:
+            assert dimension_on_factors(star, dims, 2) == expected
+            outcomes.add("dimension")
+        else:
+            with pytest.raises(ConsistencyError, match=str(expected)):
+                dimension_on_factors(star, dims, 2)
+            outcomes.add("negative" if expected < 0 else "fraction")
+    assert outcomes == {"dimension", "negative", "fraction"}
 
 
 def test_monomial_degree_mixed_is_none():
