@@ -12,7 +12,11 @@ entry +-1 per wedge label of each source element.
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
 ring monomial that makes up the difference, so no ring basis, fine or
-merged, and no whole exterior power is ever enumerated.  The homology is a
+merged, and no whole exterior power is ever enumerated.  In the fine complex
+that monomial is the weight the wedge leaves over, so the wedge alone names
+its element, and the differential finds each image by dropping a label.
+The walk carries the weight left over as one packed int, whose guard bits
+tell in one subtraction whether a label still fits.  The homology is a
 representation of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at
 dominant weights (each factor weakly decreasing).  Only the canonical ones,
 with equal-size factors in non-increasing order, are computed and copied to
@@ -30,7 +34,10 @@ merges are built.  The dimension of the old classes is read off integer
 ranks of one stacked set of rows, with no kernel basis.  The wedges that fit
 under a weight are grown once for every complex.  Each merged block pairs
 them with the merged monomials over what they leave: a product over the
-merged factors of their exponent vectors with the right margins.
+merged factors of their exponent vectors with the right margins.  One wedge
+pairs with several merged monomials, so merged elements are keyed by (ring
+exponents, wedge); the chain map sends each to the fine element its wedge
+names.
 """
 
 from __future__ import annotations
@@ -50,7 +57,10 @@ Dims = tuple[int, ...]
 Weight = tuple[tuple[int, ...], ...]
 FlatWeight = tuple[int, ...]  # the factors' rows of a weight, concatenated
 Wedge = tuple[int, ...]  # increasing labels of tensor basis elements
-Element = tuple[tuple[int, ...], Wedge]  # (flat ring exponents, wedge)
+# a basis element: in the fine complex its wedge alone, since its ring
+# monomial is the weight the wedge leaves over; in a merged complex (flat
+# ring exponents, wedge), since one wedge pairs with several monomials
+Element = Wedge | tuple[tuple[int, ...], Wedge]
 Block = dict[Element, int]  # basis element -> position
 
 
@@ -117,7 +127,8 @@ class _Complex:
     fine index tuples.  Label k is the degree-one coordinate whose exponents
     sit at `positions[k]` of a flat ring exponent vector (one per factor).
     In the fine complex a ring monomial is its own weight, and the weight a
-    wedge leaves over is the ring monomial of its block element.
+    wedge leaves over is the ring monomial of its block element, so a block
+    keys each element by its wedge alone.
     """
 
     def __init__(self, dims: Dims, capacity: int):
@@ -146,47 +157,70 @@ class _Complex:
         return out
 
     def level_block(self, i: int, level) -> Block:
-        """The block of ring degree i over a level: each entry is an element."""
-        return dict(zip(level, range(len(level))))
+        """The block of ring degree i over a level: each wedge names its
+        element, whose ring monomial is the weight the wedge leaves over."""
+        return {wedge: s for s, (_, wedge) in enumerate(level)}
 
     def images(self, source: Block, target: Block) -> list[dict[int, int]]:
         """The Koszul differential from a block to the block of the next piece
         at the same weight, transposed: one row per target element, in block
-        order, as {s: coefficient} for source position s.  Dropping distinct
-        labels of a wedge gives distinct elements, so each source element has
-        one entry +-1 per label.  `rank` leads each row at its latest source
-        element."""
+        order, as {s: coefficient} for source position s.  Dropping label t
+        of a wedge names its image, whose ring monomial takes up the label's
+        content, so each source element has one entry +-1 per label.  `rank`
+        leads each row at its latest source element."""
         rows = [{} for _ in range(len(target))]
-        for s, (r, wedge) in enumerate(source):
-            for t, k in enumerate(wedge):
-                bumped = list(r)
-                for q in self.positions[k]:
-                    bumped[q] += 1
-                row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
-                row[s] = -1 if t % 2 else 1
+        for t in range(len(next(iter(source), ()))):  # a block's wedges share a degree
+            sign = -1 if t % 2 else 1
+            for s, wedge in enumerate(source):
+                rows[target[wedge[:t] + wedge[t + 1 :]]][s] = sign
         return rows
 
 
-def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[FlatWeight, Wedge]]]:
+def _pack(weight: FlatWeight, width: int) -> int:
+    """A flat weight of entries below 2**(width - 1) as one int: entry q is
+    digit q, of width bits, with its top bit, the guard, set."""
+    top = 1 << (width - 1)
+    return sum((top | x) << (width * q) for q, x in enumerate(weight))
+
+
+def _unpack(packed: int, n: int) -> FlatWeight:
+    """The n entries of a packed weight whose guards are all set: the top
+    guard is its highest bit, so it fixes the digit width."""
+    width = packed.bit_length() // n
+    mask = (1 << (width - 1)) - 1
+    return tuple(packed >> (width * q) & mask for q in range(n))
+
+
+def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[int, Wedge]]]:
     """The wedges that fit under a fine weight, by degree 0..top, over the
     fine complex's label positions; the walk stops early at an empty level.
-    Level j holds the wedges of degree j that fit, as (weight left over,
-    wedge), in decreasing lexicographic order, which ranks faster.  Label k
-    goes before the wedges of level j - 1 that start above k: they lead it."""
-    levels = [[(weight, ())]]
+    Level j holds the wedges of degree j that fit, as (packed weight left
+    over, wedge), in decreasing lexicographic order, which ranks faster.
+    Label k goes before the wedges of level j - 1 that start above k: they
+    lead it.
+
+    The weight is packed by `_pack` in digits of max(weight).bit_length() + 1
+    bits, and a label's content as a 1 in the digit of each of its
+    coordinates, one per factor.  Subtracting a content borrows from no
+    neighbouring digit and clears a digit's guard exactly where its entry
+    was 0, so a label fits exactly when every guard survives.  Labels that do
+    not fit under the weight itself are dropped before the walk."""
+    n = len(weight)
+    width = max(weight).bit_length() + 1
+    guard = _pack((0,) * n, width)
+    packed = _pack(weight, width)
+    contents = ((k, sum(1 << (width * q) for q in qs)) for k, qs in enumerate(positions))
+    labels = [(k, c) for k, c in contents if (packed - c) & guard == guard]
+    levels = [[(packed, ())]]
     while len(levels) <= top and levels[-1]:
         j = len(levels) - 1
         grown = []
-        for k in range(len(positions) - j - 1, -1, -1):
-            qs = positions[k]
+        for k, content in reversed(labels[: max(len(labels) - j, 0)]):
             for left, rest in levels[-1]:
                 if rest and rest[0] <= k:
                     break
-                if all(left[q] for q in qs):
-                    bumped = list(left)
-                    for q in qs:
-                        bumped[q] -= 1
-                    grown.append((tuple(bumped), (k, *rest)))
+                if (fit := left - content) & guard == guard:
+                    grown.append((fit, (k, *rest)))
         levels.append(grown)
     return levels
 
@@ -314,6 +348,11 @@ class _MergedMap(_Complex):
     at the merged ring coordinates of its fine index tuple, one per block of
     the grouping.  The chain map keeps the wedge and sends each merged
     factor's exponent vector to its margins, the rows of its fine factors.
+    A wedge pairs with several merged monomials, so blocks key each element
+    by (merged ring exponents, wedge), and `images` names each target by the
+    ring monomial bumped at the dropped label's merged coordinates.  An
+    element's image under the chain map is the fine element named by its
+    wedge.
     """
 
     def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
@@ -345,23 +384,38 @@ class _MergedMap(_Complex):
 
     def level_block(self, i: int, level) -> Block:
         # the merged monomials over a fine weight: a product over the merged
-        # factors of their vectors of degree i with its rows, in table order
+        # factors of their vectors of degree i with its rows, in table order;
+        # each distinct packed weight left over is unpacked once
         if level and i not in self._tables:
             self._tables[i] = [({}, rows) for rows in self.rows]
             starts = itertools.accumulate(self.dims, initial=0)
             for (table, rows), n, start in zip(self._tables[i], self.dims, starts):
                 for c in compositions(i, n):
                     table.setdefault(rows(self.map_ring((0,) * start + c)), []).append(c)
-        over: dict[FlatWeight, list[tuple[int, ...]]] = {}
+        over: dict[int, list[tuple[int, ...]]] = {}
         block: Block = {}
         for left, wedge in level:
             ring = over.get(left)
             if ring is None:
-                parts = itertools.product(*(t.get(rows(left), ()) for t, rows in self._tables[i]))
+                flat = _unpack(left, self.width)
+                parts = itertools.product(*(t.get(rows(flat), ()) for t, rows in self._tables[i]))
                 ring = over[left] = [tuple(itertools.chain(*c)) for c in parts]
             for r in ring:
                 block[(r, wedge)] = len(block)
         return block
+
+    def images(self, source: Block, target: Block) -> list[dict[int, int]]:
+        # as the fine complex's, with each target named by the ring monomial
+        # bumped at the dropped label's merged coordinates and the wedge left
+        rows = [{} for _ in range(len(target))]
+        for s, (r, wedge) in enumerate(source):
+            for t, k in enumerate(wedge):
+                bumped = list(r)
+                for q in self.positions[k]:
+                    bumped[q] += 1
+                row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
+                row[s] = -1 if t % 2 else 1
+        return rows
 
     def map_ring(self, r: tuple[int, ...]) -> FlatWeight:
         fine = [0] * self.width
@@ -424,8 +478,8 @@ def _block_new_dimension(
     for mm in merges:
         source, target = mm.blocks(pieces[1:], weight, levels)
         diff = mm.images(source, target)
-        for c, (r, wedge) in enumerate(source, offset):
-            stack[mid[mm.map_ring(r), wedge]][c] = 1
+        for c, (_, wedge) in enumerate(source, offset):
+            stack[mid[wedge]][c] = 1
         stack.extend({s + offset: x for s, x in row.items()} for row in diff)
         offset += len(source)
         diff_ranks += rank(diff)

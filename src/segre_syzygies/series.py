@@ -81,6 +81,8 @@ class PartitionSeries(Combination):
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
         def admitted(mono):
+            if not all(mono):
+                raise ValueError(f"the zero partition is not a series variable: {mono}")
             return canonical_monomial(mono) if policy.admits(mono) else None
 
         self.terms = collect(terms.items(), admitted) if terms else {}

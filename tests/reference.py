@@ -1,11 +1,15 @@
-"""Field elimination over Fractions, the tests' independent reference.
+"""The tests' independent references: field elimination over Fractions,
+and the wedges that fit under a weight, by filtering all of them.
 
 The library eliminates without fractions in `segre_syzygies.linalg`:
 sparse integer vectors for `rank`, Bareiss rows for `echelon`.  These
 routines divide by every pivot of a dense matrix instead, so a check built
-on them does not share that code path.
+on them does not share that code path.  The library grows the wedges that
+fit under a weight level by level, on a packed weight; here every subset of
+labels is tried on the weight's tuple of entries.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -52,3 +56,24 @@ def columns(matrix, ncols):
     """The columns of a dense matrix with ncols columns, as the sparse
     vectors `rank` takes, keeping zero entries so that it must drop them."""
     return [{i: row[c] for i, row in enumerate(matrix)} for c in range(ncols)]
+
+
+def leftover(positions, weight, wedge):
+    """The weight a wedge leaves over: one off each entry that a label of the
+    wedge covers, at the fine label positions."""
+    left = list(weight)
+    for k in wedge:
+        for q in positions[k]:
+            left[q] -= 1
+    return tuple(left)
+
+
+def filtered_wedges(positions, j, weight):
+    """Every j-subset of labels whose fine weight fits under weight, with the
+    weight left over, by filtering all of them, in decreasing order."""
+    out = []
+    for wedge in itertools.combinations(range(len(positions)), j):
+        left = leftover(positions, weight, wedge)
+        if min(left) >= 0:
+            out.append((wedge, left))
+    return out[::-1]

@@ -14,6 +14,7 @@ from segre_syzygies.koszul import (
     _merged_maps,
     _MergedMap,
     _slice,
+    _unpack,
     _wedge_levels,
     graded_ring_dimension,
     koszul_homology,
@@ -23,7 +24,7 @@ from segre_syzygies.koszul import (
 from segre_syzygies.linalg import rank
 from segre_syzygies.partitions import compositions, gl_dimension
 
-from reference import columns, gauss_jordan, kernel_basis
+from reference import columns, filtered_wedges, gauss_jordan, kernel_basis, leftover
 
 
 def all_weights(dims, total):
@@ -73,12 +74,15 @@ def dense(cx, source, target):
     return m
 
 
-def map_matrix(mm, merged_block, fine_block):
+def map_matrix(fine, mm, weight, merged_block, fine_block):
     """The merged-to-fine chain map between two blocks at one fine weight:
-    the ring map on the ring part, the wedge kept, with coefficient 1."""
+    the ring map on the ring part, the wedge kept, with coefficient 1.  A
+    fine element is named by its wedge, so the ring map must give the weight
+    that the wedge leaves over."""
     m = [[0] * len(merged_block) for _ in range(len(fine_block))]
     for (r, wedge), col in merged_block.items():
-        m[fine_block[mm.map_ring(r), wedge]][col] += 1
+        assert mm.map_ring(r) == leftover(fine.positions, weight, wedge), (weight, r, wedge)
+        m[fine_block[wedge]][col] += 1
     return m
 
 
@@ -106,7 +110,7 @@ def reference_new_dimension(fine, pieces, groupings, weight):
     old = [[Fraction(x) for x in col] for col in zip(*dense(fine, left, mid))]
     for mm in groupings:
         source, target = mm.blocks(pieces[1:], weight, levels)
-        images = map_matrix(mm, source, mid)
+        images = map_matrix(fine, mm, weight, source, mid)
         for vec in kernel_basis(dense(mm, source, target), len(source)):
             old.append([sum(a * b for a, b in zip(row, vec)) for row in images])
     return len(cycles) - len(gauss_jordan(old, len(mid)))
@@ -119,27 +123,14 @@ def test_graded_ring_dimension():
     assert graded_ring_dimension((2, 3), 2) == 3 * 6
 
 
-def filtered_wedges(fine, j, weight):
-    """Every j-subset of labels whose fine weight fits under weight, with the
-    weight left over, by filtering all of them, in decreasing order."""
-    out = []
-    for wedge in itertools.combinations(range(len(fine.positions)), j):
-        left = list(weight)
-        for k in wedge:
-            for q in fine.positions[k]:
-                left[q] -= 1
-        if min(left) >= 0:
-            out.append((wedge, tuple(left)))
-    return out[::-1]
-
-
-def grown_levels(fine, top, weight):
+def grown_levels(positions, top, weight):
     """The levels 0..top of wedges that the walk grows at a weight, as
-    (wedge, weight left over); the levels after an empty one are empty."""
-    levels = _wedge_levels(fine.positions, weight, top)
+    (wedge, unpacked weight left over); the levels after an empty one are
+    empty."""
+    levels = _wedge_levels(positions, weight, top)
     assert len(levels) == top + 1 or not levels[-1]
     levels += [[]] * (top + 1 - len(levels))
-    return [[(wedge, left) for left, wedge in level] for level in levels]
+    return [[(wedge, _unpack(left, len(weight))) for left, wedge in level] for level in levels]
 
 
 def test_wedges_match_filtered_combinations():
@@ -151,16 +142,17 @@ def test_wedges_match_filtered_combinations():
         weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
         complexes = [fine, *_merged_maps(fine)]
         for w in weights:
-            levels = grown_levels(fine, 4, w)
+            levels = grown_levels(fine.positions, 4, w)
             for j in range(5):
-                assert levels[j] == filtered_wedges(fine, j, w), (dims, w, j)
+                assert levels[j] == filtered_wedges(fine.positions, j, w), (dims, w, j)
             walked = _wedge_levels(fine.positions, w, 4)
             for cx in complexes:
                 assert cx.blocks([(0, -1)], w, walked) == [{}]
 
 
 def test_differential_squares_to_zero():
-    # every basis element of piece (i, j), as the union of its weight blocks
+    # every basis element of piece (i, j), as the union of its weight blocks;
+    # a fine element is named by its weight and its block key, the wedge
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         cx = _Complex(dims, DEFAULT_CAPACITY)
         for i in range(0, 3):
@@ -169,7 +161,7 @@ def test_differential_squares_to_zero():
                 for w in all_weights(dims, i + j):
                     levels = _wedge_levels(cx.positions, w, j)
                     source, mid, target = cx.blocks([(i + k, j - k) for k in range(3)], w, levels)
-                    seen.update(source)
+                    seen.update((w, key) for key in source)
                     once = dense(cx, source, mid)
                     twice = matmul(dense(cx, mid, target), once, len(mid))
                     assert all(not any(row) for row in twice), (dims, i, j, w)
@@ -472,7 +464,8 @@ def test_first_cosocle_at_p4():
 
 
 def test_merged_chain_map_commutes_with_differentials():
-    # every merged basis element of piece (i, j), as the union of its blocks
+    # every merged basis element of piece (i, j), as the union of its blocks,
+    # each named by its weight and its block key
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
         for blocks in nondiscrete_groupings(len(dims)):
@@ -484,12 +477,14 @@ def test_merged_chain_map_commutes_with_differentials():
                     levels = _wedge_levels(fine.positions, w, j)
                     merged = mm.blocks(pieces, w, levels)
                     ends = fine.blocks(pieces, w, levels)
-                    seen.update(merged[0])
+                    seen.update((w, key) for key in merged[0])
                     mapped_then_diff = matmul(
-                        dense(fine, *ends), map_matrix(mm, merged[0], ends[0]), len(ends[0])
+                        dense(fine, *ends),
+                        map_matrix(fine, mm, w, merged[0], ends[0]),
+                        len(ends[0]),
                     )
                     diff_then_mapped = matmul(
-                        map_matrix(mm, merged[1], ends[1]),
+                        map_matrix(fine, mm, w, merged[1], ends[1]),
                         dense(mm, *merged),
                         len(merged[1]),
                     )
@@ -515,7 +510,7 @@ def test_merged_blocks_keep_the_product_order():
                         ]
                         expected = [
                             (r, wedge) for left, wedge in level for r in ring
-                            if mm.map_ring(r) == left
+                            if mm.map_ring(r) == _unpack(left, len(w))
                         ]
                         block = mm.level_block(total - j, level)
                         assert list(block.items()) == [(e, k) for k, e in enumerate(expected)], (
@@ -633,7 +628,13 @@ def test_oracle_matches_lascoux_order_two_slice():
     # the dims is one Schur tuple of the two-factor homology
     from segre_syzygies.series import lascoux_leading
 
-    for dims, p, d, dimension in [((4, 4), 4, 6, 100), ((3, 5), 4, 6, 50), ((3, 6), 5, 7, 630)]:
+    cases = [
+        ((4, 4), 4, 6, 100),
+        ((3, 5), 4, 6, 50),
+        ((3, 6), 5, 7, 630),
+        ((6, 6), 4, 6, 30625),  # weights up to 6, packed in 4-bit digits
+    ]
+    for dims, p, d, dimension in cases:
         expected = {}
         for mono, coeff in lascoux_leading(p, d).terms.items():
             for tup in itertools.permutations(mono):

@@ -7,7 +7,7 @@ behind them, the integer exponential kernel and tensor-Schur recurrence,
 the arithmetic of series, Schur-ring elements and polynomials that skips
 re-canonicalisation, fraction-free reconstruction over polynomial
 coefficients, the Schur peel of a dominant weight table, and the numbering
-of Koszul weight blocks.
+of Koszul weight blocks and the packed walk that grows their wedges.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -25,9 +25,11 @@ from segre_syzygies.acceptance import _direct_multinomial_sum
 from segre_syzygies.koszul import (
     DEFAULT_CAPACITY,
     _canonical_weights,
+    _Complex,
     _dimension_and_decomposition,
     _merged_maps,
     _slice,
+    _unpack,
     _wedge_levels,
 )
 from segre_syzygies.linalg import rank
@@ -52,7 +54,7 @@ from segre_syzygies.series import (
     tensor_schur_series_recurrence,
 )
 
-from reference import columns, gauss_jordan, kernel_basis
+from reference import columns, filtered_wedges, gauss_jordan, kernel_basis
 
 # Hypothesis caches the constants of local source files on disk even without
 # a database; keep that cache in a temporary directory, not the working tree.
@@ -444,3 +446,35 @@ def test_koszul_block_keys_are_in_position_order(dims, p, excess):
         for cx, cx_pieces in complexes:
             for block in cx.blocks(cx_pieces, flat, levels):
                 assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
+
+
+# dims with a flat weight whose entries lie on both sides of the digit
+# widths 1..6 that the largest entry can set
+WEIGHT_ENTRIES = [0, 1, 3, 4, 7, 8, 15, 16]
+DIMS_AND_WEIGHT = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims),
+        st.lists(st.sampled_from(WEIGHT_ENTRIES), min_size=sum(dims), max_size=sum(dims)),
+    )
+)
+
+
+@PROPERTY
+@given(DIMS_AND_WEIGHT, st.integers(0, 4))
+@example(([3], [16, 0, 7]), 3)
+@example(([3], [0, 0, 0]), 2)
+@example(([1], [15]), 2)
+@example(([2, 2], [1, 1, 1, 1]), 4)
+@example(([1, 2, 3], [8, 7, 8, 0, 4, 3]), 3)
+def test_packed_walk_matches_filtered_wedges(dims_and_weight, top):
+    # each level of the walk on a packed weight is every wedge that fits,
+    # in the brute-force order, with the weight it leaves over decoded
+    dims, weight = map(tuple, dims_and_weight)
+    positions = _Complex(dims, DEFAULT_CAPACITY).positions
+    levels = _wedge_levels(positions, weight, top)
+    assert 1 <= len(levels) <= top + 1
+    assert len(levels) == top + 1 or not levels[-1]
+    levels += [[]] * (top + 1 - len(levels))
+    for j, level in enumerate(levels):
+        walked = [(wedge, _unpack(left, len(weight))) for left, wedge in level]
+        assert walked == filtered_wedges(positions, j, weight), (dims, weight, j)

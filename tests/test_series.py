@@ -417,6 +417,17 @@ def test_variable_rejects_zero_partition():
         PartitionSeries.variable((), TruncationPolicy(2, 2))
 
 
+def test_checked_terms_reject_the_zero_partition():
+    # the order-0 monomial () is the constant term, but () is no monomial part
+    policy = TruncationPolicy(2, 2)
+    with pytest.raises(ValueError, match="zero partition"):
+        series_from_json([{"monomial": [[]], "coeff": "1"}], policy)
+    with pytest.raises(ValueError, match="zero partition"):
+        PartitionSeries(policy, {((), (1,)): 1})
+    assert PartitionSeries.one(policy).terms == {(): 1}
+    assert series_from_json([{"monomial": [], "coeff": "2"}], policy).terms == {(): 2}
+
+
 def test_series_json_round_trip():
     pol = TruncationPolicy(3, 3)
     a = f_segre(1, TruncationPolicy(3, 2))
