@@ -45,10 +45,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .errors import CapacityError, ConsistencyError
-from .linalg import rank
+from .linalg import rank, whole
 from .partitions import Partition, compositions, gl_dimension, kostka, partitions_of
 
 DEFAULT_CAPACITY = 200_000
@@ -70,13 +70,6 @@ def check_dims(dims) -> Dims:
     if not out or out != dims or any(x < 1 for x in out):
         raise ValueError(f"dims must be a non-empty tuple of positive integers: {dims}")
     return out
-
-
-def graded_ring_dimension(dims: Dims, i: int) -> int:
-    """Dimension of the degree-i piece of the Segre coordinate ring."""
-    if i < 0:
-        raise ValueError("i must be non-negative")
-    return prod(comb(d + i - 1, i) for d in dims)
 
 
 def decomposition_json(decomposition: dict[tuple[Partition, ...], int]) -> list[dict]:
@@ -226,12 +219,13 @@ def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[in
 
 
 def _slice(dims: Dims, p: int, d: int, capacity: int):
-    """The three pieces (ring degree, wedge degree) of the bidegree (p, d)
-    slice and the fine complex, after the argument check."""
+    """The bidegree (p, d) as ints, the three pieces (ring degree, wedge
+    degree) of its slice and the fine complex, after the argument check."""
+    p, d = whole(p, "p"), whole(d, "d")
     if p < 0 or d < 0:
         raise ValueError("p and d must be non-negative")
     pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
-    return pieces, _Complex(dims, capacity)
+    return p, d, pieces, _Complex(dims, capacity)
 
 
 def _padded_partitions(total: int, n: int) -> list[tuple[int, ...]]:
@@ -293,7 +287,7 @@ def koszul_homology(
 ) -> HomologyReport:
     """Middle homology of the three-term Koszul slice at bidegree (p, d)."""
     dims = check_dims(dims)
-    pieces, fine = _slice(dims, p, d, capacity)
+    p, d, pieces, fine = _slice(dims, p, d, capacity)
     weight_table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, [], w))
     dimension, decomposition = _dimension_and_decomposition(weight_table, dims)
     return HomologyReport(p, d, dims, dimension, weight_table, decomposition)
@@ -502,7 +496,7 @@ def new_syzygy_dimension(
     dims = check_dims(dims)
     if len(dims) < 2:
         raise ValueError("need at least two tensor factors")
-    pieces, fine = _slice(dims, p, d, capacity)
+    p, d, pieces, fine = _slice(dims, p, d, capacity)
     merges = _merged_maps(fine)
     table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w))
     return _dimension_and_decomposition(table, dims)

@@ -12,13 +12,15 @@ rational reconstruction on integers or on multivariate polynomials.
 `Combination` holds the arithmetic of the Schur-ring elements, the
 partition-indexed series and the polynomials alike: finite combinations
 of keys with non-zero Fraction coefficients.  Its results are canonical
-already and are wrapped unchecked; `collect` checks outside input.
+already and are wrapped unchecked; `collect` checks outside input.  Its one
+product runs on integer numerators: `integer_form` is the one way any
+kernel puts Fractions over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Number
 
 
@@ -127,6 +129,21 @@ def exact(c) -> Fraction:
     return Fraction(c)
 
 
+def whole(x, name: str) -> int:
+    """x as an int, if it is a whole number (a whole float, say); else ValueError."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
+def integer_form(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their lcm denominator; none give ([], 1)."""
+    ratios = [c.as_integer_ratio() for c in values]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
 def collect(items, key) -> dict:
     """Checked terms from (key, coefficient) pairs: each coefficient becomes a
     Fraction by `exact`, each key passes through `key` (None drops the term),
@@ -179,6 +196,26 @@ class Combination:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def _int_product(self, other, combine) -> tuple[dict, int]:
+        """The product with other as (integer sums, den), each side put over
+        its lcm denominator: a pair of terms adds its numerators' product at
+        the key combine(k1, k2), or nowhere when that is None.  den is the
+        product of the denominators; sums that cancel are kept, as 0."""
+        xs, dx = integer_form(self.terms.values())
+        ys, dy = integer_form(other.terms.values())
+        out: dict = {}
+        for k1, a in zip(self.terms, xs):
+            for k2, b in zip(other.terms, ys):
+                k = combine(k1, k2)
+                if k is not None:
+                    out[k] = out.get(k, 0) + a * b
+        return out, dx * dy
+
+    def _product(self, other, combine):
+        """The product as `_int_product` keys it, one Fraction per non-zero sum."""
+        out, den = self._int_product(other, combine)
+        return self._like({k: Fraction(c, den) for k, c in out.items() if c})
 
     def scale(self, c):
         c = exact(c)

@@ -37,12 +37,12 @@ every univariate quotient and remainder over Q, one exact division,
 alike, and one division-free recurrence expands every power series.
 
 Fractions appear only at the edges of the sums, the series expansion, the
-`MPoly` product and the Weyl pairing: each runs on integer numerators over
-one common denominator and makes one Fraction per value it returns.
+`MPoly` product and the Weyl pairing: each runs on the integers of
+`linalg.integer_form` and makes one Fraction per value it returns.
 A `RationalFunction` over Q keeps the integer form that its coefficient
 recurrence runs on, from `PoleFraction.to_rational` or from its first
-expansion; an `MPoly` product sums integers per exponent; and the Weyl
-pairing sums integers per degree, without forming the product polynomial.
+expansion.  An `MPoly` product is `Combination`'s integer product keyed by
+exponent sums, which the Weyl pairing sums per degree, forming no product.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from numbers import Number
 from operator import add, mul
 
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect, echelon, exact
+from .linalg import Combination, collect, echelon, exact, integer_form, whole
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,7 @@ class MPoly(Combination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out, den = _int_product(self, other)
-        return self._like({e: Fraction(c, den) for e, c in out.items() if c})
+        return self._product(other, _exponent_sum)
 
     __rmul__ = __mul__
 
@@ -200,31 +199,12 @@ class MPoly(Combination):
     __repr__ = __str__
 
 
-def _whole(x, name: str) -> int:
-    """x as an int: a whole number becomes its int, as shift entries do, and
-    any other value raises ValueError."""
-    n = int(x)
-    if n != x:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return n
-
-
 def _grlex(expo):
     return sum(expo), expo
 
 
-def _int_product(p: MPoly, q: MPoly) -> tuple[dict[tuple[int, ...], int], int]:
-    """p * q over Z: each side's coefficients as integer numerators over
-    their lcm denominator, multiplied and summed per exponent, over the
-    product of the two denominators.  Sums that cancel are kept, as 0."""
-    (p_nums, d1), (q_nums, d2) = _int_poly(p.terms.values()), _int_poly(q.terms.values())
-    q_terms = list(zip(q.terms, q_nums))
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in zip(p.terms, p_nums):
-        for e2, c2 in q_terms:
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out, d1 * d2
+def _exponent_sum(e1, e2) -> tuple[int, ...]:
+    return tuple(map(add, e1, e2))
 
 
 def _var_names(nvars: int) -> list[str]:
@@ -394,7 +374,7 @@ class RationalFunction:
         over_q = isinstance(self.den[0], Fraction)
         if self._ints is None:
             if over_q:
-                (big_n, big_d), (big_b, big_e) = _int_poly(self.num), _int_poly(self.den)
+                (big_n, big_d), (big_b, big_e) = integer_form(self.num), integer_form(self.den)
                 self._ints = (tuple(big_n), big_d, tuple(big_b), big_e)
             else:
                 self._ints = (tuple(self.num), 1, tuple(self.den), 1)
@@ -457,12 +437,6 @@ def _cancel_one_minus(p, a, m):
     return p, m
 
 
-def _int_poly(coeffs) -> tuple[list[int], int]:
-    """Rational coefficients as integer numerators over one positive denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 class PoleFraction:
     """num / (den * prod over a of (1 - a t)^m), with the poles held as {a: m}.
 
@@ -478,7 +452,7 @@ class PoleFraction:
     __slots__ = ("num", "den", "poles")
 
     def __init__(self, num, poles=None):
-        self.num, self.den = _int_poly(_trim(num))
+        self.num, self.den = integer_form(_trim(num))
         self.poles = {a: m for a, m in dict(poles or {}).items() if a}  # 1 - 0 t = 1
 
     @classmethod
@@ -614,7 +588,7 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     shift) pairs, and a variable of exponent 0 with shift -s < 0 is lifted
     to shift 0 as a factor t^s.
     """
-    d = _whole(d, "d")
+    d = whole(d, "d")
     if d < 0:
         raise ValueError("d must be non-negative")
     given = tuple(e)
@@ -776,7 +750,7 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
             raise ValueError(f"torus coefficient {n} is not an MPoly: {c_n!r}")
         if c_n.nvars != d:
             raise ValueError("torus coefficient arity mismatch")
-        paired, den = _int_product(c_n, disc)
+        paired, den = c_n._int_product(disc, _exponent_sum)
         total = sum(c * multinomial(e) for e, c in paired.items())
         out.append(Fraction(total, den * factorial(d)))
     return out
@@ -809,14 +783,14 @@ def rational_reconstruct(coeffs, max_den_degree: int):
     are first scaled to integers, which leaves the recurrence unchanged.
     """
     coeffs, one = _in_common_ring(coeffs)
-    m = _whole(max_den_degree, "max_den_degree")
+    m = whole(max_den_degree, "max_den_degree")
     if m < 0:
         raise ValueError("max_den_degree must be non-negative")
     length = len(coeffs)
     if length < 2 * m + 2:
         raise ValueError(f"need at least {2 * m + 2} coefficients, got {length}")
     if isinstance(one, Fraction):
-        ring, one = _int_poly(coeffs)[0], 1
+        ring, one = integer_form(coeffs)[0], 1
     else:
         ring = coeffs
     for mp in range(m + 1):

@@ -2,16 +2,15 @@
 
 A SymFunc is a finite exact-rational combination of Schur basis symbols,
 one per partition.  The ring product is the point-wise tensor product of
-functors, computed by the Littlewood-Richardson rule on integer numerators
-over one denominator per factor; the power-sum basis (which multiplies by
-cycle-type concatenation) is available as a change of basis, not as a
-second storage format.
+functors: `Combination`'s one integer product pairs the basis symbols,
+and the Littlewood-Richardson rule expands each pair.  The power-sum basis
+(which multiplies by cycle-type concatenation) is available as a change of
+basis, not as a second storage format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .characters import character_table, class_data
 from .linalg import Combination, collect
@@ -66,21 +65,15 @@ class SymFunc(Combination):
 def boxtimes(x: SymFunc, y: SymFunc) -> SymFunc:
     """Point-wise tensor product, extended bilinearly from the Schur basis.
 
-    Summed over the integers: each side's coefficients are put over that
-    side's lcm denominator, and each non-zero output is one Fraction over
-    the product of the two.
+    Summed over the integers: `Combination._int_product` gives each pair of
+    basis symbols its integer coefficient, the pair's Littlewood-Richardson
+    product expands it, and each non-zero output is one Fraction.
     """
-    dx = lcm(*(a.denominator for a in x.terms.values()))
-    dy = lcm(*(b.denominator for b in y.terms.values()))
-    ys = [(mu, b.numerator * (dy // b.denominator)) for mu, b in y.terms.items()]
+    pairs, den = x._int_product(y, lambda lam, mu: (lam, mu))
     result: dict[Partition, int] = {}
-    for lam, a in x.terms.items():
-        a = a.numerator * (dx // a.denominator)
-        for mu, b in ys:
-            ab = a * b
-            for nu, n in schur_product(lam, mu).items():
-                result[nu] = result.get(nu, 0) + ab * n
-    den = dx * dy
+    for (lam, mu), ab in pairs.items():
+        for nu, n in schur_product(lam, mu).items():
+            result[nu] = result.get(nu, 0) + ab * n
     return x._like({nu: Fraction(v, den) for nu, v in result.items() if v})
 
 

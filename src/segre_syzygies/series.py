@@ -6,8 +6,8 @@ All closed-form syzygy series live here: the Euler-characteristic slices,
 the small-p syzygy series of the Segre embedding, the Lascoux order-two
 slice and the two sides of the tensor-Schur identity.  The kernels that
 build them (`exp_combination`, the Kronecker recurrence and
-`dimension_on_factors`) sum over the integers and make one Fraction per
-returned value.
+`dimension_on_factors`) sum over the integers, from `linalg.integer_form`,
+and make one Fraction per returned value, as the series product does.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 from typing import NamedTuple
 
 from .characters import character_table, class_data, kronecker_coefficient
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect
+from .linalg import Combination, collect, integer_form, whole
 from .partitions import (
     Partition,
     check_partition,
@@ -66,6 +66,16 @@ class TruncationPolicy(NamedTuple):
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+
+def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
+    """policy with int fields; a field that is negative or not a whole number
+    raises ValueError, so a series never walks past a fractional order."""
+    fields = [whole(v, name) for name, v in zip(policy._fields, policy)]
+    for name, value in zip(policy._fields, fields):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return TruncationPolicy(*fields)
 
 
 class PartitionSeries(Combination):
@@ -126,14 +136,13 @@ class PartitionSeries(Combination):
     def __mul__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
         max_order = self.policy.max_order
-        result: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if len(m1) + len(m2) > max_order:
-                    continue
-                mono = tuple(sorted(m1 + m2, key=_part_key))
-                result[mono] = result.get(mono, 0) + c1 * c2
-        return self._like({m: c for m, c in result.items() if c})
+
+        def combine(m1: Monomial, m2: Monomial) -> Monomial | None:
+            if len(m1) + len(m2) <= max_order:
+                return tuple(sorted(m1 + m2, key=_part_key))
+            return None
+
+        return self._product(other, combine)
 
     def _check_policy(self, other: "PartitionSeries") -> None:
         if self.policy != other.policy:
@@ -170,9 +179,7 @@ def exp_series(x: SymFunc, policy: TruncationPolicy) -> PartitionSeries:
     return exp_combination([(1, x)], policy)
 
 
-def exp_combination(
-    terms, policy: TruncationPolicy
-) -> PartitionSeries:
+def exp_combination(terms, policy: TruncationPolicy) -> PartitionSeries:
     """Sum of scaled exponentials of ring elements without constant term.
 
     The coefficient of the monomial prod X_mu^m_mu in c * exp(sum x_mu X_mu)
@@ -189,9 +196,7 @@ def exp_combination(
     The walk also carries C * D^n * prod m_mu!, so each non-zero node
     becomes one Fraction of its vector's sum over that.
     """
-    for name, value in zip(policy._fields, policy):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+    policy = _checked_policy(policy)
     coeffs, kept = [], []
     for coeff, x in terms:
         if () in x.terms:
@@ -201,17 +206,12 @@ def exp_combination(
             continue
         coeffs.append(coeff)
         kept.append({lam: v for lam, v in x.terms.items() if sum(lam) <= policy.max_part_size})
+    root, common = integer_form(coeffs)
+    nums, den = integer_form([v for support in kept for v in support.values()])
+    nums = iter(nums)
+    kept = [{lam: next(nums) for lam in support} for support in kept]
     union = sorted(set().union(*kept), key=_part_key)
-    den = lcm(*(v.denominator for support in kept for v in support.values()))
-    common = lcm(*(c.denominator for c in coeffs))
-    columns = [
-        [
-            support[lam].numerator * (den // support[lam].denominator) if lam in support else 0
-            for support in kept
-        ]
-        for lam in union
-    ]
-    root = [c.numerator * (common // c.denominator) for c in coeffs]
+    columns = [[support.get(lam, 0) for support in kept] for lam in union]
     result: dict[Monomial, Fraction] = {}
     # (monomial, index of its last part, the terms' b * prod a_mu^m_mu,
     #  multiplicity of the last part, C * D^n * prod m_mu!)
@@ -236,10 +236,11 @@ def euler_chi(k: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSer
     Built as a signed combination of exponentials of products of a one-row
     Schur symbol with power-sum elements; the degree-0 slice is the constant 1.
     """
+    k = whole(k, "k")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
-        return PartitionSeries.one(policy)
+        return PartitionSeries.one(_checked_policy(policy))
     combo = []
     for p in range(k + 1):
         row = SymFunc.basis((k - p,)) if k - p else SymFunc.unit()
@@ -301,6 +302,7 @@ def tensor_schur_series_recurrence(
     p = sum(lam)
     if p < 1:
         raise ValueError("lam must be a non-zero partition")
+    policy = _checked_policy(policy)
     result = {(): Fraction(1)} if lam == (p,) else {}
     for n, y in enumerate(_kronecker_orders(p, policy), 1):
         result.update((mono, Fraction(v, factorial(n))) for mono, v in y[lam].items())
@@ -346,6 +348,7 @@ def lascoux_leading(p: int, d: int) -> PartitionSeries:
     an h-column, (h+1)-row rectangle, h = d - p; the slice vanishes unless
     1 <= h <= sqrt(p).
     """
+    p, d = whole(p, "p"), whole(d, "d")
     if p < 1:
         raise ValueError("p must be positive")
     if d < 0:
@@ -421,12 +424,12 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
     Sums, over monomials with the order and degree, the coefficient times the
     average over all assignments of the monomial's partitions to the factors.
     Each partition's GL dimensions on the factors are computed once; the
-    assignment sums are integers, gathered per coefficient denominator, and
-    the total is one Fraction at the end.
+    assignment sums are integers, and the total is one Fraction at the end,
+    over the coefficients' common denominator times n!.
     """
     n = len(dims)
     on_factors: dict[Partition, list[int]] = {}
-    numerators: dict[int, int] = {}
+    coeffs, sums = [], []
     for mono, coeff in series_star.terms.items():
         if len(mono) != n or monomial_degree(mono) != degree:
             continue
@@ -439,12 +442,10 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
             prod(rows[i][j] for j, i in enumerate(sigma)) for sigma in permutations(range(n))
         )
         if perm_sum:
-            den = coeff.denominator
-            numerators[den] = numerators.get(den, 0) + coeff.numerator * perm_sum
-    common = lcm(*numerators)
-    total = Fraction(
-        sum(v * (common // den) for den, v in numerators.items()), common * factorial(n)
-    )
+            coeffs.append(coeff)
+            sums.append(perm_sum)
+    ints, den = integer_form(coeffs)
+    total = Fraction(sum(map(mul, ints, sums)), den * factorial(n))
     if total.denominator != 1 or total < 0:
         raise ConsistencyError(f"series does not evaluate to a dimension: {total}")
     return int(total)

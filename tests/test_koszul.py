@@ -1,8 +1,9 @@
 import itertools
+import json
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -16,7 +17,6 @@ from segre_syzygies.koszul import (
     _slice,
     _unpack,
     _wedge_levels,
-    graded_ring_dimension,
     koszul_homology,
     new_syzygy_dimension,
     schur_extract,
@@ -116,13 +116,6 @@ def reference_new_dimension(fine, pieces, groupings, weight):
     return len(cycles) - len(gauss_jordan(old, len(mid)))
 
 
-def test_graded_ring_dimension():
-    assert graded_ring_dimension((2, 2), 1) == 4
-    assert graded_ring_dimension((2, 2), 2) == 9
-    assert graded_ring_dimension((3, 2, 2), 0) == 1
-    assert graded_ring_dimension((2, 3), 2) == 3 * 6
-
-
 def grown_levels(positions, top, weight):
     """The levels 0..top of wedges that the walk grows at a weight, as
     (wedge, unpacked weight left over); the levels after an empty one are
@@ -165,7 +158,8 @@ def test_differential_squares_to_zero():
                     once = dense(cx, source, mid)
                     twice = matmul(dense(cx, mid, target), once, len(mid))
                     assert all(not any(row) for row in twice), (dims, i, j, w)
-                assert len(seen) == graded_ring_dimension(dims, i) * comb(len(cx.positions), j)
+                ring = prod(comb(n + i - 1, i) for n in dims)
+                assert len(seen) == ring * comb(len(cx.positions), j)
 
 
 def test_ground_truth_p1():
@@ -246,7 +240,7 @@ def test_weight_table_matches_every_block():
     # computed directly
     for dims, p, d in symmetry_guard_cases():
         report = koszul_homology(dims, p, d)
-        pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
+        _, _, pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
         direct = {}
         for w in all_weights(dims, d):
             h = _block_new_dimension(fine, pieces, [], w)
@@ -259,7 +253,7 @@ def test_weight_table_matches_every_block():
 
 def test_new_syzygies_agree_at_non_dominant_weights():
     for dims in [(2, 3), (2, 2, 2)]:
-        pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
+        _, _, pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
         merges = _merged_maps(fine)
         direct = {}
         for w in all_weights(dims, 3):
@@ -289,7 +283,7 @@ def test_new_syzygies_match_kernel_reference():
     ]
     assert len(nondiscrete_groupings(4)) == 14  # Bell(4) - 1
     for dims, p, d in cases:
-        pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
+        _, _, pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
         merges = _merged_maps(fine)
         groupings = [_MergedMap(fine, u) for u in nondiscrete_groupings(len(dims))]
         for w in all_weights(dims, d):
@@ -489,7 +483,8 @@ def test_merged_chain_map_commutes_with_differentials():
                         len(merged[1]),
                     )
                     assert mapped_then_diff == diff_then_mapped, (dims, blocks, i, j, w)
-                assert len(seen) == graded_ring_dimension(mm.dims, i) * comb(len(mm.positions), j)
+                ring = prod(comb(n + i - 1, i) for n in mm.dims)
+                assert len(seen) == ring * comb(len(mm.positions), j)
 
 
 def test_merged_blocks_keep_the_product_order():
@@ -523,7 +518,7 @@ def test_merged_blocks_table_only_the_factors_pieces():
     # many as its tensor factors' pieces of 816, 20 and 20 multiply to
     tracemalloc.start()
     try:
-        pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
+        _, _, pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
         weight = (3, 3, 0, 0) * 4
         levels = _wedge_levels(fine.positions, weight, pieces[0][1])
         sizes = [
@@ -535,6 +530,21 @@ def test_merged_blocks_table_only_the_factors_pieces():
         tracemalloc.stop()
     assert sizes == [[1544, 912]] * 6
     assert peak < 64 * 2**20
+
+
+def test_bidegree_takes_whole_numbers_only():
+    # a float p or d once failed deep in the blocks, or reached the report
+    report = koszul_homology((2, 2), 1, 2)
+    for p, d in ((1.0, 2), (1, 2.0)):
+        other = koszul_homology((2, 2), p, d)
+        assert type(other.p) is int and type(other.d) is int
+        assert json.dumps(other.to_json()) == json.dumps(report.to_json())
+    assert new_syzygy_dimension((2, 2, 2), 1.0, 2.0) == new_syzygy_dimension((2, 2, 2), 1, 2)
+    for p, d in ((1.5, 2), (1, 2.5)):
+        with pytest.raises(ValueError, match="integer"):
+            koszul_homology((2, 2), p, d)
+        with pytest.raises(ValueError, match="integer"):
+            new_syzygy_dimension((2, 2, 2), p, d)
 
 
 def test_report_json_shape():

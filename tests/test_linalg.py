@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from segre_syzygies.linalg import rank
+from segre_syzygies.linalg import integer_form, rank
 
 from reference import columns, gauss_jordan
 
@@ -37,3 +37,12 @@ def test_rank_does_not_mutate_input():
     m = [{0: 2, 1: 4}, {0: 3, 1: 0}, {0: 6, 1: 12}]
     assert rank(m) == 2
     assert m == [{0: 2, 1: 4}, {0: 3, 1: 0}, {0: 6, 1: 12}]
+
+
+def test_integer_form():
+    assert integer_form([]) == ([], 1)
+    assert integer_form([Fraction(-1, 2), Fraction(2, 3), -3]) == ([-3, 4, -18], 6)
+    assert integer_form([Fraction(-4, 6), Fraction(-1, 3)]) == ([-2, -1], 3)
+    ints, den = integer_form([Fraction(1, 4), Fraction(5, 6), Fraction(-7, 10)])
+    assert (ints, den) == ([15, 50, -42], 60)
+    assert all(type(x) is int for x in ints)

@@ -401,6 +401,26 @@ def test_boxtimes_matches_the_fraction_double_loop(x, y):
     assert_checked(result, SymFunc)
 
 
+@PROPERTY
+@given(policies, raw_series, raw_series)
+@example(  # different denominators; the X(1)X(2) terms cancel; order 4 is past max_order
+    TruncationPolicy(3, 2),
+    {((1,),): Fraction(1, 2), ((2,),): Fraction(1, 3), ((1,), (1,)): Fraction(2, 5)},
+    {((2,),): Fraction(-1, 2), ((1,),): Fraction(3, 4), ((1,), (2,)): Fraction(1, 7)},
+)
+def test_series_product_matches_the_fraction_double_loop(policy, a, b):
+    a, b = PartitionSeries(policy, a), PartitionSeries(policy, b)
+    products = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if len(m1) + len(m2) <= policy.max_order:
+                mono = canonical_monomial(m1 + m2)
+                products[mono] = products.get(mono, Fraction(0)) + c1 * c2
+    result = a * b
+    assert result.terms == {m: c for m, c in products.items() if c}
+    assert all(type(c) is Fraction for c in result.terms.values())
+
+
 def padded_partitions(size, n):
     return [lam + (0,) * (n - len(lam)) for lam in partitions_of(size, n)]
 
@@ -436,7 +456,7 @@ def test_koszul_block_keys_are_in_position_order(dims, p, excess):
     # every block of the fine complex and of each pair merge, at every
     # canonical weight: its elements are distinct and numbered in key order
     d = p + excess
-    pieces, fine = _slice(tuple(dims), p, d, DEFAULT_CAPACITY)
+    _, _, pieces, fine = _slice(tuple(dims), p, d, DEFAULT_CAPACITY)
     complexes = [(fine, pieces)]
     if len(dims) > 1:
         complexes += [(mm, pieces[1:]) for mm in _merged_maps(fine)]

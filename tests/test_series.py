@@ -99,6 +99,34 @@ def test_exp_combination_rejects_a_negative_order():
         euler_chi(3, TruncationPolicy(4, -2))
 
 
+def test_a_truncation_policy_takes_whole_numbers_only():
+    # an order of 2.5 let the closed form's walk reach order 3, and a float
+    # order stopped the recurrence with a TypeError
+    builders = (
+        lambda policy: euler_chi(2, policy),
+        lambda policy: tensor_schur_series_recurrence((1, 1), policy),
+    )
+    for build in builders:
+        for bad in (TruncationPolicy(2.5, 2), TruncationPolicy(2, 1.5)):
+            with pytest.raises(ValueError, match="integer"):
+                build(bad)
+        result = build(TruncationPolicy(2.0, 2.0))
+        assert result == build(TruncationPolicy(2, 2))
+        assert all(type(v) is int for v in result.policy)
+        # both sides of the tensor-Schur identity refuse a negative order
+        with pytest.raises(ValueError, match="non-negative"):
+            build(TruncationPolicy(-1, 2))
+    with pytest.raises(ValueError, match="integer"):
+        euler_chi(0, TruncationPolicy(2.5, 2))
+    assert euler_chi(0, TruncationPolicy(2.0, 2)).policy == (2, 2)
+    assert euler_chi(3.0, TruncationPolicy(2, 2)) == euler_chi(3, TruncationPolicy(2, 2))
+    with pytest.raises(ValueError, match="integer"):
+        euler_chi(2.5)
+    assert lascoux_leading(2.0, 3.0) == lascoux_leading(2, 3)
+    with pytest.raises(ValueError, match="integer"):
+        lascoux_leading(2, 3.5)
+
+
 def test_exp_combination_order2_example():
     pol = TruncationPolicy(2, 2)
     s = SymFunc.basis(S)
