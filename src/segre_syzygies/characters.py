@@ -17,6 +17,7 @@ from math import factorial
 from operator import mul
 
 from .errors import CapacityError, ConsistencyError
+from .linalg import whole
 from .partitions import Partition, partitions_of
 
 MAX_TABLE_P = 12
@@ -141,8 +142,7 @@ class CharacterTable:
 @cache
 def character_table(p: int) -> CharacterTable:
     """Full character table of S_p, memoized."""
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
+    p = whole(p, "p", 1)
     if p > MAX_TABLE_P:
         raise CapacityError(f"character tables supported for 1 <= p <= {MAX_TABLE_P}, got {p}")
     labels = partitions_of(p)

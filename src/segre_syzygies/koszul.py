@@ -65,11 +65,10 @@ Block = dict[Element, int]  # basis element -> position
 
 
 def check_dims(dims) -> Dims:
-    dims = tuple(dims)
-    out = tuple(int(x) for x in dims)
-    if not out or out != dims or any(x < 1 for x in out):
-        raise ValueError(f"dims must be a non-empty tuple of positive integers: {dims}")
-    return out
+    dims = whole(dims, "dims", 1)
+    if not dims:
+        raise ValueError("dims must be a non-empty tuple of positive integers")
+    return dims
 
 
 def decomposition_json(decomposition: dict[tuple[Partition, ...], int]) -> list[dict]:
@@ -125,10 +124,8 @@ class _Complex:
     """
 
     def __init__(self, dims: Dims, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.dims = dims
-        self.capacity = capacity
+        self.capacity = whole(capacity, "capacity", 1)
         offsets = list(itertools.accumulate(dims, initial=0))
         self.positions = [
             tuple(offsets[f] + a for f, a in enumerate(idx))
@@ -221,9 +218,7 @@ def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[in
 def _slice(dims: Dims, p: int, d: int, capacity: int):
     """The bidegree (p, d) as ints, the three pieces (ring degree, wedge
     degree) of its slice and the fine complex, after the argument check."""
-    p, d = whole(p, "p"), whole(d, "d")
-    if p < 0 or d < 0:
-        raise ValueError("p and d must be non-negative")
+    p, d = whole((p, d), "p and d", 0)
     pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
     return p, d, pieces, _Complex(dims, capacity)
 

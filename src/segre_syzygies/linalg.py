@@ -15,6 +15,10 @@ of keys with non-zero Fraction coefficients.  Its results are canonical
 already and are wrapped unchecked; `collect` checks outside input.  Its one
 product runs on integer numerators: `integer_form` is the one way any
 kernel puts Fractions over one denominator.
+
+`whole` is the one whole-number check: every public entry point passes
+its counts, degrees, dims and partition parts through it, so a whole float
+counts as its int and any other non-integer raises ValueError.
 """
 
 from __future__ import annotations
@@ -129,12 +133,24 @@ def exact(c) -> Fraction:
     return Fraction(c)
 
 
-def whole(x, name: str) -> int:
-    """x as an int, if it is a whole number (a whole float, say); else ValueError."""
-    n = int(x)
-    if n != x:
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return n
+def whole(x, name: str, low: int | None = None):
+    """The one whole-number check: a number x as an int, any other iterable x
+    as a tuple of ints, each a whole number (a whole float, say) and at least
+    low when low is given.  Anything else raises ValueError naming x."""
+    scalar = isinstance(x, Number)
+    xs = (x,) if scalar else x
+    try:
+        xs = tuple(xs)
+        ints = tuple(map(int, xs))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    shown = x if scalar else xs
+    if ints is None or ints != xs:
+        raise ValueError(f"{name} must be {'an integer' if scalar else 'integers'}, got {shown!r}")
+    if low is not None and min(ints, default=low) < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {shown!r}")
+    return ints[0] if scalar else ints
 
 
 def integer_form(values) -> tuple[list[int], int]:

@@ -13,18 +13,14 @@ from functools import cache
 from math import factorial
 
 from .errors import ConsistencyError
+from .linalg import whole
 
 Partition = tuple[int, ...]
 
 
 def check_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of parts into a Partition."""
-    parts = tuple(parts)
-    lam = tuple(int(x) for x in parts)
-    if lam != parts:
-        raise ValueError(f"partition parts must be integers: {parts}")
-    if any(x <= 0 for x in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
+    lam = whole(parts, "partition parts", 1)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
@@ -127,12 +123,7 @@ def kostka(lam: Partition, mu) -> int:
     mu is a composition of |lam|; trailing or internal zeros are allowed and
     the count only depends on mu up to permutation.
     """
-    mu = tuple(mu)
-    content = tuple(int(x) for x in mu)
-    if content != mu:
-        raise ValueError(f"content entries must be integers: {mu}")
-    if any(x < 0 for x in content):
-        raise ValueError(f"content entries must be non-negative: {content}")
+    content = whole(mu, "content entries", 0)
     if sum(content) != sum(lam):
         raise ValueError(f"content {content} does not match |{lam}|")
     return _kostka_sorted(lam, tuple(sorted((x for x in content if x > 0), reverse=True)))

@@ -31,8 +31,8 @@ variable count.  There is no fraction field of the polynomials: a result
 whose coefficients are not polynomials (a denominator needing 1/s, say)
 raises UnsupportedError.  One sparse class, `MPoly`, serves both as those
 polynomial coefficients and as the torus characters of the Weyl pairing
-(whose exponents may be negative); one division, `_poly_divmod`, serves
-every univariate quotient and remainder over Q, one exact division,
+(whose exponents may be negative); one pseudo-division, `_pseudo_divmod`,
+serves every univariate quotient and remainder, one exact division,
 `_cancel_one_minus`, cancels the factors (1 - a t) on ints or Fractions
 alike, and one division-free recurrence expands every power series.
 
@@ -77,9 +77,7 @@ class MPoly(Combination):
         self.terms = collect(terms.items(), self._exponent) if terms else {}
 
     def _exponent(self, expo) -> tuple[int, ...]:
-        ints = tuple(int(x) for x in expo)
-        if ints != tuple(expo):
-            raise ValueError(f"exponent {expo} must have integer entries")
+        ints = whole(expo, "exponent")
         if len(ints) != self.nvars:
             raise ValueError(f"exponent {ints} has wrong arity for {self.nvars} variables")
         return ints
@@ -278,33 +276,37 @@ def _poly_derivative(p):
     return _trim([p[i] * i for i in range(1, len(p))])
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over a field (lists, lowest degree first).
+def _pseudo_divmod(a, b):
+    """Pseudo-quotient and remainder (lists, lowest degree first):
+    lead(b)^k a = q b + r with deg r < deg b, k = max(deg a - deg b + 1, 0).
 
-    b must have a non-zero leading coefficient.  Each step does one division
-    and len(b) - 1 multiply-subtracts in place; the leading term, which
-    cancels exactly, is never computed.
+    Each step scales by lead(b) and subtracts top t^shift b, so it never
+    divides and runs on Fractions and polynomials alike; for a monic b it is
+    the plain quotient and remainder.  b must have a non-zero leading
+    coefficient.
     """
-    r = list(a)
+    r, q = list(a), []
     low, lead = b[:-1], b[-1]
-    q = [None] * max(len(r) - len(low), 0)
-    for shift in range(len(q) - 1, -1, -1):
-        c = r[shift + len(low)]
-        if c:
-            c = c / lead
+    for shift in range(len(r) - len(low) - 1, -1, -1):
+        top = r.pop()
+        if lead != 1:
+            r, q = [lead * x for x in r], [lead * x for x in q]
+        if top:
             for i, y in enumerate(low):
-                r[shift + i] -= c * y
-        q[shift] = c
-    return _trim(q), _trim(r[: len(low)])
+                r[shift + i] -= top * y
+        q.append(top)
+    return _trim(q[::-1]), _trim(r)
+
+
+def _monic(a):
+    return [c / a[-1] for c in a] if a else a
 
 
 def _poly_gcd_q(a, b):
-    a, b = _trim(a), _trim(b)
+    """The monic gcd over Q, by Euclid on monic remainders."""
+    a, b = _monic(_trim(a)), _monic(_trim(b))
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
+        a, b = b, _monic(_pseudo_divmod(a, b)[1])
     return a
 
 
@@ -336,7 +338,7 @@ class RationalFunction:
         elif isinstance(one, Fraction):
             g = _poly_gcd_q(num, den)
             if len(g) > 1:
-                (num, rn), (den, rd) = _poly_divmod(num, g), _poly_divmod(den, g)
+                (num, rn), (den, rd) = _pseudo_divmod(num, g), _pseudo_divmod(den, g)
                 if rn or rd:
                     raise ConsistencyError("polynomial division was not exact")
         if den[0] != one:
@@ -369,8 +371,7 @@ class RationalFunction:
         B_i E^(i-1) y_(k-i).  Over Q, N and B are integer lists; over the
         polynomials, D = E = 1 and y_k is the coefficient itself.
         """
-        if n < 0:
-            raise ValueError(f"number of terms must be non-negative, got {n}")
+        n = whole(n, "number of terms", 0)
         over_q = isinstance(self.den[0], Fraction)
         if self._ints is None:
             if over_q:
@@ -588,13 +589,7 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     shift) pairs, and a variable of exponent 0 with shift -s < 0 is lifted
     to shift 0 as a factor t^s.
     """
-    d = whole(d, "d")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    given = tuple(e)
-    e = tuple(int(x) for x in given)
-    if e != given:
-        raise ValueError(f"shift vector {given} must have integer entries")
+    d, e = whole(d, "d", 0), whole(e, "shift vector")
     if len(e) != d:
         raise ValueError(f"shift vector {e} has wrong length for d={d}")
     if isinstance(poly, Number):
@@ -736,10 +731,7 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
     Z, each monomial meets its multinomial coefficient once (zero when an
     exponent is negative), and one Fraction is made per degree.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if num_terms < 0:
-        raise ValueError(f"number of terms must be non-negative, got {num_terms}")
+    d, num_terms = whole(d, "d", 1), whole(num_terms, "number of terms", 0)
     if num_terms > len(torus_coeffs):
         raise ValueError("not enough torus coefficients supplied")
     disc = discriminant_squared(d)
@@ -759,6 +751,7 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
 def geometric_torus_coefficients(d: int, n_terms: int) -> list[MPoly]:
     """Torus coefficients of the standard polynomial algebra on d characters:
     coefficient n is the sum of all degree-n monomials."""
+    d, n_terms = whole(d, "d", 0), whole(n_terms, "number of terms", 0)
     return [
         MPoly(d, {expo: Fraction(1) for expo in compositions(n, d)})
         for n in range(n_terms)
@@ -783,9 +776,7 @@ def rational_reconstruct(coeffs, max_den_degree: int):
     are first scaled to integers, which leaves the recurrence unchanged.
     """
     coeffs, one = _in_common_ring(coeffs)
-    m = whole(max_den_degree, "max_den_degree")
-    if m < 0:
-        raise ValueError("max_den_degree must be non-negative")
+    m = whole(max_den_degree, "max_den_degree", 0)
     length = len(coeffs)
     if length < 2 * m + 2:
         raise ValueError(f"need at least {2 * m + 2} coefficients, got {length}")
@@ -820,21 +811,10 @@ def rational_reconstruct(coeffs, max_den_degree: int):
 def divides_up_to_unit(den, target) -> bool:
     """Whether den divides target in the polynomial ring over t, up to a unit.
 
-    Decided by the pseudo-remainder: r <- lead(den) r - lead(r) t^k den, with
-    k = deg r - deg den, until deg r < deg den.  It vanishes exactly when
-    the remainder over the coefficients' fraction field does, and it never
-    divides, so it runs on Fractions and polynomials alike.
+    Decided by the pseudo-remainder, which vanishes exactly when the
+    remainder over the coefficients' fraction field does.
     """
     den = list(den)
     coeffs, _ = _in_common_ring(den + list(target))
-    den, r = _trim(coeffs[: len(den)]), _trim(coeffs[len(den) :])
-    if not den:
-        return False
-    low, lead = den[:-1], den[-1]
-    while len(r) >= len(den):
-        top, shift = r[-1], len(r) - len(den)
-        r = [lead * x for x in r[:-1]]
-        for i, y in enumerate(low):
-            r[shift + i] = r[shift + i] - top * y
-        r = _trim(r)
-    return not r
+    den, target = _trim(coeffs[: len(den)]), _trim(coeffs[len(den) :])
+    return bool(den) and not _pseudo_divmod(target, den)[1]

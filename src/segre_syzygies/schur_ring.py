@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import character_table, class_data
-from .linalg import Combination, collect
+from .linalg import Combination, collect, whole
 from .partitions import Partition, check_partition, gl_dimension, partitions_of, schur_product
 
 class SymFunc(Combination):
@@ -22,9 +22,11 @@ class SymFunc(Combination):
     __slots__ = ()
 
     def __init__(self, terms: dict[Partition, Fraction] | None = None):
-        self.terms = collect(terms.items(), tuple) if terms else {}
+        self.terms = collect(terms.items(), check_partition) if terms else {}
 
-    def _like(self, terms: dict[Partition, Fraction]) -> "SymFunc":
+    @staticmethod
+    def _like(terms: dict[Partition, Fraction]) -> "SymFunc":
+        """Wrap terms that are already canonical and non-zero, as the library builds them."""
         x = SymFunc.__new__(SymFunc)
         x.terms = terms
         return x
@@ -35,11 +37,11 @@ class SymFunc(Combination):
 
     @staticmethod
     def unit() -> "SymFunc":
-        return SymFunc({(): Fraction(1)})
+        return SymFunc._like({(): Fraction(1)})
 
     @staticmethod
     def basis(lam: Partition) -> "SymFunc":
-        return SymFunc({check_partition(lam): Fraction(1)})
+        return SymFunc._like({check_partition(lam): Fraction(1)})
 
     def __rmul__(self, c) -> "SymFunc":
         return self.scale(c)
@@ -84,7 +86,8 @@ def power_sum(lam: Partition) -> SymFunc:
     if p == 0:
         return SymFunc.unit()
     table = character_table(p)
-    return SymFunc({mu: Fraction(table.entry(mu, lam)) for mu in partitions_of(p)})
+    values = ((mu, table.entry(mu, lam)) for mu in partitions_of(p))
+    return SymFunc._like({mu: Fraction(v) for mu, v in values if v})
 
 
 def to_power_sum_basis(x: SymFunc) -> dict[Partition, Fraction]:
@@ -109,8 +112,7 @@ def to_power_sum_basis(x: SymFunc) -> dict[Partition, Fraction]:
 
 def evaluate_dimension(x: SymFunc, m: int) -> Fraction:
     """Evaluate the class on C^m: sum of coefficients times GL-dimensions."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    m = whole(m, "m", 0)
     return sum(
         (c * gl_dimension(lam, m) for lam, c in x.terms.items()),
         Fraction(0),
@@ -131,4 +133,4 @@ def sym_from_json(data: dict[str, str]) -> SymFunc:
         (() if key == "" else check_partition(int(s) for s in key.split(",")), value)
         for key, value in data.items()
     )
-    return SymFunc(collect(items, tuple))
+    return SymFunc._like(collect(items, tuple))

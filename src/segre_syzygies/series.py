@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .characters import character_table, class_data, kronecker_coefficient
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect, integer_form, whole
+from .linalg import Combination, collect, exact, integer_form, whole
 from .partitions import (
     Partition,
     check_partition,
@@ -39,7 +39,7 @@ def _part_key(lam: Partition):
 
 
 def canonical_monomial(parts) -> Monomial:
-    return tuple(sorted((tuple(p) for p in parts), key=_part_key))
+    return tuple(sorted(map(check_partition, parts), key=_part_key))
 
 
 def monomial_degree(mono: Monomial) -> int | None:
@@ -71,11 +71,7 @@ DEFAULT_POLICY = TruncationPolicy()
 def _checked_policy(policy: TruncationPolicy) -> TruncationPolicy:
     """policy with int fields; a field that is negative or not a whole number
     raises ValueError, so a series never walks past a fractional order."""
-    fields = [whole(v, name) for name, v in zip(policy._fields, policy)]
-    for name, value in zip(policy._fields, fields):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-    return TruncationPolicy(*fields)
+    return TruncationPolicy(*(whole(v, name, 0) for name, v in zip(policy._fields, policy)))
 
 
 class PartitionSeries(Combination):
@@ -91,9 +87,10 @@ class PartitionSeries(Combination):
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
         def admitted(mono):
+            mono = canonical_monomial(mono)
             if not all(mono):
                 raise ValueError(f"the zero partition is not a series variable: {mono}")
-            return canonical_monomial(mono) if policy.admits(mono) else None
+            return mono if policy.admits(mono) else None
 
         self.terms = collect(terms.items(), admitted) if terms else {}
 
@@ -120,14 +117,15 @@ class PartitionSeries(Combination):
 
     @staticmethod
     def one(policy: TruncationPolicy) -> "PartitionSeries":
-        return PartitionSeries(policy, {(): Fraction(1)})
+        return PartitionSeries._trusted(policy, {(): Fraction(1)} if policy.admits(()) else {})
 
     @staticmethod
     def variable(lam: Partition, policy: TruncationPolicy) -> "PartitionSeries":
         lam = check_partition(lam)
         if not lam:
             raise ValueError("the zero partition is not a series variable")
-        return PartitionSeries(policy, {(lam,): Fraction(1)})
+        terms = {(lam,): Fraction(1)} if policy.admits((lam,)) else {}
+        return PartitionSeries._trusted(policy, terms)
 
     def __add__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
@@ -201,7 +199,7 @@ def exp_combination(terms, policy: TruncationPolicy) -> PartitionSeries:
     for coeff, x in terms:
         if () in x.terms:
             raise ValueError("exponential arguments must have no constant term")
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff:
             continue
         coeffs.append(coeff)
@@ -236,9 +234,7 @@ def euler_chi(k: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSer
     Built as a signed combination of exponentials of products of a one-row
     Schur symbol with power-sum elements; the degree-0 slice is the constant 1.
     """
-    k = whole(k, "k")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = whole(k, "k", 0)
     if k == 0:
         return PartitionSeries.one(_checked_policy(policy))
     combo = []
@@ -257,8 +253,7 @@ def f_segre(p: int, policy: TruncationPolicy = DEFAULT_POLICY) -> PartitionSerie
     These are the values pinned down by the vanishing results for small p;
     beyond p = 3 the Euler characteristic no longer determines the series.
     """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
+    p = whole(p, "p", 0)
     if p not in (1, 2, 3):
         raise UnsupportedError(f"closed form available only for p in {{1, 2, 3}}, got {p}")
     return euler_chi(p + 1, policy).scale((-1) ** p)
@@ -348,11 +343,7 @@ def lascoux_leading(p: int, d: int) -> PartitionSeries:
     an h-column, (h+1)-row rectangle, h = d - p; the slice vanishes unless
     1 <= h <= sqrt(p).
     """
-    p, d = whole(p, "p"), whole(d, "d")
-    if p < 1:
-        raise ValueError("p must be positive")
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    p, d = whole(p, "p", 1), whole(d, "d", 0)
     policy = TruncationPolicy(max_order=2, max_part_size=max(d, 1))
     h = d - p
     if h <= 0 or h * h > p:
@@ -366,17 +357,16 @@ def lascoux_leading(p: int, d: int) -> PartitionSeries:
             for beta in partitions_of(remainder - a, max_rows=h):
                 mu = _decorate_rectangle(h, beta, alpha)
                 nu = _decorate_rectangle(h, conjugate(alpha), conjugate(beta))
-                mono = canonical_monomial((mu, nu))
+                mono = tuple(sorted((mu, nu), key=_part_key))
                 terms[mono] = terms.get(mono, Fraction(0)) + Fraction(1, 2)
-    return PartitionSeries(policy, terms)
+    return PartitionSeries._trusted(policy, terms)
 
 
 def _decorate_rectangle(h: int, right: Partition, bottom: Partition) -> Partition:
     """Append a partition to the right edge and another below an h x (h+1) rectangle."""
     rows = [h + right[i] for i in range(len(right))]
     rows += [h] * (h + 1 - len(right))
-    rows += list(bottom)
-    return check_partition(rows)
+    return tuple(rows) + bottom
 
 
 def small_p_exponential_form(p: int) -> list[tuple[Fraction, SymFunc]]:
@@ -427,6 +417,7 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
     assignment sums are integers, and the total is one Fraction at the end,
     over the coefficients' common denominator times n!.
     """
+    dims, degree = whole(dims, "dims", 0), whole(degree, "degree", 0)
     n = len(dims)
     on_factors: dict[Partition, list[int]] = {}
     coeffs, sums = [], []
@@ -464,5 +455,5 @@ def series_to_json(a: PartitionSeries) -> list[dict]:
 
 
 def series_from_json(data, policy: TruncationPolicy) -> PartitionSeries:
-    items = (([check_partition(lam) for lam in item["monomial"]], item["coeff"]) for item in data)
+    items = ((item["monomial"], item["coeff"]) for item in data)
     return PartitionSeries(policy, collect(items, canonical_monomial))

@@ -320,11 +320,6 @@ def test_schur_extract_examples():
     assert schur_extract(sym2, (2,)) == {((2,),): 1}
 
 
-def test_koszul_homology_rejects_fractional_dims():
-    with pytest.raises(ValueError, match="integers"):
-        koszul_homology((2.9, 2), 1, 2)
-
-
 def test_schur_extract_rejects_bad_tables():
     with pytest.raises(ConsistencyError):
         schur_extract({((0, 1),): 1}, (2,))  # lone non-dominant weight

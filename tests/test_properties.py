@@ -1,4 +1,4 @@
-"""Property tests of the exact core: polynomial division, torus characters,
+"""Property tests of the exact core: polynomial pseudo-division, torus characters,
 sparse integer ranks of columns and of transposes with their columns
 numbered either way, the rank identity behind the new-syzygy dimension,
 the lowest-terms form of multinomial sums and their sharing across
@@ -38,7 +38,7 @@ from segre_syzygies.rationality import (
     MPoly,
     PoleFraction,
     RationalFunction,
-    _poly_divmod,
+    _pseudo_divmod,
     _poly_gcd_q,
     divides_up_to_unit,
     multinomial_sum_rational,
@@ -93,16 +93,21 @@ def int_matrix(nrows, ncols):
     st.lists(fractions, min_size=1, max_size=4).filter(lambda b: b[-1]),
 )
 def test_poly_divmod_recombines(a, b):
-    q, r = _poly_divmod(a, b)
-    n = len(a) + len(b)
-    recombined = [Fraction(0)] * n
-    for i, x in enumerate(q):
-        for j, y in enumerate(b):
-            recombined[i + j] += x * y
-    for i, x in enumerate(r):
-        recombined[i] += x
-    assert recombined == list(a) + [0] * (n - len(a))
-    assert len(r) < len(b) and (not r or r[-1])
+    # lead(b)^k a = q b + r, k = max(deg a - deg b + 1, 0); on integers
+    # it never leaves them, since it never divides
+    for a, b in ((a, b), ([x.numerator for x in a], [x.numerator or 1 for x in b])):
+        q, r = _pseudo_divmod(a, b)
+        n = len(a) + len(b)
+        recombined = [0] * n
+        for i, x in enumerate(q):
+            for j, y in enumerate(b):
+                recombined[i + j] += x * y
+        for i, x in enumerate(r):
+            recombined[i] += x
+        power = b[-1] ** max(len(a) - len(b) + 1, 0)
+        assert recombined == [power * x for x in a] + [0] * (n - len(a))
+        assert len(r) < len(b) and (not r or r[-1])
+    assert all(type(x) is int for x in q + r)
 
 
 @PROPERTY

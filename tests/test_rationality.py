@@ -25,7 +25,7 @@ from segre_syzygies.rationality import (
     weyl_series,
 )
 from segre_syzygies.schur_ring import SymFunc
-from segre_syzygies.series import small_p_exponential_form
+from segre_syzygies.series import TruncationPolicy, exp_combination, small_p_exponential_form
 
 
 def test_rational_function_basics():
@@ -121,6 +121,8 @@ def test_coefficients_must_be_exact_numbers():
         SymFunc({(1,): 0.25})
     with pytest.raises(ValueError, match="0.1"):
         MPoly.variable(1, 0).scale(0.1)
+    with pytest.raises(ValueError, match="0.1"):
+        exp_combination([(0.1, SymFunc.basis((2,)))], TruncationPolicy(1, 2))
 
 
 def test_negative_shift_of_an_unused_variable_lifts_to_a_power_of_t():

@@ -456,6 +456,20 @@ def test_checked_terms_reject_the_zero_partition():
     assert series_from_json([{"monomial": [], "coeff": "2"}], policy).terms == {(): 2}
 
 
+def test_checked_constructors_check_their_keys():
+    # every key, or part of a key, is a partition: a part order that is not
+    # weakly decreasing is refused, and a whole float part is stored as its int
+    policy = TruncationPolicy(2, 2)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        SymFunc({(1, 2): 1})
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        PartitionSeries(policy, {((1, 2),): 1})
+    [key] = SymFunc({(2.0,): 1}).terms
+    [mono] = PartitionSeries(policy, {((2.0,), (1,)): 1}).terms
+    assert key == (2,) and type(key[0]) is int
+    assert mono == ((1,), (2,)) and type(mono[1][0]) is int
+
+
 def test_series_json_round_trip():
     pol = TruncationPolicy(3, 3)
     a = f_segre(1, TruncationPolicy(3, 2))
