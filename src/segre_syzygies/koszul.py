@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 
 from .errors import CapacityError, ConsistencyError
-from .linalg import rank, whole
+from .linalg import rank, whole, wholes
 from .partitions import Partition, compositions, gl_dimension, kostka, partitions_of
 
 DEFAULT_CAPACITY = 200_000
@@ -65,7 +65,7 @@ Block = dict[Element, int]  # basis element -> position
 
 
 def check_dims(dims) -> Dims:
-    dims = whole(dims, "dims", 1)
+    dims = wholes(dims, "dims", 1)
     if not dims:
         raise ValueError("dims must be a non-empty tuple of positive integers")
     return dims
@@ -218,7 +218,7 @@ def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[in
 def _slice(dims: Dims, p: int, d: int, capacity: int):
     """The bidegree (p, d) as ints, the three pieces (ring degree, wedge
     degree) of its slice and the fine complex, after the argument check."""
-    p, d = whole((p, d), "p and d", 0)
+    p, d = wholes((p, d), "p and d", 0)
     pieces = [(d - p - 1, p + 1), (d - p, p), (d - p + 1, p - 1)]
     return p, d, pieces, _Complex(dims, capacity)
 

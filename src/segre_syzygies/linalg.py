@@ -16,9 +16,11 @@ already and are wrapped unchecked; `collect` checks outside input.  Its one
 product runs on integer numerators: `integer_form` is the one way any
 kernel puts Fractions over one denominator.
 
-`whole` is the one whole-number check: every public entry point passes
-its counts, degrees, dims and partition parts through it, so a whole float
-counts as its int and any other non-integer raises ValueError.
+`whole` is the one whole-number check, and `wholes` its form for vectors:
+every public entry point passes its counts and degrees through the first,
+its dims, shifts and partition parts through the second, so a whole float
+counts as its int, and any other non-integer, or a value of the other
+shape, raises ValueError.
 """
 
 from __future__ import annotations
@@ -133,24 +135,36 @@ def exact(c) -> Fraction:
     return Fraction(c)
 
 
-def whole(x, name: str, low: int | None = None):
-    """The one whole-number check: a number x as an int, any other iterable x
-    as a tuple of ints, each a whole number (a whole float, say) and at least
-    low when low is given.  Anything else raises ValueError naming x."""
-    scalar = isinstance(x, Number)
-    xs = (x,) if scalar else x
+def _whole_items(xs, name: str, low: int | None, shown, what: str) -> tuple[int, ...]:
+    """The tuple xs as ints, each a whole number and at least low when low is
+    given; xs None, or any other item, raises ValueError naming shown."""
     try:
-        xs = tuple(xs)
         ints = tuple(map(int, xs))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    shown = x if scalar else xs
     if ints is None or ints != xs:
-        raise ValueError(f"{name} must be {'an integer' if scalar else 'integers'}, got {shown!r}")
+        raise ValueError(f"{name} must be {what}, got {shown!r}")
     if low is not None and min(ints, default=low) < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
         raise ValueError(f"{name} must be {bound}, got {shown!r}")
-    return ints[0] if scalar else ints
+    return ints
+
+
+def whole(x, name: str, low: int | None = None) -> int:
+    """The one whole-number check of a number: x as an int, a whole number (a
+    whole float, say) and at least low when low is given.  Anything else, a
+    vector included, raises ValueError naming x."""
+    return _whole_items((x,) if isinstance(x, Number) else None, name, low, x, "an integer")[0]
+
+
+def wholes(xs, name: str, low: int | None = None) -> tuple[int, ...]:
+    """`whole` for a vector: any iterable xs but a number, as a tuple of ints.
+    A number, or anything else, raises ValueError naming xs."""
+    try:
+        items = None if isinstance(xs, Number) else tuple(xs)
+    except TypeError:
+        items = None
+    return _whole_items(items, name, low, xs if items is None else items, "integers")
 
 
 def integer_form(values) -> tuple[list[int], int]:

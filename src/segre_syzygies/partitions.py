@@ -2,25 +2,26 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the zero partition.  Everything here is exact integer
-arithmetic: hook-length dimensions, Kostka numbers, Littlewood-Richardson
-coefficients (by direct enumeration of lattice skew tableaux) and
-polynomial-representation dimensions of GL(m).
+arithmetic: hook-length dimensions, Kostka numbers and Littlewood-Richardson
+coefficients (both read off one walk of horizontal strips, `schur_product`)
+and polynomial-representation dimensions of GL(m).
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from types import MappingProxyType
 
 from .errors import ConsistencyError
-from .linalg import whole
+from .linalg import wholes
 
 Partition = tuple[int, ...]
 
 
 def check_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of parts into a Partition."""
-    lam = whole(parts, "partition parts", 1)
+    lam = wholes(parts, "partition parts", 1)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
@@ -84,37 +85,74 @@ def dimension_sn(lam: Partition) -> int:
     return factorial(n) // hooks
 
 
-def _horizontal_strips(lam: Partition, size: int):
-    """Sub-partitions rho of lam with lam/rho a horizontal strip of the size."""
-    rows = len(lam)
+def _add_strip(shape: Partition, size: int, last):
+    """Each way to add a horizontal strip of the size to shape (Pieri's rule),
+    as (the new shape, the strip's running totals by row).
 
-    def gen(i: int, remaining: int, prev: int):
-        if i == rows:
-            if remaining == 0:
-                yield ()
-            return
-        lo = lam[i + 1] if i + 1 < rows else 0
-        hi = min(lam[i], prev)
-        for r in range(hi, lo - 1, -1):
-            removed = lam[i] - r
-            if removed > remaining:
-                continue
-            for rest in gen(i + 1, remaining - removed, r):
-                yield (r,) + rest
+    With last, the running totals of the strip before, the lattice
+    condition holds: the strip's total through row r is at most last's
+    through row r - 1, so nothing enters row 0.
+    """
+    ext = shape + (0,)
+    out = []
 
-    for rho in gen(0, size, lam[0] if lam else 0):
-        yield tuple(x for x in rho if x > 0)
+    def grow(r: int, parts: Partition, totals: tuple[int, ...], added: int) -> None:
+        if added == size:
+            nu = parts + shape[r:]
+            out.append((nu, totals + (size,) * (len(nu) - r)))
+        elif r < len(ext):
+            room = min(size - added, ext[r - 1] - ext[r] if r else size)
+            if last is not None:
+                room = min(room, (last[r - 1] if r else 0) - added)
+            for b in range(room + 1):
+                grow(r + 1, parts + (ext[r] + b,), totals + (added + b,), added + b)
+
+    grow(0, (), (), 0)
+    return out
 
 
 @cache
-def _kostka_sorted(lam: Partition, mu: Partition) -> int:
-    if not mu:
-        return 1 if not lam else 0
-    last = mu[-1]
-    total = 0
-    for rho in _horizontal_strips(lam, last):
-        total += _kostka_sorted(rho, mu[:-1])
-    return total
+def schur_product(lam: Partition, mu: Partition) -> MappingProxyType:
+    """Full expansion of the product of two Schur basis elements, read-only.
+
+    The Littlewood-Richardson rule (Macdonald I.9) as one walk: mu's parts
+    are added to lam in turn, part i as a horizontal strip of i's, under the
+    lattice condition.  A state is a shape with the running totals of its
+    last strip, and it carries its number of fillings, so only the nu that
+    occur are built.
+    """
+    states = {(lam, None): 1}
+    for part in mu:
+        grown: dict = {}
+        for (shape, last), n in states.items():
+            for key in _add_strip(shape, part, last):
+                grown[key] = grown.get(key, 0) + n
+        states = grown
+    result: dict[Partition, int] = {}
+    for (nu, _), n in states.items():
+        result[nu] = result.get(nu, 0) + n
+    return MappingProxyType(result)
+
+
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient of nu in the product of lam and mu."""
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    return schur_product(lam, mu).get(nu, 0)
+
+
+@cache
+def _complete(content: Partition) -> MappingProxyType:
+    """The product of the one-row Schur functions of content's parts,
+    read-only: its coefficient of s_lam is the Kostka number (Macdonald I.6)."""
+    if not content:
+        return MappingProxyType({(): 1})
+    result: dict[Partition, int] = {}
+    for shape, n in _complete(content[:-1]).items():
+        for nu, k in schur_product(shape, content[-1:]).items():
+            result[nu] = result.get(nu, 0) + n * k
+    return MappingProxyType(result)
 
 
 def kostka(lam: Partition, mu) -> int:
@@ -123,85 +161,10 @@ def kostka(lam: Partition, mu) -> int:
     mu is a composition of |lam|; trailing or internal zeros are allowed and
     the count only depends on mu up to permutation.
     """
-    content = whole(mu, "content entries", 0)
+    content = wholes(mu, "content entries", 0)
     if sum(content) != sum(lam):
         raise ValueError(f"content {content} does not match |{lam}|")
-    return _kostka_sorted(lam, tuple(sorted((x for x in content if x > 0), reverse=True)))
-
-
-def contains(outer: Partition, inner: Partition) -> bool:
-    """Young-diagram containment inner <= outer."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
-def _lr_fillings(outer: Partition, inner: Partition, content: Partition) -> int:
-    """Count lattice semistandard fillings of outer/inner with the content.
-
-    Cells are visited row by row, right to left, so the prefix of the filling
-    seen so far is exactly a prefix of the reverse reading word.
-    """
-    rows = len(outer)
-    inner_padded = tuple(inner) + (0,) * (rows - len(inner))
-    cells = []
-    for r in range(rows):
-        for c in range(outer[r] - 1, inner_padded[r] - 1, -1):
-            cells.append((r, c))
-    nvals = len(content)
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (nvals + 1)
-
-    def backtrack(pos: int) -> int:
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        total = 0
-        for v in range(1, nvals + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            if v >= 2 and counts[v] >= counts[v - 1]:
-                continue  # lattice word condition
-            right = filling.get((r, c + 1))
-            if right is not None and v > right:
-                continue  # rows weakly increase
-            above = filling.get((r - 1, c))
-            if above is not None and v <= above:
-                continue  # columns strictly increase
-            counts[v] += 1
-            filling[(r, c)] = v
-            total += backtrack(pos + 1)
-            del filling[(r, c)]
-            counts[v] -= 1
-        return total
-
-    return backtrack(0)
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient of nu in the product of lam and mu."""
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    if not contains(nu, lam):
-        return 0
-    if not mu:
-        return 1 if nu == lam else 0
-    return _lr_fillings(nu, lam, mu)
-
-
-@cache
-def schur_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Full expansion of the product of two Schur basis elements."""
-    result: dict[Partition, int] = {}
-    n = sum(lam) + sum(mu)
-    max_rows = len(lam) + len(mu)
-    for nu in partitions_of(n, max_rows if n else None):
-        if lam and nu[0] > lam[0] + (mu[0] if mu else 0):
-            continue
-        coeff = lr_coefficient(lam, mu, nu)
-        if coeff:
-            result[nu] = coeff
-    return result
+    return _complete(tuple(sorted((x for x in content if x > 0), reverse=True))).get(lam, 0)
 
 
 def gl_dimension(lam: Partition, m: int) -> int:

@@ -39,10 +39,10 @@ alike, and one division-free recurrence expands every power series.
 Fractions appear only at the edges of the sums, the series expansion, the
 `MPoly` product and the Weyl pairing: each runs on the integers of
 `linalg.integer_form` and makes one Fraction per value it returns.
-A `RationalFunction` over Q keeps the integer form that its coefficient
-recurrence runs on, from `PoleFraction.to_rational` or from its first
-expansion.  An `MPoly` product is `Combination`'s integer product keyed by
-exponent sums, which the Weyl pairing sums per degree, forming no product.
+A `RationalFunction` holds its value once, as the integer form that its
+coefficient recurrence runs on.  An `MPoly` product is `Combination`'s
+integer product keyed by exponent sums; the Weyl pairing sums that
+product's integer dict per degree and makes no `MPoly` of it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from numbers import Number
 from operator import add, mul
 
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect, echelon, exact, integer_form, whole
+from .linalg import Combination, collect, echelon, exact, integer_form, whole, wholes
 from .partitions import compositions
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ class MPoly(Combination):
         self.terms = collect(terms.items(), self._exponent) if terms else {}
 
     def _exponent(self, expo) -> tuple[int, ...]:
-        ints = whole(expo, "exponent")
+        ints = wholes(expo, "exponent")
         if len(ints) != self.nvars:
             raise ValueError(f"exponent {ints} has wrong arity for {self.nvars} variables")
         return ints
@@ -310,15 +310,25 @@ def _poly_gcd_q(a, b):
     return a
 
 
+def _integer_pair(num, den) -> tuple:
+    """The integer form (N, D, B, E) of num/den: over Q, integer tuples over
+    their lcm denominators; over the polynomials, the coefficients over 1."""
+    if isinstance(den[0], MPoly):
+        return tuple(num), 1, tuple(den), 1
+    (big_n, big_d), (big_b, big_e) = integer_form(num), integer_form(den)
+    return tuple(big_n), big_d, tuple(big_b), big_e
+
+
 class RationalFunction:
     """Quotient of polynomials in t; the denominator has constant term one.
 
-    Over Q the integer form (N, D, B, E), with num = N/D and den = B/E, is
-    kept once known: `PoleFraction.to_rational` makes it, and any other value
-    computes it on its first `coefficients` call.
+    The value is held once, as the integer form (N, D, B, E) that the
+    coefficient recurrence runs on: over Q, num = N/D and den = B/E with N
+    and B integer tuples; over the polynomials, D = E = 1 and N and B are
+    the coefficients themselves.  `num` and `den` build fresh lists of it.
     """
 
-    __slots__ = ("num", "den", "_ints")
+    __slots__ = ("_ints",)
 
     def __init__(self, num, den=None):
         num, den = list(num), [1] if den is None else list(den)
@@ -343,20 +353,28 @@ class RationalFunction:
                     raise ConsistencyError("polynomial division was not exact")
         if den[0] != one:
             num, den = _divide_all(num, den[0]), _divide_all(den, den[0])
-        self.num = num
-        self.den = den
-        self._ints = None
+        self._ints = _integer_pair(num, den)
 
     @classmethod
-    def _lowest_terms(cls, num, den, ints=None) -> "RationalFunction":
-        """Wrap a num/den already in lowest terms with den[0] == 1, over Q or
-        the polynomials, with its integer form (N, D, B, E) when known."""
+    def _lowest_terms(cls, ints) -> "RationalFunction":
+        """Wrap the integer form (N, D, B, E) of a num/den already in lowest
+        terms with den[0] == 1, over Q or the polynomials."""
         rf = object.__new__(cls)
-        rf.num, rf.den, rf._ints = num, den, ints
+        rf._ints = ints
         return rf
 
+    @property
+    def num(self) -> list:
+        big_n, big_d, big_b, _ = self._ints
+        return list(big_n) if isinstance(big_b[0], MPoly) else [Fraction(x, big_d) for x in big_n]
+
+    @property
+    def den(self) -> list:
+        _, _, big_b, big_e = self._ints
+        return list(big_b) if isinstance(big_b[0], MPoly) else [Fraction(x, big_e) for x in big_b]
+
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._ints[0])
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -372,14 +390,8 @@ class RationalFunction:
         polynomials, D = E = 1 and y_k is the coefficient itself.
         """
         n = whole(n, "number of terms", 0)
-        over_q = isinstance(self.den[0], Fraction)
-        if self._ints is None:
-            if over_q:
-                (big_n, big_d), (big_b, big_e) = integer_form(self.num), integer_form(self.den)
-                self._ints = (tuple(big_n), big_d, tuple(big_b), big_e)
-            else:
-                self._ints = (tuple(self.num), 1, tuple(self.den), 1)
         big_n, big_d, big_b, big_e = self._ints
+        over_q = not isinstance(big_b[0], MPoly)
         zero = big_b[0] * 0
         tail = [b * big_e ** (i - 1) for i, b in enumerate(big_b) if i]
         out, ys, power = [], [], 1
@@ -542,22 +554,20 @@ class PoleFraction:
             num, m = _cancel_one_minus(num, a, m)
             if m:
                 left.append((a, m))
-        big_b, den = _expanded_denominator(tuple(sorted(left)))
-        return RationalFunction._lowest_terms(
-            [Fraction(x, self.den) for x in num], list(den), (tuple(num), self.den, big_b, 1)
-        )
+        big_b = _expanded_denominator(tuple(sorted(left)))
+        return RationalFunction._lowest_terms((tuple(num), self.den, big_b, 1))
 
     def __repr__(self):
         return f"PoleFraction(num={self.num}, den={self.den}, poles={self.poles})"
 
 
 @cache
-def _expanded_denominator(poles) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """prod over the (a, m) pairs of (1 - a t)^m, as ints and as Fractions."""
+def _expanded_denominator(poles) -> tuple[int, ...]:
+    """prod over the (a, m) pairs of (1 - a t)^m, as ints."""
     den = [1]
     for a, m in poles:
         den = _times_one_minus_power(den, a, m)
-    return tuple(den), tuple(Fraction(x) for x in den)
+    return tuple(den)
 
 
 def multinomial(vec) -> int:
@@ -589,7 +599,7 @@ def multinomial_sum_rational(poly, e, d: int) -> RationalFunction:
     shift) pairs, and a variable of exponent 0 with shift -s < 0 is lifted
     to shift 0 as a factor t^s.
     """
-    d, e = whole(d, "d", 0), whole(e, "shift vector")
+    d, e = whole(d, "d", 0), wholes(e, "shift vector")
     if len(e) != d:
         raise ValueError(f"shift vector {e} has wrong length for d={d}")
     if isinstance(poly, Number):
@@ -727,9 +737,10 @@ def weyl_series(d: int, torus_coeffs, num_terms: int) -> list[Fraction]:
     geometric series in the inverted variables is expanded exactly to the
     power forced by degree matching, so the pairing reduces to summing the
     non-negative monomials against multinomial coefficients, scaled by 1/d!.
-    No product polynomial is formed: the product is summed per monomial over
-    Z, each monomial meets its multinomial coefficient once (zero when an
-    exponent is negative), and one Fraction is made per degree.
+    The product is `Combination._int_product`'s integer dict, one sum per
+    monomial over Z, and no `MPoly` is made of it: each monomial meets its
+    multinomial coefficient once (zero when an exponent is negative), and
+    one Fraction is made per degree.
     """
     d, num_terms = whole(d, "d", 1), whole(num_terms, "number of terms", 0)
     if num_terms > len(torus_coeffs):
@@ -804,7 +815,7 @@ def rational_reconstruct(coeffs, max_den_degree: int):
         num = _trim(_poly_mul(den, coeffs)[: length - m])
         # lowest terms: a factor of num and den, or a zero top coefficient of
         # den, would have let a smaller degree fit the same coefficients first
-        return RationalFunction._lowest_terms(num, den)
+        return RationalFunction._lowest_terms(_integer_pair(num, den))
     return None
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .characters import character_table, class_data, kronecker_coefficient
 from .errors import ConsistencyError, UnsupportedError
-from .linalg import Combination, collect, exact, integer_form, whole
+from .linalg import Combination, collect, exact, integer_form, whole, wholes
 from .partitions import (
     Partition,
     check_partition,
@@ -417,7 +417,7 @@ def dimension_on_factors(series_star, dims, degree: int) -> int:
     assignment sums are integers, and the total is one Fraction at the end,
     over the coefficients' common denominator times n!.
     """
-    dims, degree = whole(dims, "dims", 0), whole(degree, "degree", 0)
+    dims, degree = wholes(dims, "dims", 0), whole(degree, "degree", 0)
     n = len(dims)
     on_factors: dict[Partition, list[int]] = {}
     coeffs, sums = [], []

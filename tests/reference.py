@@ -1,12 +1,17 @@
 """The tests' independent references: field elimination over Fractions,
-and the wedges that fit under a weight, by filtering all of them.
+the wedges that fit under a weight, by filtering all of them, and
+Littlewood-Richardson coefficients, by a search over the fillings of each
+target shape.
 
 The library eliminates without fractions in `segre_syzygies.linalg`:
 sparse integer vectors for `rank`, Bareiss rows for `echelon`.  These
 routines divide by every pivot of a dense matrix instead, so a check built
 on them does not share that code path.  The library grows the wedges that
 fit under a weight level by level, on a packed weight; here every subset of
-labels is tried on the weight's tuple of entries.
+labels is tried on the weight's tuple of entries.  The library grows a
+Schur product strip by strip, building only the shapes that occur; here
+every partition of the right size is a candidate, and each one's lattice
+fillings are counted by backtracking, cell by cell.
 """
 
 import itertools
@@ -77,3 +82,63 @@ def filtered_wedges(positions, j, weight):
         if min(left) >= 0:
             out.append((wedge, left))
     return out[::-1]
+
+
+def lr_fillings(outer, inner, content) -> int:
+    """Count the lattice semistandard fillings of outer/inner with the content.
+
+    Cells are visited row by row, right to left, so the prefix of the filling
+    seen so far is exactly a prefix of the reverse reading word.
+    """
+    if len(inner) > len(outer) or any(a < b for a, b in zip(outer, inner)):
+        return 0
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    cells = [(r, c) for r in range(len(outer)) for c in range(outer[r] - 1, inner[r] - 1, -1)]
+    filling: dict[tuple[int, int], int] = {}
+    counts = [0] * (len(content) + 1)
+
+    def backtrack(pos: int) -> int:
+        if pos == len(cells):
+            return 1
+        r, c = cells[pos]
+        total = 0
+        for v in range(1, len(content) + 1):
+            if counts[v] >= content[v - 1]:
+                continue
+            if v >= 2 and counts[v] >= counts[v - 1]:
+                continue  # lattice word condition
+            right = filling.get((r, c + 1))
+            if right is not None and v > right:
+                continue  # rows weakly increase
+            above = filling.get((r - 1, c))
+            if above is not None and v <= above:
+                continue  # columns strictly increase
+            counts[v] += 1
+            filling[(r, c)] = v
+            total += backtrack(pos + 1)
+            del filling[(r, c)]
+            counts[v] -= 1
+        return total
+
+    return backtrack(0)
+
+
+def partitions(n, largest=None):
+    """Every partition of n with parts at most largest (default n)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def lr_product(lam, mu) -> dict:
+    """The Schur product of lam and mu by trying every partition of its size,
+    each coefficient counted by `lr_fillings`; zeros are dropped."""
+    out = {}
+    for nu in partitions(sum(lam) + sum(mu)):
+        n = lr_fillings(nu, lam, mu)
+        if n:
+            out[nu] = n
+    return out

@@ -2,8 +2,10 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from reference import lr_product
 
 from segre_syzygies.partitions import (
+    _complete,
     check_partition,
     conjugate,
     dimension_sn,
@@ -43,6 +45,33 @@ def ssyt_count(lam, m):
         return total
 
     return fill(0, 0, [[] for _ in range(rows)])
+
+
+def content_count(lam, content):
+    """Independent oracle: enumerate semistandard tableaux of shape lam in
+    which each entry v occurs content[v - 1] times."""
+    cells = [(r, c) for r, row in enumerate(lam) for c in range(row)]
+    if len(cells) != sum(content):
+        return 0
+    left = list(content)
+    filling = {}
+
+    def fill(pos):
+        if pos == len(cells):
+            return 1
+        r, c = cells[pos]
+        lo = max(filling.get((r, c - 1), 1), filling.get((r - 1, c), 0) + 1)
+        total = 0
+        for v in range(lo, len(content) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                filling[r, c] = v
+                total += fill(pos + 1)
+                left[v - 1] += 1
+        filling.pop((r, c), None)
+        return total
+
+    return fill(0)
 
 
 def pieri_expected(lam, k, nu):
@@ -123,6 +152,16 @@ def test_kostka_content_permutation_invariance():
             assert kostka(lam, mu) == kostka(lam, (2, 1, 1))
 
 
+def test_kostka_matches_tableau_count():
+    # every composition of n with at most 4 parts, zeros included
+    for n in range(7):
+        for length in range(5):
+            contents = [c for c in itertools.product(range(n + 1), repeat=length) if sum(c) == n]
+            for lam in partitions_of(n):
+                for content in contents:
+                    assert kostka(lam, content) == content_count(lam, content), (lam, content)
+
+
 def test_kostka_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2, 1), (1, 1))
@@ -134,6 +173,13 @@ def test_lr_examples():
     assert lr_coefficient((2,), (1,), (3,)) == 1
     assert lr_coefficient((2,), (1,), (2, 1)) == 1
     assert lr_coefficient((2,), (1,), (1, 1, 1)) == 0
+
+
+def test_lr_checks_its_partitions():
+    for args in [((1, 2), (1,), (2, 2)), ((1,), (0,), (1,)), ((1,), (1,), (1, 2))]:
+        with pytest.raises(ValueError, match="partition parts"):
+            lr_coefficient(*args)
+    assert lr_coefficient([2, 1], [1], [2, 2]) == 1
 
 
 def test_lr_pieri_oracle():
@@ -218,3 +264,21 @@ def test_schur_product_induction_dimension():
         total = sum(c * dimension_sn(nu) for nu, c in schur_product(lam, mu).items())
         a, b = sum(lam), sum(mu)
         assert total == comb(a + b, a) * dimension_sn(lam) * dimension_sn(mu)
+
+
+def test_schur_product_matches_lattice_filling_reference():
+    for a in range(11):
+        for b in range(11 - a):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    assert schur_product(lam, mu) == lr_product(lam, mu), (lam, mu)
+
+
+def test_cached_products_are_read_only():
+    # lr_coefficient and kostka read these caches, so an edit must not reach them
+    with pytest.raises(TypeError):
+        schur_product((1,), (1,))[(2,)] = 5
+    with pytest.raises(TypeError):
+        _complete((1, 1))[(2,)] = 5
+    assert dict(schur_product((1,), (1,))) == {(2,): 1, (1, 1): 1}
+    assert lr_coefficient((1,), (1,), (2,)) == 1 and kostka((2,), (1, 1)) == 1

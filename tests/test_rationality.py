@@ -200,6 +200,24 @@ def test_pole_denominators_are_expanded_once():
     assert PoleFraction([1], {1: 2, 2: 1}).to_rational().den == [1, -4, 5, -2]
 
 
+def test_a_rational_function_holds_one_copy_of_its_value():
+    # num and den build fresh lists: an edit to them changes no value, and
+    # a function made of the edited lists expands as edited
+    f = RationalFunction([1], [1, -1])
+    assert f.coefficients(4) == [1, 1, 1, 1]
+    den = f.den
+    den[1] = Fraction(-2)
+    assert f.den == [1, -1] and f.coefficients(4) == [1, 1, 1, 1]
+    assert RationalFunction(f.num, den).coefficients(4) == [1, 2, 4, 8]
+    g = multinomial_sum_rational(1, (0,), 1)
+    num = g.num
+    num[0] = 5
+    assert g.num == [1] and g.coefficients(3) == [1, 1, 1]
+    assert RationalFunction(num, g.den).coefficients(3) == [5, 5, 5]
+    with pytest.raises(AttributeError):
+        f.num = [2]
+
+
 def test_coefficients_over_q_with_fractional_denominator():
     # den = B/E with E = 15 > 1: the integer recurrence carries powers of E
     f = RationalFunction([1, Fraction(1, 2)], [1, Fraction(-1, 3), Fraction(2, 5)])

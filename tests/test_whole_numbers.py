@@ -2,9 +2,11 @@
 
 Each entry point takes a whole float as its int, with the same answer; 2.5
 raises ValueError naming the argument (never TypeError, never an answer),
-and so does a value below the argument's bound.  The checks raise
-explicitly, so the table holds under python -O as well, where one
-subprocess runs all of it.
+and so does a value below the argument's bound.  A value of the wrong
+shape, a number where a vector is expected or a 1-tuple where a number is,
+raises ValueError naming the argument too.  The checks raise explicitly,
+so the table holds under python -O as well, where one subprocess runs all
+of it.
 """
 
 import re
@@ -17,7 +19,7 @@ import pytest
 import segre_syzygies
 from segre_syzygies.characters import character_table
 from segre_syzygies.koszul import koszul_homology, new_syzygy_dimension
-from segre_syzygies.partitions import check_partition, kostka
+from segre_syzygies.partitions import check_partition, kostka, lr_coefficient
 from segre_syzygies.rationality import (
     MPoly,
     RationalFunction,
@@ -50,10 +52,13 @@ def series_on(policy):
 
 
 # (id, the call on the argument, a valid int, a value below the bound or
-# None when there is no bound, the argument's name in the message)
+# None when there is no bound, the argument's name in the message); a row
+# whose valid int is None passes a value of the wrong shape, and its fourth
+# entry is then that value, which must raise as 2.5 does
 ENTRY_POINTS = [
     ("check_partition", lambda x: check_partition((x, 1)), 2, 0, "partition parts"),
     ("kostka", lambda x: kostka((2,), (x, 2 - x)), 1, -1, "content entries"),
+    ("lr_coefficient", lambda x: lr_coefficient((x, 1), (1,), (2, 2)), 2, 0, "partition parts"),
     ("SymFunc", lambda x: SymFunc({(x,): 1}), 2, 0, "partition parts"),
     ("SymFunc.basis", lambda x: SymFunc.basis((x, 1)), 2, 0, "partition parts"),
     ("PartitionSeries", lambda x: PartitionSeries(POLICY, {((x,),): 1}), 2, 0, "partition parts"),
@@ -91,16 +96,39 @@ ENTRY_POINTS = [
     ("geometric_torus_coefficients.d", lambda x: geometric_torus_coefficients(x, 3), 2, -1, "d"),
     ("geometric_torus_coefficients.n_terms", lambda x: geometric_torus_coefficients(2, x), 3, -1,
      "number of terms"),
+    # a number where a vector is expected
+    ("koszul_homology.dims.number", lambda x: koszul_homology(x, 1, 2), None, 2, "dims"),
+    ("check_partition.number", check_partition, None, 5, "partition parts"),
+    ("dimension_on_factors.dims.number", lambda x: dimension_on_factors(f1_star(), x, 2), None, 2,
+     "dims"),
+    ("multinomial_sum_rational.e.number", lambda x: multinomial_sum_rational(1, x, 1), None, 1,
+     "shift vector"),
+    ("MPoly.number", lambda x: MPoly(1, {x: 1}), None, 1, "exponent"),
+    # a 1-tuple where a number is expected
+    ("euler_chi.tuple", lambda x: euler_chi((x,)), None, 3, "k"),
+    ("lascoux_leading.p.tuple", lambda x: lascoux_leading((x,), 3), None, 2, "p"),
+    ("coefficients.tuple", lambda x: RationalFunction([1], [1, -1]).coefficients((x,)), None, 3,
+     "number of terms"),
+    ("character_table.tuple", lambda x: character_table((x,)), None, 3, "p"),
+    ("rational_reconstruct.tuple", lambda x: rational_reconstruct([1] * 4, (x,)), None, 1,
+     "max_den_degree"),
+    ("f_segre.tuple", lambda x: f_segre((x,)), None, 1, "p"),
 ]
 
 
 def check_entry_point(call, good, low, name):
     """Raise unless the entry point behaves as the module docstring says;
     no assert, so python -O keeps every check."""
+    shape = f"^{re.escape(name)} must be (an integer|integers)"
+    if good is None:
+        for x in (low, 2.5):
+            with pytest.raises(ValueError, match=shape):
+                call(x)
+        return
     exact, floated = call(good), call(float(good))
     if repr(floated) != repr(exact):
         raise AssertionError(f"{float(good)} gave {floated!r}, {good} gave {exact!r}")
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be (an integer|integers)"):
+    with pytest.raises(ValueError, match=shape):
         call(2.5)
     if low is not None:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be (non-negative|at least)"):
