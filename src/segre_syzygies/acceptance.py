@@ -20,7 +20,7 @@ from math import prod
 
 from .characters import character_table, kronecker_coefficient, mn_character
 from .koszul import koszul_homology, new_syzygy_dimension
-from .partitions import compositions, dimension_sn, partitions_of
+from .partitions import compositions, dimension_sn, kostka, partitions_of
 from .rationality import (
     MPoly,
     divides_up_to_unit,
@@ -247,8 +247,9 @@ def criterion_10():
         identity = (1,) * n
         for lam in partitions_of(n):
             _check(
-                mn_character(lam, identity) == dimension_sn(lam),
-                "character at the identity disagrees with hook dimension at {}",
+                mn_character(lam, identity) == dimension_sn(lam) == kostka(lam, identity),
+                "character at the identity or Kostka number of content 1^n"
+                " disagrees with hook dimension at {}",
                 lam,
             )
 
@@ -268,17 +269,6 @@ def _direct_monomial_sums(expos, shifts, d, nterms) -> dict[tuple, dict[tuple, l
                     for column, value in zip(columns.values(), values):
                         column[n] += c * value
     return sums
-
-
-def _direct_multinomial_sum(poly, e, d, nterms):
-    """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, by brute
-    force, for p given as {expo: coefficient}."""
-    e = tuple(e)
-    sums = _direct_monomial_sums(poly, [e], d, nterms)[e]
-    return [
-        sum((Fraction(c) * sums[expo][n] for expo, c in poly.items()), Fraction(0))
-        for n in range(nterms)
-    ]
 
 
 @_criterion(11, "multinomial-sum-closed-forms", 10.0)

@@ -49,7 +49,7 @@ from math import factorial, prod
 
 from .errors import CapacityError, ConsistencyError
 from .linalg import rank, whole, wholes
-from .partitions import Partition, compositions, gl_dimension, kostka, partitions_of
+from .partitions import Partition, _complete, compositions, gl_dimension, partitions_of
 
 DEFAULT_CAPACITY = 200_000
 
@@ -309,8 +309,14 @@ def schur_extract(
         mult = table[top]
         lams = tuple(tuple(x for x in comp if x) for comp in top)
         decomposition[lams] = decomposition.get(lams, 0) + mult
+        # lam and mu are partitions by construction, so the Kostka numbers
+        # are read off the cached product unchecked
         diagrams = [
-            [(mu, k) for mu in _padded_partitions(sum(lam), n) if (k := kostka(lam, mu))]
+            [
+                (mu + (0,) * (n - len(mu)), k)
+                for mu in partitions_of(sum(lam), n)
+                if (k := _complete(mu).get(lam, 0))
+            ]
             for lam, n in zip(lams, dims)
         ]
         for combo in itertools.product(*diagrams):

@@ -161,7 +161,7 @@ def kostka(lam: Partition, mu) -> int:
     mu is a composition of |lam|; trailing or internal zeros are allowed and
     the count only depends on mu up to permutation.
     """
-    content = wholes(mu, "content entries", 0)
+    lam, content = check_partition(lam), wholes(mu, "content entries", 0)
     if sum(content) != sum(lam):
         raise ValueError(f"content {content} does not match |{lam}|")
     return _complete(tuple(sorted((x for x in content if x > 0), reverse=True))).get(lam, 0)
@@ -185,13 +185,3 @@ def gl_dimension(lam: Partition, m: int) -> int:
     if remainder:
         raise ConsistencyError(f"Weyl dimension {top}/{bottom} of {lam} on C^{m} is fractional")
     return dim
-
-
-def partition_to_json(lam: Partition) -> list[int]:
-    return list(lam)
-
-
-def partition_from_json(data) -> Partition:
-    if not isinstance(data, list):
-        raise ValueError(f"partition must be a JSON array: {data!r}")
-    return check_partition(data)

@@ -15,8 +15,8 @@ Three engines live here:
   A sum is cached once per permutation class of its (exponent, shift)
   pairs, with the negative shift -s of a variable of exponent 0 lifted to
   0 as a factor t^s;
-* the formal torus constant term and the Weyl-integration pairing that
-  turns equivariant Hilbert-series coefficients into plain ones;
+* the Weyl-integration pairing, a formal torus constant term, that turns
+  equivariant Hilbert-series coefficients into plain ones;
 * reconstruction of a rational function from finitely many series
   coefficients, with the denominator degree minimized, which leaves the
   result in lowest terms.  Its linear system is solved without fractions,
@@ -687,30 +687,8 @@ def _tail_sum(eb, d) -> PoleFraction:
     return result
 
 
-def denominator_pole_factors(rf: RationalFunction, d: int) -> dict[int, int]:
-    """Multiplicities of (1 - a t) factors, a = 1..d, in the denominator.
-
-    Raises ConsistencyError if anything else divides the denominator.
-    """
-    den = list(rf.den)
-    factors: dict[int, int] = {}
-    for a in range(1, d + 1):
-        degree = len(den) - 1
-        den, left = _cancel_one_minus(den, a, degree)
-        if left < degree:
-            factors[a] = degree - left
-    if len(den) != 1:
-        raise ConsistencyError(f"denominator has unexpected factors: {den}")
-    return factors
-
-
 # ---------------------------------------------------------------------------
-# torus constant terms and the Weyl pairing
-
-
-def torus_constant_term(x: MPoly) -> Fraction:
-    """Coefficient of the trivial character."""
-    return x.terms.get((0,) * x.nvars, Fraction(0))
+# the Weyl pairing
 
 
 def discriminant_squared(d: int) -> MPoly:

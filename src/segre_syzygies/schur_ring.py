@@ -4,17 +4,18 @@ A SymFunc is a finite exact-rational combination of Schur basis symbols,
 one per partition.  The ring product is the point-wise tensor product of
 functors: `Combination`'s one integer product pairs the basis symbols,
 and the Littlewood-Richardson rule expands each pair.  The power-sum basis
-(which multiplies by cycle-type concatenation) is available as a change of
-basis, not as a second storage format.
+(which multiplies by cycle-type concatenation) is not a second storage
+format: `power_sum` is the one change of basis, writing a power-sum element
+in the Schur basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import character_table, class_data
-from .linalg import Combination, collect, whole
-from .partitions import Partition, check_partition, gl_dimension, partitions_of, schur_product
+from .characters import character_table
+from .linalg import Combination, collect
+from .partitions import Partition, check_partition, partitions_of, schur_product
 
 class SymFunc(Combination):
     """Sparse exact-rational combination of Schur basis symbols."""
@@ -32,10 +33,6 @@ class SymFunc(Combination):
         return x
 
     @staticmethod
-    def zero() -> "SymFunc":
-        return SymFunc()
-
-    @staticmethod
     def unit() -> "SymFunc":
         return SymFunc._like({(): Fraction(1)})
 
@@ -45,15 +42,6 @@ class SymFunc(Combination):
 
     def __rmul__(self, c) -> "SymFunc":
         return self.scale(c)
-
-    def coefficient(self, lam: Partition) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
-
-    def degrees(self) -> set[int]:
-        return {sum(lam) for lam in self.terms}
-
-    def degree_component(self, d: int) -> "SymFunc":
-        return self._like({lam: c for lam, c in self.terms.items() if sum(lam) == d})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -90,47 +78,9 @@ def power_sum(lam: Partition) -> SymFunc:
     return SymFunc._like({mu: Fraction(v) for mu, v in values if v})
 
 
-def to_power_sum_basis(x: SymFunc) -> dict[Partition, Fraction]:
-    """Coefficients of x in the power-sum basis, handled degree by degree."""
-    result: dict[Partition, Fraction] = {}
-    for p in sorted(x.degrees()):
-        component = x.degree_component(p)
-        if p == 0:
-            result[()] = component.coefficient(())
-            continue
-        table = character_table(p)
-        for lam in partitions_of(p):
-            z = class_data(lam).centralizer_order
-            coeff = sum(
-                (table.entry(mu, lam) * c for mu, c in component.terms.items()),
-                Fraction(0),
-            ) / z
-            if coeff:
-                result[lam] = coeff
-    return result
-
-
-def evaluate_dimension(x: SymFunc, m: int) -> Fraction:
-    """Evaluate the class on C^m: sum of coefficients times GL-dimensions."""
-    m = whole(m, "m", 0)
-    return sum(
-        (c * gl_dimension(lam, m) for lam, c in x.terms.items()),
-        Fraction(0),
-    )
-
-
 def sym_to_json(x: SymFunc) -> dict[str, str]:
     """Serialize as partition-string -> rational-string, e.g. {"2,1": "1/2"}."""
     out = {}
     for lam in sorted(x.terms, key=lambda t: (sum(t), t)):
         out[",".join(map(str, lam))] = str(x.terms[lam])
     return out
-
-
-def sym_from_json(data: dict[str, str]) -> SymFunc:
-    """Inverse of `sym_to_json`; keys naming the same partition are summed."""
-    items = (
-        (() if key == "" else check_partition(int(s) for s in key.split(",")), value)
-        for key, value in data.items()
-    )
-    return SymFunc._like(collect(items, tuple))

@@ -119,14 +119,6 @@ class PartitionSeries(Combination):
     def one(policy: TruncationPolicy) -> "PartitionSeries":
         return PartitionSeries._trusted(policy, {(): Fraction(1)} if policy.admits(()) else {})
 
-    @staticmethod
-    def variable(lam: Partition, policy: TruncationPolicy) -> "PartitionSeries":
-        lam = check_partition(lam)
-        if not lam:
-            raise ValueError("the zero partition is not a series variable")
-        terms = {(lam,): Fraction(1)} if policy.admits((lam,)) else {}
-        return PartitionSeries._trusted(policy, terms)
-
     def __add__(self, other: "PartitionSeries") -> "PartitionSeries":
         self._check_policy(other)
         return Combination.__add__(self, other)
@@ -170,11 +162,6 @@ class PartitionSeries(Combination):
 def order_normalize(a: PartitionSeries) -> PartitionSeries:
     """Multiply each order-n component by n! (pass from averaged to plain counts)."""
     return a._like({m: c * factorial(len(m)) for m, c in a.terms.items()})
-
-
-def exp_series(x: SymFunc, policy: TruncationPolicy) -> PartitionSeries:
-    """exp of a constant-term-free ring element, expanded to the truncation order."""
-    return exp_combination([(1, x)], policy)
 
 
 def exp_combination(terms, policy: TruncationPolicy) -> PartitionSeries:
@@ -452,8 +439,3 @@ def series_to_json(a: PartitionSeries) -> list[dict]:
             }
         )
     return out
-
-
-def series_from_json(data, policy: TruncationPolicy) -> PartitionSeries:
-    items = ((item["monomial"], item["coeff"]) for item in data)
-    return PartitionSeries(policy, collect(items, canonical_monomial))

@@ -1,7 +1,7 @@
-"""The tests' independent references: field elimination over Fractions,
-the wedges that fit under a weight, by filtering all of them, and
+"""The tests' independent references: field elimination over Fractions;
+the wedges that fit under a weight, by filtering all of them;
 Littlewood-Richardson coefficients, by a search over the fillings of each
-target shape.
+target shape; and multinomial sums, term by term.
 
 The library eliminates without fractions in `segre_syzygies.linalg`:
 sparse integer vectors for `rank`, Bareiss rows for `echelon`.  These
@@ -11,11 +11,15 @@ fit under a weight level by level, on a packed weight; here every subset of
 labels is tried on the weight's tuple of entries.  The library grows a
 Schur product strip by strip, building only the shapes that occur; here
 every partition of the right size is a candidate, and each one's lattice
-fillings are counted by backtracking, cell by cell.
+fillings are counted by backtracking, cell by cell.  The library sums a
+multinomial series in closed form; here its coefficients are added up term
+by term, by the gate's brute-force `_direct_monomial_sums`.
 """
 
 import itertools
 from fractions import Fraction
+
+from segre_syzygies.acceptance import _direct_monomial_sums
 
 
 def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
@@ -142,3 +146,14 @@ def lr_product(lam, mu) -> dict:
         if n:
             out[nu] = n
     return out
+
+
+def direct_multinomial_sum(poly, e, d, nterms):
+    """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, by brute
+    force, for p given as {expo: coefficient}."""
+    e = tuple(e)
+    sums = _direct_monomial_sums(poly, [e], d, nterms)[e]
+    return [
+        sum((Fraction(c) * sums[expo][n] for expo, c in poly.items()), Fraction(0))
+        for n in range(nterms)
+    ]

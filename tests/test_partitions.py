@@ -12,8 +12,6 @@ from segre_syzygies.partitions import (
     gl_dimension,
     kostka,
     lr_coefficient,
-    partition_from_json,
-    partition_to_json,
     partitions_of,
     schur_product,
 )
@@ -167,6 +165,13 @@ def test_kostka_size_mismatch():
         kostka((2, 1), (1, 1))
 
 
+def test_kostka_checks_its_shape():
+    for lam, content in [((1.5, 1.5), (3,)), ((1, 2), (2, 1)), ((0,), (0,))]:
+        with pytest.raises(ValueError, match="partition parts"):
+            kostka(lam, content)
+    assert kostka([2, 1], [1, 1, 1]) == 2
+
+
 def test_lr_examples():
     assert lr_coefficient((1,), (1,), (2,)) == 1
     assert lr_coefficient((1,), (1,), (1, 1)) == 1
@@ -224,17 +229,6 @@ def test_gl_dimension_ssyt_oracle():
         for lam in partitions_of(n):
             for m in range(0, 4):
                 assert gl_dimension(lam, m) == ssyt_count(lam, m)
-
-
-def test_partition_json():
-    assert partition_to_json((2, 1)) == [2, 1]
-    assert partition_to_json(()) == []
-    assert partition_from_json([2, 1]) == (2, 1)
-    assert partition_from_json([]) == ()
-    with pytest.raises(ValueError):
-        partition_from_json("2,1")
-    with pytest.raises(ValueError):
-        partition_from_json([1, 2])
 
 
 def test_schur_product_matches_lr():

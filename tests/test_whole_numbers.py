@@ -28,7 +28,7 @@ from segre_syzygies.rationality import (
     rational_reconstruct,
     weyl_series,
 )
-from segre_syzygies.schur_ring import SymFunc, evaluate_dimension, power_sum
+from segre_syzygies.schur_ring import SymFunc, power_sum
 from segre_syzygies.series import (
     PartitionSeries,
     TruncationPolicy,
@@ -64,7 +64,6 @@ ENTRY_POINTS = [
     ("PartitionSeries", lambda x: PartitionSeries(POLICY, {((x,),): 1}), 2, 0, "partition parts"),
     ("power_sum", lambda x: power_sum((x, 1)), 2, 0, "partition parts"),
     ("character_table", lambda x: character_table(x).to_csv(), 3, 0, "p"),
-    ("evaluate_dimension", lambda x: evaluate_dimension(SymFunc.basis((2,)), x), 3, -1, "m"),
     ("max_order", lambda x: series_on(TruncationPolicy(x, 2)), 2, -1, "max_order"),
     ("max_part_size", lambda x: series_on(TruncationPolicy(2, x)), 2, -1, "max_part_size"),
     ("euler_chi", lambda x: euler_chi(x, POLICY), 3, -1, "k"),
