@@ -11,10 +11,10 @@ entry +-1 per wedge label of each source element.
 
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
-ring monomial that makes up the difference, so no ring basis, fine or
-merged, and no whole exterior power is ever enumerated.  In the fine complex
-that monomial is the weight the wedge leaves over, so the wedge alone names
-its element, and the differential finds each image by dropping a label.
+ring monomial that makes up the difference, the weight the wedge leaves
+over, so no ring basis and no whole exterior power is ever enumerated, the
+wedge alone names its element, and the differential finds each image by
+dropping a label.
 The walk carries the weight left over as one packed int, whose guard bits
 tell in one subtraction whether a label still fits.  The homology is a
 representation of GL(d_1) x ... x GL(d_n), fixed by its multiplicities at
@@ -24,26 +24,25 @@ their factor swaps; the Schur decomposition is peeled over dominant weights
 alone, and the dimension is summed over Weyl orbits.
 
 The "new syzygy" computation quotients the homology by everything induced
-from coarser groupings of the tensor factors.  A merged Segre variety lies
-in the same projective space as the fine one, so its Koszul complex is built
-on the same exterior algebra, with the same wedge labels; only the ring
-differs, and the chain map is the ring surjection on the ring part and the
-identity on the wedge.  Every coarser grouping's chain map factors through
-the complex that merges just two of its factors, so only the C(n, 2) pair
-merges are built.  The dimension of the old classes is read off integer
-ranks of one stacked set of rows, with no kernel basis.  The wedges that fit
-under a weight are grown once for every complex.  Each merged block pairs
-them with the merged monomials over what they leave: a product over the
-merged factors of their exponent vectors with the right margins.  One wedge
-pairs with several merged monomials, so merged elements are keyed by (ring
-exponents, wedge); the chain map sends each to the fine element its wedge
-names.
+from coarser groupings of the tensor factors.  Every coarser grouping's
+chain map factors through the complex that merges just two of its factors,
+so only the C(n, 2) pair merges are built.  A merged Segre variety lies in
+the same projective space as the fine one, on the same wedge labels, so at
+a fine weight w a merge's complex is a direct sum of subcomplexes of w's
+block: one for each merged weight W, a d_i x d_j table whose row and column
+sums are w's rows of the two factors, beside w's other rows.  The summand
+at W holds the wedges that fit under W, keyed by the wedge alone, and the
+chain map is the inclusion of wedges.  If one W holds every middle wedge,
+every cycle is old, and the weight adds nothing.  The dimension of the old
+classes is read off integer ranks of one stacked set of rows, with no
+kernel basis.  Within a merge, the stack numbers its elements by the
+position of their wedge in the fine block, then by W: elimination fills in
+less in that order than W by W.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from math import factorial, prod
 
@@ -57,11 +56,9 @@ Dims = tuple[int, ...]
 Weight = tuple[tuple[int, ...], ...]
 FlatWeight = tuple[int, ...]  # the factors' rows of a weight, concatenated
 Wedge = tuple[int, ...]  # increasing labels of tensor basis elements
-# a basis element: in the fine complex its wedge alone, since its ring
-# monomial is the weight the wedge leaves over; in a merged complex (flat
-# ring exponents, wedge), since one wedge pairs with several monomials
-Element = Wedge | tuple[tuple[int, ...], Wedge]
-Block = dict[Element, int]  # basis element -> position
+# a basis element is named by its wedge alone, since its ring monomial is the
+# weight the wedge leaves over
+Block = dict[Wedge, int]  # wedge -> position
 
 
 def check_dims(dims) -> Dims:
@@ -133,11 +130,11 @@ class _Complex:
         ]
 
     def blocks(self, pieces, weight: FlatWeight, levels) -> list[Block]:
-        """The bases of the pieces (i, j) at a fine weight, numbered in order,
-        over the levels of `_wedge_levels` at that weight."""
+        """The bases of the pieces (i, j) at a weight, fine or merged,
+        numbered in order, over the levels of `_wedge_levels` at that weight."""
         out = []
         for i, j in pieces:
-            block = self.level_block(i, levels[j] if 0 <= j < len(levels) else ())
+            block = self.level_block(levels[j] if 0 <= j < len(levels) else ())
             if len(block) > self.capacity:
                 raise CapacityError(
                     f"block of piece {(i, j)} at weight {weight} has {len(block)} elements, "
@@ -146,9 +143,9 @@ class _Complex:
             out.append(block)
         return out
 
-    def level_block(self, i: int, level) -> Block:
-        """The block of ring degree i over a level: each wedge names its
-        element, whose ring monomial is the weight the wedge leaves over."""
+    def level_block(self, level) -> Block:
+        """The block over a level: each wedge names its element, whose ring
+        monomial is the weight the wedge leaves over."""
         return {wedge: s for s, (_, wedge) in enumerate(level)}
 
     def images(self, source: Block, target: Block) -> list[dict[int, int]]:
@@ -173,17 +170,10 @@ def _pack(weight: FlatWeight, width: int) -> int:
     return sum((top | x) << (width * q) for q, x in enumerate(weight))
 
 
-def _unpack(packed: int, n: int) -> FlatWeight:
-    """The n entries of a packed weight whose guards are all set: the top
-    guard is its highest bit, so it fixes the digit width."""
-    width = packed.bit_length() // n
-    mask = (1 << (width - 1)) - 1
-    return tuple(packed >> (width * q) & mask for q in range(n))
-
-
 def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[int, Wedge]]]:
-    """The wedges that fit under a fine weight, by degree 0..top, over the
-    fine complex's label positions; the walk stops early at an empty level.
+    """The wedges that fit under a weight, by degree 0..top, over the label
+    positions of the fine complex or of a merge; the walk stops early at an
+    empty level.
     Level j holds the wedges of degree j that fit, as (packed weight left
     over, wedge), in decreasing lexicographic order, which ranks faster.
     Label k goes before the wedges of level j - 1 that start above k: they
@@ -334,110 +324,59 @@ def schur_extract(
     return decomposition
 
 
-class _MergedMap(_Complex):
-    """The complex of a merged grouping, with its chain map into the fine complex.
+def _tables(rows, cols):
+    """The tables of non-negative integers with the given row and column
+    sums, flat row by row, in decreasing lexicographic order."""
+    if not rows:
+        if not any(cols):
+            yield ()
+        return
+    for first in compositions(rows[0], len(cols)):
+        if all(x <= c for x, c in zip(first, cols)):
+            left = tuple(c - x for c, x in zip(cols, first))
+            for rest in _tables(rows[1:], left):
+                yield first + rest
 
-    Each merged factor is a tensor product of fine factors; its basis is
-    enumerated by lexicographic tuples, so every merged ring coordinate
-    decodes to fine ones.  The wedge labels are the fine ones: label k sits
-    at the merged ring coordinates of its fine index tuple, one per block of
-    the grouping.  The chain map keeps the wedge and sends each merged
-    factor's exponent vector to its margins, the rows of its fine factors.
-    A wedge pairs with several merged monomials, so blocks key each element
-    by (merged ring exponents, wedge), and `images` names each target by the
-    ring monomial bumped at the dropped label's merged coordinates.  An
-    element's image under the chain map is the fine element named by its
-    wedge.
+
+class _Merge:
+    """The complex that merges tensor factors i < j, on the fine labels.
+
+    A merged flat weight is a d_i x d_j table, flat row by row, followed by
+    the other factors' rows.  Label k sits at the table entry that its
+    indices in factors i and j name, and at its other factors' coordinates.
+    The merged weights over a fine weight are the tables whose row and
+    column sums are its rows of factors i and j, in decreasing lexicographic
+    order, beside its other rows.
     """
 
-    def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
+    def __init__(self, fine: _Complex, i: int, j: int):
         dims = fine.dims
-        # _Complex.__init__ is skipped: its positions would be the merged
-        # product basis, and the labels here are the fine ones
-        self.dims = tuple(prod(dims[x] for x in block) for block in blocks)
-        self.capacity = fine.capacity
         offsets = list(itertools.accumulate(dims, initial=0))
-        # the fine weight positions of each merged ring coordinate
-        self.coordinate_images = [
-            tuple(offsets[x] + a for x, a in zip(block, t))
-            for block in blocks
-            for t in itertools.product(*(range(dims[x]) for x in block))
-        ]
-        # the labels stay the fine ones, at the merged coordinates they lie in
-        coordinate = {qs: c for c, qs in enumerate(self.coordinate_images)}
-        self.positions = [
-            tuple(coordinate[tuple(qs[x] for x in block)] for block in blocks)
-            for qs in fine.positions
-        ]
-        self.width = offsets[-1]
-        # each merged factor's fine rows of a flat weight, which are its margins
-        self.rows = [
-            operator.itemgetter(*(offsets[x] + a for x in block for a in range(dims[x])))
-            for block in blocks
-        ]
-        self._tables: dict[int, list[tuple[dict, operator.itemgetter]]] = {}
+        self.margins = [range(offsets[f], offsets[f + 1]) for f in (i, j)]
+        self.rest = [q for q in range(offsets[-1]) if not any(q in m for m in self.margins)]
+        after = {q: dims[i] * dims[j] + x for x, q in enumerate(self.rest)}
+        self.positions = []
+        for qs in fine.positions:
+            cell = (qs[i] - offsets[i]) * dims[j] + qs[j] - offsets[j]
+            self.positions.append((cell, *(after[q] for q in qs if q in after)))
 
-    def level_block(self, i: int, level) -> Block:
-        # the merged monomials over a fine weight: a product over the merged
-        # factors of their vectors of degree i with its rows, in table order;
-        # each distinct packed weight left over is unpacked once
-        if level and i not in self._tables:
-            self._tables[i] = [({}, rows) for rows in self.rows]
-            starts = itertools.accumulate(self.dims, initial=0)
-            for (table, rows), n, start in zip(self._tables[i], self.dims, starts):
-                for c in compositions(i, n):
-                    table.setdefault(rows(self.map_ring((0,) * start + c)), []).append(c)
-        over: dict[int, list[tuple[int, ...]]] = {}
-        block: Block = {}
-        for left, wedge in level:
-            ring = over.get(left)
-            if ring is None:
-                flat = _unpack(left, self.width)
-                parts = itertools.product(*(t.get(rows(flat), ()) for t, rows in self._tables[i]))
-                ring = over[left] = [tuple(itertools.chain(*c)) for c in parts]
-            for r in ring:
-                block[(r, wedge)] = len(block)
-        return block
-
-    def images(self, source: Block, target: Block) -> list[dict[int, int]]:
-        # as the fine complex's, with each target named by the ring monomial
-        # bumped at the dropped label's merged coordinates and the wedge left
-        rows = [{} for _ in range(len(target))]
-        for s, (r, wedge) in enumerate(source):
-            for t, k in enumerate(wedge):
-                bumped = list(r)
-                for q in self.positions[k]:
-                    bumped[q] += 1
-                row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
-                row[s] = -1 if t % 2 else 1
-        return rows
-
-    def map_ring(self, r: tuple[int, ...]) -> FlatWeight:
-        fine = [0] * self.width
-        for c, e in enumerate(r):
-            if e:
-                for q in self.coordinate_images[c]:
-                    fine[q] += e
-        return tuple(fine)
+    def weights(self, weight: FlatWeight):
+        """The merged weights over a fine weight."""
+        rest = tuple(weight[q] for q in self.rest)
+        rows, cols = ([weight[q] for q in margin] for margin in self.margins)
+        return [table + rest for table in _tables(rows, cols)]
 
 
-def _merged_maps(fine: _Complex) -> list[_MergedMap]:
-    """The merged complexes of the groupings that merge exactly two factors.
-
-    These suffice: a grouping with a block holding factors i and j has a
-    coordinate ring that surjects onto the one merging only i and j, which
-    surjects onto the fine one, so its chain map into the fine complex
-    factors through the complex of that pair.
-    """
-    n = len(fine.dims)
-    return [
-        _MergedMap(fine, (pair, *((k,) for k in range(n) if k not in pair)))
-        for pair in itertools.combinations(range(n), 2)
-    ]
+def _stack_order(blocks: list[Block], fine_block: Block) -> list[list[int]]:
+    """Each block's elements numbered across blocks whose wedges lie in one
+    fine block: by the wedge's position there, then by the block's index."""
+    keys = sorted((fine_block[wedge], x) for x, block in enumerate(blocks) for wedge in block)
+    at = {key: n for n, key in enumerate(keys)}
+    return [[at[fine_block[wedge], x] for wedge in block] for x, block in enumerate(blocks)]
 
 
 def _block_new_dimension(
-    fine: _Complex, pieces, merges: list[_MergedMap], weight: FlatWeight
+    fine: _Complex, pieces, merges: list[_Merge], weight: FlatWeight
 ) -> int:
     """Dimension of the middle homology of the slice at one weight, modulo
     the images of merged cycles; with no merges, the homology itself.
@@ -448,14 +387,17 @@ def _block_new_dimension(
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
     Each matrix is held as its rows, as `images` gives them: the rows are the
     middle block's positions, then each merge's target positions; the columns
-    are the boundaries, then each merge's source elements, in block order.
-    A merged element's column holds its chain map image, a 1 in the row of
-    its fine image, over its differential.  Every merge is stacked: one with
-    no cycles at the weight raises the stack's rank by exactly rank D_k, so
-    it leaves the old classes as they are.  The wedges that fit under the
-    weight are grown once, for the fine complex and every merge.
+    are the boundaries, then each merge's source elements.  A merge's blocks
+    are the fine blocks of its merged weights W over the weight, and its
+    differential is the fine one on each; a merged element's column holds
+    its chain map image, a 1 in the row of its wedge, over its differential.
+    Every merge is stacked: one with no cycles at the weight raises the
+    stack's rank by exactly rank D_k, so it leaves the old classes as they
+    are.  If one W's source block holds every middle wedge, its cycles are
+    all the cycles, so every cycle is old.
     """
-    levels = _wedge_levels(fine.positions, weight, pieces[0][1])
+    p = pieces[1][1]
+    levels = _wedge_levels(fine.positions, weight, p + 1)
     left, mid, right = fine.blocks(pieces, weight, levels)
     if not mid:
         return 0
@@ -468,15 +410,29 @@ def _block_new_dimension(
         return 0
     if not merges:
         return homology
+    if not p:  # only the unit, at d = 0, has homology, and every merge has it
+        return 0
     # the boundary rows grow in place into the stack, a merge at a time
     stack, offset, diff_ranks = boundaries, len(left), 0
-    for mm in merges:
-        source, target = mm.blocks(pieces[1:], weight, levels)
-        diff = mm.images(source, target)
-        for c, (_, wedge) in enumerate(source, offset):
-            stack[mid[wedge]][c] = 1
-        stack.extend({s + offset: x for s, x in row.items()} for row in diff)
-        offset += len(source)
+    for merge in merges:
+        blocks = []
+        for merged in merge.weights(weight):
+            walk = _wedge_levels(merge.positions, merged, p)
+            source, target = fine.blocks(pieces[1:], merged, walk)
+            if len(source) == len(mid):
+                return 0
+            blocks.append((source, target))
+        sources, targets = zip(*blocks)
+        columns, rows = _stack_order(sources, mid), _stack_order(targets, right)
+        diff = [{} for _ in range(sum(map(len, targets)))]
+        for source, target, cs, rs in zip(sources, targets, columns, rows):
+            cs = [offset + c for c in cs]
+            for wedge, c in zip(source, cs):
+                stack[mid[wedge]][c] = 1
+            for r, image in zip(rs, fine.images(source, target)):
+                diff[r] = {cs[s]: x for s, x in image.items()}
+        stack += diff
+        offset += sum(map(len, sources))
         diff_ranks += rank(diff)
     old = rank(stack) - diff_ranks
     new_dim = cycles - old
@@ -498,6 +454,8 @@ def new_syzygy_dimension(
     if len(dims) < 2:
         raise ValueError("need at least two tensor factors")
     p, d, pieces, fine = _slice(dims, p, d, capacity)
-    merges = _merged_maps(fine)
+    # a grouping with factors i and j in one block has a ring that surjects
+    # onto the pair merge's, so its chain map factors through that merge
+    merges = [_Merge(fine, i, j) for i, j in itertools.combinations(range(len(dims)), 2)]
     table = _weight_table(dims, d, lambda w: _block_new_dimension(fine, pieces, merges, w))
     return _dimension_and_decomposition(table, dims)

@@ -13,13 +13,23 @@ Schur product strip by strip, building only the shapes that occur; here
 every partition of the right size is a candidate, and each one's lattice
 fillings are counted by backtracking, cell by cell.  The library sums a
 multinomial series in closed form; here its coefficients are added up term
-by term, by the gate's brute-force `_direct_monomial_sums`.
+by term, by the gate's brute-force `_direct_monomial_sums`.  The library
+builds a merged Koszul complex at a fine weight as subcomplexes of the fine
+block, one per merged weight; here `_MergedMap` builds it on its own ring,
+pairing each wedge with every merged monomial over what it leaves, and
+merges any grouping of the factors, not only pairs.
 """
 
+from __future__ import annotations
+
 import itertools
+import operator
 from fractions import Fraction
+from math import prod
 
 from segre_syzygies.acceptance import _direct_monomial_sums
+from segre_syzygies.koszul import _Complex
+from segre_syzygies.partitions import compositions
 
 
 def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
@@ -156,4 +166,119 @@ def direct_multinomial_sum(poly, e, d, nterms):
     return [
         sum((Fraction(c) * sums[expo][n] for expo, c in poly.items()), Fraction(0))
         for n in range(nterms)
+    ]
+
+
+def _unpack(packed: int, n: int) -> tuple[int, ...]:
+    """The n entries of a packed weight whose guards are all set: the top
+    guard is its highest bit, so it fixes the digit width."""
+    width = packed.bit_length() // n
+    mask = (1 << (width - 1)) - 1
+    return tuple(packed >> (width * q) & mask for q in range(n))
+
+
+class _MergedMap(_Complex):
+    """The complex of a merged grouping, with its chain map into the fine complex.
+
+    Each merged factor is a tensor product of fine factors; its basis is
+    enumerated by lexicographic tuples, so every merged ring coordinate
+    decodes to fine ones.  The wedge labels are the fine ones: label k sits
+    at the merged ring coordinates of its fine index tuple, one per block of
+    the grouping.  The chain map keeps the wedge and sends each merged
+    factor's exponent vector to its margins, the rows of its fine factors.
+    A wedge pairs with several merged monomials, so blocks key each element
+    by (merged ring exponents, wedge), and `images` names each target by the
+    ring monomial bumped at the dropped label's merged coordinates.  An
+    element's image under the chain map is the fine element named by its
+    wedge.
+    """
+
+    def __init__(self, fine: _Complex, blocks: tuple[tuple[int, ...], ...]):
+        dims = fine.dims
+        # _Complex.__init__ is skipped: its positions would be the merged
+        # product basis, and the labels here are the fine ones
+        self.dims = tuple(prod(dims[x] for x in block) for block in blocks)
+        self.capacity = fine.capacity
+        offsets = list(itertools.accumulate(dims, initial=0))
+        # the fine weight positions of each merged ring coordinate
+        self.coordinate_images = [
+            tuple(offsets[x] + a for x, a in zip(block, t))
+            for block in blocks
+            for t in itertools.product(*(range(dims[x]) for x in block))
+        ]
+        # the labels stay the fine ones, at the merged coordinates they lie in
+        coordinate = {qs: c for c, qs in enumerate(self.coordinate_images)}
+        self.positions = [
+            tuple(coordinate[tuple(qs[x] for x in block)] for block in blocks)
+            for qs in fine.positions
+        ]
+        self.width = offsets[-1]
+        # each merged factor's fine rows of a flat weight, which are its margins
+        self.rows = [
+            operator.itemgetter(*(offsets[x] + a for x in block for a in range(dims[x])))
+            for block in blocks
+        ]
+        self._tables: dict[int, list[tuple[dict, operator.itemgetter]]] = {}
+
+    def blocks(self, pieces, weight, levels) -> list[dict]:
+        # as the fine complex's, with the ring degree i passed on, since it
+        # names the merged monomials that pair with each wedge
+        return [self.level_block(i, levels[j] if 0 <= j < len(levels) else ()) for i, j in pieces]
+
+    def level_block(self, i: int, level) -> dict:
+        # the merged monomials over a fine weight: a product over the merged
+        # factors of their vectors of degree i with its rows, in table order;
+        # each distinct packed weight left over is unpacked once
+        if level and i not in self._tables:
+            self._tables[i] = [({}, rows) for rows in self.rows]
+            starts = itertools.accumulate(self.dims, initial=0)
+            for (table, rows), n, start in zip(self._tables[i], self.dims, starts):
+                for c in compositions(i, n):
+                    table.setdefault(rows(self.map_ring((0,) * start + c)), []).append(c)
+        over: dict[int, list[tuple[int, ...]]] = {}
+        block: dict = {}
+        for left, wedge in level:
+            ring = over.get(left)
+            if ring is None:
+                flat = _unpack(left, self.width)
+                parts = itertools.product(*(t.get(rows(flat), ()) for t, rows in self._tables[i]))
+                ring = over[left] = [tuple(itertools.chain(*c)) for c in parts]
+            for r in ring:
+                block[(r, wedge)] = len(block)
+        return block
+
+    def images(self, source: dict, target: dict) -> list[dict[int, int]]:
+        # as the fine complex's, with each target named by the ring monomial
+        # bumped at the dropped label's merged coordinates and the wedge left
+        rows = [{} for _ in range(len(target))]
+        for s, (r, wedge) in enumerate(source):
+            for t, k in enumerate(wedge):
+                bumped = list(r)
+                for q in self.positions[k]:
+                    bumped[q] += 1
+                row = rows[target[(tuple(bumped), wedge[:t] + wedge[t + 1 :])]]
+                row[s] = -1 if t % 2 else 1
+        return rows
+
+    def map_ring(self, r: tuple[int, ...]) -> tuple[int, ...]:
+        fine = [0] * self.width
+        for c, e in enumerate(r):
+            if e:
+                for q in self.coordinate_images[c]:
+                    fine[q] += e
+        return tuple(fine)
+
+
+def _merged_maps(fine: _Complex) -> list[_MergedMap]:
+    """The merged complexes of the groupings that merge exactly two factors.
+
+    These suffice: a grouping with a block holding factors i and j has a
+    coordinate ring that surjects onto the one merging only i and j, which
+    surjects onto the fine one, so its chain map into the fine complex
+    factors through the complex of that pair.
+    """
+    n = len(fine.dims)
+    return [
+        _MergedMap(fine, (pair, *((k,) for k in range(n) if k not in pair)))
+        for pair in itertools.combinations(range(n), 2)
     ]

@@ -12,10 +12,9 @@ from segre_syzygies.koszul import (
     DEFAULT_CAPACITY,
     _block_new_dimension,
     _Complex,
-    _merged_maps,
-    _MergedMap,
+    _Merge,
     _slice,
-    _unpack,
+    _stack_order,
     _wedge_levels,
     koszul_homology,
     new_syzygy_dimension,
@@ -24,7 +23,16 @@ from segre_syzygies.koszul import (
 from segre_syzygies.linalg import rank
 from segre_syzygies.partitions import compositions, gl_dimension
 
-from reference import columns, filtered_wedges, gauss_jordan, kernel_basis, leftover
+from reference import (
+    _merged_maps,
+    _MergedMap,
+    _unpack,
+    columns,
+    filtered_wedges,
+    gauss_jordan,
+    kernel_basis,
+    leftover,
+)
 
 
 def all_weights(dims, total):
@@ -86,6 +94,46 @@ def map_matrix(fine, mm, weight, merged_block, fine_block):
     return m
 
 
+def inclusion(block, fine_block):
+    """A merged block's chain map into the fine block at the same fine
+    weight: each wedge to itself, with coefficient 1."""
+    m = [[0] * len(block) for _ in range(len(fine_block))]
+    for wedge, col in block.items():
+        m[fine_block[wedge]][col] += 1
+    return m
+
+
+def margins(table, n, m):
+    """The row and column sums of an n x m table, flat row by row."""
+    grid = [table[x * m : (x + 1) * m] for x in range(n)]
+    return tuple(map(sum, grid)), tuple(map(sum, zip(*grid)))
+
+
+def raised(positions, r, wedge):
+    """The weight of an element: its ring exponents, one up at each
+    coordinate of each label of its wedge."""
+    weight = list(r)
+    for k in wedge:
+        for q in positions[k]:
+            weight[q] += 1
+    return tuple(weight)
+
+
+def pair_merges(fine):
+    """The library's merges of two factors, in pair order, as the cosocle
+    builds them."""
+    return [_Merge(fine, i, j) for i, j in itertools.combinations(range(len(fine.dims)), 2)]
+
+
+def merged_blocks(fine, merge, pieces, weight):
+    """Each merged weight over a fine weight, with its blocks of the pieces."""
+    top = max(j for _, j in pieces)
+    return [
+        (merged, fine.blocks(pieces, merged, _wedge_levels(merge.positions, merged, top)))
+        for merged in merge.weights(weight)
+    ]
+
+
 def set_partitions(n):
     """All set partitions of range(n), blocks sorted by least element."""
     if n == 0:
@@ -127,20 +175,23 @@ def grown_levels(positions, top, weight):
 
 
 def test_wedges_match_filtered_combinations():
-    # the one walk over the fine labels, at balanced and unbalanced weights;
-    # a piece of negative wedge degree is empty in every complex
+    # the one walk, over the fine labels at balanced and unbalanced weights,
+    # and over each merge's at the merged weights over the balanced ones; a
+    # piece of negative wedge degree is empty in every complex
     for dims in [(2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
         weights = [w for total in (1, 2, 3) for w in all_weights(dims, total)]
         weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
-        complexes = [fine, *_merged_maps(fine)]
+        merges = pair_merges(fine)
         for w in weights:
-            levels = grown_levels(fine.positions, 4, w)
-            for j in range(5):
-                assert levels[j] == filtered_wedges(fine.positions, j, w), (dims, w, j)
-            walked = _wedge_levels(fine.positions, w, 4)
-            for cx in complexes:
-                assert cx.blocks([(0, -1)], w, walked) == [{}]
+            walks = [(fine.positions, w)]
+            walks += [(m.positions, merged) for m in merges for merged in m.weights(w)]
+            for positions, weight in walks:
+                levels = grown_levels(positions, 4, weight)
+                for j in range(5):
+                    assert levels[j] == filtered_wedges(positions, j, weight), (dims, weight, j)
+                walked = _wedge_levels(positions, weight, 4)
+                assert fine.blocks([(0, -1)], weight, walked) == [{}]
 
 
 def test_differential_squares_to_zero():
@@ -254,7 +305,7 @@ def test_weight_table_matches_every_block():
 def test_new_syzygies_agree_at_non_dominant_weights():
     for dims in [(2, 3), (2, 2, 2)]:
         _, _, pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
-        merges = _merged_maps(fine)
+        merges = pair_merges(fine)
         direct = {}
         for w in all_weights(dims, 3):
             v = _block_new_dimension(fine, pieces, merges, w)
@@ -271,8 +322,9 @@ def test_new_syzygies_agree_at_non_dominant_weights():
 
 
 def test_new_syzygies_match_kernel_reference():
-    # the library merges two factors at a time and takes integer ranks; the
-    # reference builds kernel bases and merges over every non-discrete grouping
+    # the library merges two factors at a time, as subcomplexes of the fine
+    # blocks, and takes integer ranks; the reference builds kernel bases and
+    # merges over every non-discrete grouping, each on its own ring
     cases = [
         ((2, 2), 1, 2),
         ((2, 3), 2, 3),
@@ -284,7 +336,7 @@ def test_new_syzygies_match_kernel_reference():
     assert len(nondiscrete_groupings(4)) == 14  # Bell(4) - 1
     for dims, p, d in cases:
         _, _, pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
-        merges = _merged_maps(fine)
+        merges = pair_merges(fine)
         groupings = [_MergedMap(fine, u) for u in nondiscrete_groupings(len(dims))]
         for w in all_weights(dims, d):
             expected = reference_new_dimension(fine, pieces, groupings, w)
@@ -349,11 +401,13 @@ def test_capacity_error_reports_sizes():
         ((2, 2, 2), 1, 2, 8, (0, {})),
         ((2, 3), 2, 3, 9, (2, {((2, 1), (1, 1, 1)): 1})),
         ((2, 2, 3), 2, 3, 27, (0, {})),
+        ((3, 3), 3, 4, 24, (9, {((2, 1, 1), (2, 1, 1)): 1})),
+        ((2, 5), 3, 4, 24, (15, {((3, 1), (1, 1, 1, 1)): 1})),
     ],
 )
 def test_capacity_bounds_blocks_alone(dims, p, d, capacity, expected):
-    # the smallest capacity the homology's own blocks admit; no merged ring
-    # piece, however large, is counted against it
+    # the smallest capacity the homology's own blocks admit; each merged
+    # block is a subset of a fine one, so the cosocle needs no more
     with pytest.raises(CapacityError):
         koszul_homology(dims, p, d, capacity=capacity - 1)
     koszul_homology(dims, p, d, capacity=capacity)
@@ -454,72 +508,84 @@ def test_first_cosocle_at_p4():
 
 def test_merged_chain_map_commutes_with_differentials():
     # every merged basis element of piece (i, j), as the union of its blocks,
-    # each named by its weight and its block key
+    # each named by its fine weight, its merged weight and its wedge
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
-        for blocks in nondiscrete_groupings(len(dims)):
-            mm = _MergedMap(fine, blocks)
+        pairs = itertools.combinations(range(len(dims)), 2)
+        for (a, b), merge in zip(pairs, pair_merges(fine)):
+            merged_dims = [dims[a] * dims[b]] + [n for f, n in enumerate(dims) if f not in (a, b)]
             for i, j in [(1, 2), (0, 2), (2, 1)]:
+                pieces = [(i + k, j - k) for k in range(2)]
                 seen = set()
                 for w in all_weights(dims, i + j):
-                    pieces = [(i + k, j - k) for k in range(2)]
-                    levels = _wedge_levels(fine.positions, w, j)
-                    merged = mm.blocks(pieces, w, levels)
-                    ends = fine.blocks(pieces, w, levels)
-                    seen.update((w, key) for key in merged[0])
-                    mapped_then_diff = matmul(
-                        dense(fine, *ends),
-                        map_matrix(fine, mm, w, merged[0], ends[0]),
-                        len(ends[0]),
-                    )
-                    diff_then_mapped = matmul(
-                        map_matrix(fine, mm, w, merged[1], ends[1]),
-                        dense(mm, *merged),
-                        len(merged[1]),
-                    )
-                    assert mapped_then_diff == diff_then_mapped, (dims, blocks, i, j, w)
-                ring = prod(comb(n + i - 1, i) for n in mm.dims)
-                assert len(seen) == ring * comb(len(mm.positions), j)
+                    ends = fine.blocks(pieces, w, _wedge_levels(fine.positions, w, j))
+                    for merged, blocks in merged_blocks(fine, merge, pieces, w):
+                        seen.update((w, merged, wedge) for wedge in blocks[0])
+                        mapped_then_diff = matmul(
+                            dense(fine, *ends), inclusion(blocks[0], ends[0]), len(ends[0])
+                        )
+                        diff_then_mapped = matmul(
+                            inclusion(blocks[1], ends[1]), dense(fine, *blocks), len(blocks[1])
+                        )
+                        assert mapped_then_diff == diff_then_mapped, (dims, a, b, i, j, merged)
+                ring = prod(comb(n + i - 1, i) for n in merged_dims)
+                assert len(seen) == ring * comb(len(merge.positions), j)
 
 
 def test_merged_blocks_keep_the_product_order():
-    # per level entry, the merged ring monomials in the order of the product
-    # of the merged factors' compositions, filtered by their fine image
+    # the merged weights over a fine weight are the merged factor's
+    # compositions with the right margins, in their order; each one's block
+    # is the wedges that fit under it, in the fine block's order; and the
+    # stack numbers a merge's elements as the reference orders its (ring
+    # exponents, wedge) keys, whose pair groupings put the merged factor's
+    # coordinates first, as `_Merge` does
     for dims in [(2, 2, 2), (2, 3)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
-        for blocks in nondiscrete_groupings(len(dims)):
-            mm = _MergedMap(fine, blocks)
+        pairs = itertools.combinations(range(len(dims)), 2)
+        for (a, b), merge, mm in zip(pairs, pair_merges(fine), _merged_maps(fine)):
             for total in range(4):
                 for w in all_weights(dims, total):
-                    for j, level in enumerate(_wedge_levels(fine.positions, w, total)):
-                        ring = [
-                            tuple(itertools.chain.from_iterable(combo))
-                            for combo in itertools.product(
-                                *(compositions(total - j, n) for n in mm.dims)
-                            )
-                        ]
-                        expected = [
-                            (r, wedge) for left, wedge in level for r in ring
-                            if mm.map_ring(r) == _unpack(left, len(w))
-                        ]
-                        block = mm.level_block(total - j, level)
-                        assert list(block.items()) == [(e, k) for k, e in enumerate(expected)], (
-                            dims, blocks, w, j,
-                        )
+                    rows = nest(w, dims)
+                    rest = tuple(x for f, row in enumerate(rows) if f not in (a, b) for x in row)
+                    tables = [
+                        t + rest
+                        for t in compositions(total, dims[a] * dims[b])
+                        if margins(t, dims[a], dims[b]) == (rows[a], rows[b])
+                    ]
+                    assert merge.weights(w) == tables, (dims, a, b, w)
+                    levels = _wedge_levels(fine.positions, w, total)
+                    for j, level in enumerate(levels):
+                        fine_block = fine.level_block(level)
+                        pieces = [(total - j, j)]
+                        blocks = [block for _, (block,) in merged_blocks(fine, merge, pieces, w)]
+                        for merged, block in zip(tables, blocks):
+                            expected = filtered_wedges(merge.positions, j, merged)
+                            assert list(block) == [wedge for wedge, _ in expected]
+                            positions = [fine_block[wedge] for wedge in block]
+                            assert positions == sorted(positions)
+                        stacked = [None] * sum(map(len, blocks))
+                        numbers = _stack_order(blocks, fine_block)
+                        for merged, block, ns in zip(tables, blocks, numbers):
+                            for wedge, n in zip(block, ns):
+                                stacked[n] = (merged, wedge)
+                        (reference,) = mm.blocks(pieces, w, levels)
+                        assert stacked == [
+                            (raised(mm.positions, r, wedge), wedge) for r, wedge in reference
+                        ], (dims, a, b, w, j)
 
 
 def test_merged_blocks_table_only_the_factors_pieces():
-    # a merged ring of dims (16, 4, 4) has 326400 monomials of degree 3, as
-    # many as its tensor factors' pieces of 816, 20 and 20 multiply to
+    # a merged ring of dims (16, 4, 4) has 326400 monomials of degree 3; the
+    # merged blocks walk only the wedges under each merged weight, and sum
+    # over the merged weights to as many elements as that ring pairs with
     tracemalloc.start()
     try:
         _, _, pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
         weight = (3, 3, 0, 0) * 4
-        levels = _wedge_levels(fine.positions, weight, pieces[0][1])
-        sizes = [
-            [len(block) for block in mm.blocks(pieces[1:], weight, levels)]
-            for mm in _merged_maps(fine)
-        ]
+        sizes = []
+        for merge in pair_merges(fine):
+            blocks = [b for _, b in merged_blocks(fine, merge, pieces[1:], weight)]
+            sizes.append([sum(map(len, piece)) for piece in zip(*blocks)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

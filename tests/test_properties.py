@@ -16,7 +16,7 @@ checks the same inputs.
 import copy
 import tempfile
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import chain, combinations, combinations_with_replacement, groupby, product
 from math import factorial, prod
 
 from hypothesis import configuration, example, given, settings, strategies as st
@@ -26,9 +26,9 @@ from segre_syzygies.koszul import (
     _canonical_weights,
     _Complex,
     _dimension_and_decomposition,
-    _merged_maps,
+    _Merge,
     _slice,
-    _unpack,
+    _stack_order,
     _wedge_levels,
 )
 from segre_syzygies.linalg import rank
@@ -52,7 +52,14 @@ from segre_syzygies.series import (
     tensor_schur_series_recurrence,
 )
 
-from reference import columns, direct_multinomial_sum, filtered_wedges, gauss_jordan, kernel_basis
+from reference import (
+    _unpack,
+    columns,
+    direct_multinomial_sum,
+    filtered_wedges,
+    gauss_jordan,
+    kernel_basis,
+)
 
 # Hypothesis caches the constants of local source files on disk even without
 # a database; keep that cache in a temporary directory, not the working tree.
@@ -456,19 +463,28 @@ def test_schur_peel_inverts_a_dominant_table(data):
     st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2)
 )
 def test_koszul_block_keys_are_in_position_order(dims, p, excess):
-    # every block of the fine complex and of each pair merge, at every
-    # canonical weight: its elements are distinct and numbered in key order
+    # every block of the fine complex and of each pair merge's merged
+    # weights, at every canonical weight: its elements are numbered in key
+    # order; and the stack numbers each merge's elements in a source or
+    # target piece once each
     d = p + excess
     _, _, pieces, fine = _slice(tuple(dims), p, d, DEFAULT_CAPACITY)
-    complexes = [(fine, pieces)]
-    if len(dims) > 1:
-        complexes += [(mm, pieces[1:]) for mm in _merged_maps(fine)]
+    merges = [_Merge(fine, i, j) for i, j in combinations(range(len(dims)), 2)]
     for weight in _canonical_weights(tuple(dims), d):
         flat = sum(weight, ())
-        levels = _wedge_levels(fine.positions, flat, p + 1)
-        for cx, cx_pieces in complexes:
-            for block in cx.blocks(cx_pieces, flat, levels):
-                assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
+        fine_blocks = fine.blocks(pieces, flat, _wedge_levels(fine.positions, flat, p + 1))
+        blocks = list(fine_blocks)
+        for merge in merges:
+            merged = [
+                fine.blocks(pieces[1:], w, _wedge_levels(merge.positions, w, p))
+                for w in merge.weights(flat)
+            ]
+            for piece, fine_block in zip(zip(*merged), fine_blocks[1:]):
+                numbers = sorted(chain(*_stack_order(piece, fine_block)))
+                assert numbers == list(range(sum(map(len, piece)))), (dims, p, d, weight)
+            blocks += chain(*merged)
+        for block in blocks:
+            assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
 
 
 # dims with a flat weight whose entries lie on both sides of the digit
