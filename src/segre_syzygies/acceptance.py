@@ -6,7 +6,8 @@ run_all executes them in order and is shared by the command-line `verify`
 subcommand and the test suite.  All comparisons are exact; the
 per-criterion time limits are part of the contract.  Checks raise
 AssertionError explicitly rather than through `assert`, so the gate still
-fails under `python -O`, and format their messages only when they fail.
+fails under `python -O`, and format their messages only when they fail.  Any
+other exception a check raises fails its criterion too, named by its type.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def _run(number: int, name: str, limit: float, fn) -> CriterionResult:
         passed = True
     except AssertionError as exc:
         detail = str(exc) or "assertion failed"
+        passed = False
+    except Exception as exc:  # a library call that raises fails its criterion
+        detail = f"{type(exc).__name__}: {exc}"
         passed = False
     elapsed = time.perf_counter() - start
     return CriterionResult(number, name, passed, detail if not passed else "", elapsed, limit)

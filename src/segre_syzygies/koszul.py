@@ -29,20 +29,20 @@ chain map factors through the complex that merges just two of its factors,
 so only the C(n, 2) pair merges are built.  A merged Segre variety lies in
 the same projective space as the fine one, on the same wedge labels, so at
 a fine weight w a merge's complex is a direct sum of subcomplexes of w's
-block: one for each merged weight W, a d_i x d_j table whose row and column
-sums are w's rows of the two factors, beside w's other rows.  The summand
-at W holds the wedges that fit under W, keyed by the wedge alone, and the
-chain map is the inclusion of wedges.  If one W holds every middle wedge,
-every cycle is old, and the weight adds nothing.  The dimension of the old
-classes is read off integer ranks of one stacked set of rows, with no
-kernel basis.  Within a merge, the stack numbers its elements by the
-position of their wedge in the fine block, then by W: elimination fills in
-less in that order than W by W.
+block, one per merged weight W: a d_i x d_j table whose row and column sums
+are w's rows of the two factors, beside w's other rows.  The summand at W
+holds the wedges of w's block with no more labels at each table cell than
+W, its differential is the fine one restricted to them, and the chain map
+is the inclusion of wedges.  If one W holds every middle wedge, every cycle
+is old.  Integer ranks of one stacked set of rows count the old classes,
+with no kernel basis, numbering a merge's elements by their wedge's position
+in the fine block, then by W, where elimination fills in less than W by W.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial, prod
 
@@ -130,8 +130,8 @@ class _Complex:
         ]
 
     def blocks(self, pieces, weight: FlatWeight, levels) -> list[Block]:
-        """The bases of the pieces (i, j) at a weight, fine or merged,
-        numbered in order, over the levels of `_wedge_levels` at that weight."""
+        """The bases of the pieces (i, j) at a weight, numbered in order, over
+        the levels of `_wedge_levels` at that weight."""
         out = []
         for i, j in pieces:
             block = self.level_block(levels[j] if 0 <= j < len(levels) else ())
@@ -171,9 +171,8 @@ def _pack(weight: FlatWeight, width: int) -> int:
 
 
 def _wedge_levels(positions, weight: FlatWeight, top: int) -> list[list[tuple[int, Wedge]]]:
-    """The wedges that fit under a weight, by degree 0..top, over the label
-    positions of the fine complex or of a merge; the walk stops early at an
-    empty level.
+    """The wedges that fit under a weight, by degree 0..top, over the fine
+    complex's label positions; the walk stops early at an empty level.
     Level j holds the wedges of degree j that fit, as (packed weight left
     over, wedge), in decreasing lexicographic order, which ranks faster.
     Label k goes before the wedges of level j - 1 that start above k: they
@@ -213,15 +212,10 @@ def _slice(dims: Dims, p: int, d: int, capacity: int):
     return p, d, pieces, _Complex(dims, capacity)
 
 
-def _padded_partitions(total: int, n: int) -> list[tuple[int, ...]]:
-    """The partitions of total with at most n parts, padded with zeros to n."""
-    return [lam + (0,) * (n - len(lam)) for lam in partitions_of(total, n)]
-
-
 def _canonical_weights(dims: Dims, d: int):
     """Dominant weights of total d per factor, with equal-size factors in
     non-increasing order."""
-    rows = [_padded_partitions(d, n) for n in dims]
+    rows = [[lam + (0,) * (n - len(lam)) for lam in partitions_of(d, n)] for n in dims]
     later = [
         next((g for g in range(f + 1, len(dims)) if dims[g] == dims[f]), None)
         for f in range(len(dims))
@@ -341,38 +335,39 @@ def _tables(rows, cols):
 class _Merge:
     """The complex that merges tensor factors i < j, on the fine labels.
 
-    A merged flat weight is a d_i x d_j table, flat row by row, followed by
-    the other factors' rows.  Label k sits at the table entry that its
-    indices in factors i and j name, and at its other factors' coordinates.
-    The merged weights over a fine weight are the tables whose row and
-    column sums are its rows of factors i and j, in decreasing lexicographic
-    order, beside its other rows.
+    A merged weight over a fine weight w is a d_i x d_j table whose row and
+    column sums are w's rows of factors i and j, beside w's other rows.
+    Label k sits at the cell that its indices in factors i and j name.
     """
 
     def __init__(self, fine: _Complex, i: int, j: int):
         dims = fine.dims
         offsets = list(itertools.accumulate(dims, initial=0))
         self.margins = [range(offsets[f], offsets[f + 1]) for f in (i, j)]
-        self.rest = [q for q in range(offsets[-1]) if not any(q in m for m in self.margins)]
-        after = {q: dims[i] * dims[j] + x for x, q in enumerate(self.rest)}
-        self.positions = []
-        for qs in fine.positions:
-            cell = (qs[i] - offsets[i]) * dims[j] + qs[j] - offsets[j]
-            self.positions.append((cell, *(after[q] for q in qs if q in after)))
+        self.cells = [(qs[i] - offsets[i]) * dims[j] + qs[j] - offsets[j] for qs in fine.positions]
 
-    def weights(self, weight: FlatWeight):
-        """The merged weights over a fine weight."""
-        rest = tuple(weight[q] for q in self.rest)
+    def fits(self, block: Block, weight: FlatWeight) -> list[tuple[int, int]]:
+        """The pairs (s, W) of a fine block's position s and merged weight
+        index W, in `_tables` order, where the wedge at s fits under W; by s,
+        then W.  A wedge that fits under the weight fits under W exactly
+        when it holds no more labels at each cell than W.  The tables are
+        packed as `_wedge_levels` packs a weight, and a wedge's content is a 1
+        in the digit of each label's cell; a cell holds no more labels than
+        the weight's entry at its row, so no digit borrows.  Each distinct
+        content is tested once."""
         rows, cols = ([weight[q] for q in margin] for margin in self.margins)
-        return [table + rest for table in _tables(rows, cols)]
-
-
-def _stack_order(blocks: list[Block], fine_block: Block) -> list[list[int]]:
-    """Each block's elements numbered across blocks whose wedges lie in one
-    fine block: by the wedge's position there, then by the block's index."""
-    keys = sorted((fine_block[wedge], x) for x, block in enumerate(blocks) for wedge in block)
-    at = {key: n for n, key in enumerate(keys)}
-    return [[at[fine_block[wedge], x] for wedge in block] for x, block in enumerate(blocks)]
+        width = max(weight).bit_length() + 1
+        guard = _pack((0,) * (len(rows) * len(cols)), width)
+        tables = [_pack(table, width) for table in _tables(rows, cols)]
+        cell = [1 << (width * c) for c in self.cells]
+        fit: dict[int, list[int]] = {}  # content -> the tables it fits under
+        listed = []
+        for wedge in block:
+            content = sum([cell[k] for k in wedge])
+            if content not in fit:
+                fit[content] = [x for x, t in enumerate(tables) if (t - content) & guard == guard]
+            listed.append(fit[content])
+        return [(s, x) for s, xs in enumerate(listed) for x in xs]
 
 
 def _block_new_dimension(
@@ -386,22 +381,22 @@ def _block_new_dimension(
     B + sum_k M_k ker D_k, of dimension
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
     Each matrix is held as its rows, as `images` gives them: the rows are the
-    middle block's positions, then each merge's target positions; the columns
-    are the boundaries, then each merge's source elements.  A merge's blocks
-    are the fine blocks of its merged weights W over the weight, and its
-    differential is the fine one on each; a merged element's column holds
-    its chain map image, a 1 in the row of its wedge, over its differential.
-    Every merge is stacked: one with no cycles at the weight raises the
-    stack's rank by exactly rank D_k, so it leaves the old classes as they
-    are.  If one W's source block holds every middle wedge, its cycles are
-    all the cycles, so every cycle is old.
+    middle block's positions, then each merge's target elements; the columns
+    are the boundaries, then each merge's source elements.  A merge's
+    elements are the pairs that `_Merge.fits` lists over the middle and
+    right blocks, and its differential is the fine one restricted to each
+    W; a source element's column holds its chain map image, a 1 in the row
+    of its position, over its differential.  Every merge is stacked: one
+    with no cycles at the weight raises the stack's rank by exactly
+    rank D_k.  If one W holds every middle wedge, every cycle is old.
     """
     p = pieces[1][1]
     levels = _wedge_levels(fine.positions, weight, p + 1)
     left, mid, right = fine.blocks(pieces, weight, levels)
     if not mid:
         return 0
-    cycles = len(mid) - rank(fine.images(mid, right))
+    differential = fine.images(mid, right)
+    cycles = len(mid) - rank(differential)
     boundaries = fine.images(left, mid)
     homology = cycles - rank(boundaries)
     if homology < 0:
@@ -415,24 +410,18 @@ def _block_new_dimension(
     # the boundary rows grow in place into the stack, a merge at a time
     stack, offset, diff_ranks = boundaries, len(left), 0
     for merge in merges:
-        blocks = []
-        for merged in merge.weights(weight):
-            walk = _wedge_levels(merge.positions, merged, p)
-            source, target = fine.blocks(pieces[1:], merged, walk)
-            if len(source) == len(mid):
-                return 0
-            blocks.append((source, target))
-        sources, targets = zip(*blocks)
-        columns, rows = _stack_order(sources, mid), _stack_order(targets, right)
-        diff = [{} for _ in range(sum(map(len, targets)))]
-        for source, target, cs, rs in zip(sources, targets, columns, rows):
-            cs = [offset + c for c in cs]
-            for wedge, c in zip(source, cs):
-                stack[mid[wedge]][c] = 1
-            for r, image in zip(rs, fine.images(source, target)):
-                diff[r] = {cs[s]: x for s, x in image.items()}
+        sources = merge.fits(mid, weight)
+        if len(mid) in Counter(x for _, x in sources).values():
+            return 0
+        column = {pair: offset + c for c, pair in enumerate(sources)}
+        for (s, _), c in column.items():
+            stack[s][c] = 1
+        diff = [
+            {column[s, x]: e for s, e in differential[r].items() if (s, x) in column}
+            for r, x in merge.fits(right, weight)
+        ]
         stack += diff
-        offset += sum(map(len, sources))
+        offset += len(column)
         diff_ranks += rank(diff)
     old = rank(stack) - diff_ranks
     new_dim = cycles - old

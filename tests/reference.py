@@ -1,5 +1,6 @@
 """The tests' independent references: field elimination over Fractions;
-the wedges that fit under a weight, by filtering all of them;
+the wedges that fit under a weight, by filtering all of them; the weights
+of a merged complex over a fine one, by filtering compositions;
 Littlewood-Richardson coefficients, by a search over the fillings of each
 target shape; and multinomial sums, term by term.
 
@@ -96,6 +97,23 @@ def filtered_wedges(positions, j, weight):
         if min(left) >= 0:
             out.append((wedge, left))
     return out[::-1]
+
+
+def merged_weights(dims, pair, weight):
+    """The weights of the complex merging a pair of factors over a fine flat
+    weight, in the order of the merged factor's compositions: its d_i x d_j
+    tables, flat row by row, with the fine weight's rows of the two factors
+    as row and column sums, each followed by the other factors' rows."""
+    offsets = list(itertools.accumulate(dims, initial=0))
+    rows = [tuple(weight[offsets[f] : offsets[f + 1]]) for f in range(len(dims))]
+    rest = tuple(x for f, row in enumerate(rows) if f not in pair for x in row)
+    a, b = pair
+    out = []
+    for table in compositions(sum(rows[a]), dims[a] * dims[b]):
+        grid = [table[x * dims[b] : (x + 1) * dims[b]] for x in range(dims[a])]
+        if (tuple(map(sum, grid)), tuple(map(sum, zip(*grid)))) == (rows[a], rows[b]):
+            out.append(table + rest)
+    return out
 
 
 def lr_fillings(outer, inner, content) -> int:

@@ -95,20 +95,35 @@ acceptance.kronecker_coefficient = asymmetric
 print(acceptance.criterion_10().line())
 """
 
+# A library call that raises, not a wrong answer: the criterion fails with
+# the exception named, and the gate goes on.
+SABOTAGED_CRITERION_4 = """
+from segre_syzygies import acceptance
+
+
+def refuses(p, d):
+    raise ValueError(f"refused at p={p}")
+
+
+acceptance.lascoux_leading = refuses
+print(acceptance.criterion_4().line())
+"""
+
 
 @pytest.mark.parametrize(
     "number, sabotage, named",
     [
+        (4, SABOTAGED_CRITERION_4, "-- ValueError: refused at p=1"),
         (5, SABOTAGED_CRITERION_5, "(2,2)"),
         (10, SABOTAGED_CRITERION_10, "at (3,), (2, 1), (2, 1)"),
         (11, SABOTAGED_CRITERION_11, "d=3"),
         (12, SABOTAGED_CRITERION_12, "re-expansion disagrees"),
     ],
-    ids=["criterion_5", "criterion_10", "criterion_11", "criterion_12"],
+    ids=["criterion_4", "criterion_5", "criterion_10", "criterion_11", "criterion_12"],
 )
 def test_gate_fails_under_optimize_flag(number, sabotage, named):
     # python -O strips assert statements; the gate must still catch a
-    # library call that returns a wrong answer
+    # library call that returns a wrong answer or raises
     src = Path(segre_syzygies.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-O", "-c", sabotage],

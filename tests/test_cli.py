@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from segre_syzygies import acceptance
 from segre_syzygies.cli import main, parse_partition, parse_poly
 
 
@@ -335,3 +336,19 @@ def test_verify_all_criteria(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 13
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_reports_a_check_that_raises_as_a_failure(capsys, monkeypatch):
+    # an exception from a library call inside a check is that criterion's
+    # FAIL line, not a usage error; every other criterion still runs
+    def refuses(p, d):
+        raise ValueError(f"refused at p={p}")
+
+    monkeypatch.setattr(acceptance, "lascoux_leading", refuses)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1 and err == ""
+    lines = [line for line in out.splitlines() if line]
+    assert len(lines) == 13
+    assert lines[3].startswith("FAIL 04 lascoux-leading-term")
+    assert lines[3].endswith("-- ValueError: refused at p=1")
+    assert all(line.startswith("PASS") for n, line in enumerate(lines) if n != 3)

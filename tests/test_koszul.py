@@ -14,7 +14,6 @@ from segre_syzygies.koszul import (
     _Complex,
     _Merge,
     _slice,
-    _stack_order,
     _wedge_levels,
     koszul_homology,
     new_syzygy_dimension,
@@ -32,6 +31,7 @@ from reference import (
     gauss_jordan,
     kernel_basis,
     leftover,
+    merged_weights,
 )
 
 
@@ -103,12 +103,6 @@ def inclusion(block, fine_block):
     return m
 
 
-def margins(table, n, m):
-    """The row and column sums of an n x m table, flat row by row."""
-    grid = [table[x * m : (x + 1) * m] for x in range(n)]
-    return tuple(map(sum, grid)), tuple(map(sum, zip(*grid)))
-
-
 def raised(positions, r, wedge):
     """The weight of an element: its ring exponents, one up at each
     coordinate of each label of its wedge."""
@@ -125,13 +119,16 @@ def pair_merges(fine):
     return [_Merge(fine, i, j) for i, j in itertools.combinations(range(len(fine.dims)), 2)]
 
 
-def merged_blocks(fine, merge, pieces, weight):
-    """Each merged weight over a fine weight, with its blocks of the pieces."""
-    top = max(j for _, j in pieces)
-    return [
-        (merged, fine.blocks(pieces, merged, _wedge_levels(merge.positions, merged, top)))
-        for merged in merge.weights(weight)
-    ]
+def merged_blocks(merge, fine_blocks, weight, count):
+    """The blocks of each of count merged weights over a fine weight: the
+    wedges of each fine block that `fits` lists under it, numbered in the
+    fine block's order."""
+    out = [[{} for _ in fine_blocks] for _ in range(count)]
+    for piece, fine_block in enumerate(fine_blocks):
+        wedges = list(fine_block)
+        for s, x in merge.fits(fine_block, weight):
+            out[x][piece][wedges[s]] = len(out[x][piece])
+    return out
 
 
 def set_partitions(n):
@@ -175,23 +172,31 @@ def grown_levels(positions, top, weight):
 
 
 def test_wedges_match_filtered_combinations():
-    # the one walk, over the fine labels at balanced and unbalanced weights,
-    # and over each merge's at the merged weights over the balanced ones; a
-    # piece of negative wedge degree is empty in every complex
+    # the one walk, over the fine labels at balanced and unbalanced weights;
+    # the wedges of each level that each merge lists under each merged
+    # weight over the balanced ones, against all wedges filtered on the
+    # merged labels; a piece of negative wedge degree is empty
     for dims in [(2, 3), (2, 2, 2)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
-        weights = [w for total in (1, 2, 3) for w in all_weights(dims, total)]
-        weights += list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
-        merges = pair_merges(fine)
+        balanced = [w for total in (1, 2, 3) for w in all_weights(dims, total)]
+        weights = balanced + list(itertools.product((0, 1, 2), repeat=sum(dims)))[::7]
+        pairs = list(itertools.combinations(range(len(dims)), 2))
+        merges = list(zip(pairs, pair_merges(fine), _merged_maps(fine)))
         for w in weights:
-            walks = [(fine.positions, w)]
-            walks += [(m.positions, merged) for m in merges for merged in m.weights(w)]
-            for positions, weight in walks:
-                levels = grown_levels(positions, 4, weight)
-                for j in range(5):
-                    assert levels[j] == filtered_wedges(positions, j, weight), (dims, weight, j)
-                walked = _wedge_levels(positions, weight, 4)
-                assert fine.blocks([(0, -1)], weight, walked) == [{}]
+            levels = grown_levels(fine.positions, 4, w)
+            for j in range(5):
+                assert levels[j] == filtered_wedges(fine.positions, j, w), (dims, w, j)
+            walked = _wedge_levels(fine.positions, w, 4)
+            assert fine.blocks([(0, -1)], w, walked) == [{}]
+            if w not in balanced:
+                continue
+            blocks = [{wedge: s for s, (wedge, _) in enumerate(level)} for level in levels]
+            for pair, merge, mm in merges:
+                tables = merged_weights(dims, pair, w)
+                for merged, by_level in zip(tables, merged_blocks(merge, blocks, w, len(tables))):
+                    for j, block in enumerate(by_level):
+                        expected = filtered_wedges(mm.positions, j, merged)
+                        assert list(block) == [wedge for wedge, _ in expected], (dims, w, j)
 
 
 def test_differential_squares_to_zero():
@@ -519,7 +524,8 @@ def test_merged_chain_map_commutes_with_differentials():
                 seen = set()
                 for w in all_weights(dims, i + j):
                     ends = fine.blocks(pieces, w, _wedge_levels(fine.positions, w, j))
-                    for merged, blocks in merged_blocks(fine, merge, pieces, w):
+                    tables = merged_weights(dims, (a, b), w)
+                    for merged, blocks in zip(tables, merged_blocks(merge, ends, w, len(tables))):
                         seen.update((w, merged, wedge) for wedge in blocks[0])
                         mapped_then_diff = matmul(
                             dense(fine, *ends), inclusion(blocks[0], ends[0]), len(ends[0])
@@ -529,63 +535,73 @@ def test_merged_chain_map_commutes_with_differentials():
                         )
                         assert mapped_then_diff == diff_then_mapped, (dims, a, b, i, j, merged)
                 ring = prod(comb(n + i - 1, i) for n in merged_dims)
-                assert len(seen) == ring * comb(len(merge.positions), j)
+                assert len(seen) == ring * comb(len(fine.positions), j)
 
 
 def test_merged_blocks_keep_the_product_order():
-    # the merged weights over a fine weight are the merged factor's
-    # compositions with the right margins, in their order; each one's block
-    # is the wedges that fit under it, in the fine block's order; and the
-    # stack numbers a merge's elements as the reference orders its (ring
-    # exponents, wedge) keys, whose pair groupings put the merged factor's
-    # coordinates first, as `_Merge` does
+    # a merge lists the (position, W) pairs of a fine block by position,
+    # then by the merged weight's place among the merged factor's
+    # compositions with the right margins; named by (merged weight, wedge),
+    # they are the reference's (ring exponents, wedge) keys in its order,
+    # whose pair groupings put the merged factor's coordinates first, as
+    # `_Merge` does
     for dims in [(2, 2, 2), (2, 3)]:
         fine = _Complex(dims, DEFAULT_CAPACITY)
         pairs = itertools.combinations(range(len(dims)), 2)
-        for (a, b), merge, mm in zip(pairs, pair_merges(fine), _merged_maps(fine)):
+        for pair, merge, mm in zip(pairs, pair_merges(fine), _merged_maps(fine)):
             for total in range(4):
                 for w in all_weights(dims, total):
-                    rows = nest(w, dims)
-                    rest = tuple(x for f, row in enumerate(rows) if f not in (a, b) for x in row)
-                    tables = [
-                        t + rest
-                        for t in compositions(total, dims[a] * dims[b])
-                        if margins(t, dims[a], dims[b]) == (rows[a], rows[b])
-                    ]
-                    assert merge.weights(w) == tables, (dims, a, b, w)
+                    tables = merged_weights(dims, pair, w)
                     levels = _wedge_levels(fine.positions, w, total)
                     for j, level in enumerate(levels):
                         fine_block = fine.level_block(level)
-                        pieces = [(total - j, j)]
-                        blocks = [block for _, (block,) in merged_blocks(fine, merge, pieces, w)]
-                        for merged, block in zip(tables, blocks):
-                            expected = filtered_wedges(merge.positions, j, merged)
-                            assert list(block) == [wedge for wedge, _ in expected]
-                            positions = [fine_block[wedge] for wedge in block]
-                            assert positions == sorted(positions)
-                        stacked = [None] * sum(map(len, blocks))
-                        numbers = _stack_order(blocks, fine_block)
-                        for merged, block, ns in zip(tables, blocks, numbers):
-                            for wedge, n in zip(block, ns):
-                                stacked[n] = (merged, wedge)
-                        (reference,) = mm.blocks(pieces, w, levels)
+                        wedges = list(fine_block)
+                        listed = merge.fits(fine_block, w)
+                        assert listed == sorted(set(listed)), (dims, pair, w, j)
+                        stacked = [(tables[x], wedges[s]) for s, x in listed]
+                        (reference,) = mm.blocks([(total - j, j)], w, levels)
                         assert stacked == [
                             (raised(mm.positions, r, wedge), wedge) for r, wedge in reference
-                        ], (dims, a, b, w, j)
+                        ], (dims, pair, w, j)
+
+
+class _ListsMiddleWedges:
+    """A stand-in merge that lists the first `count` wedges of a middle block
+    of wedge degree p under one merged weight, and no target wedge."""
+
+    def __init__(self, p, count):
+        self.p, self.count = p, count
+
+    def fits(self, block, weight):
+        if len(next(iter(block), ())) != self.p:
+            return []
+        return [(s, 0) for s in range(min(self.count, len(block)))]
+
+
+def test_only_a_merged_weight_holding_every_middle_wedge_skips_the_ranks():
+    # at (1, 1, 1, 1) of the quadric's slice the homology is one class in 3
+    # cycles of 4 middle wedges; a merged weight with every middle wedge
+    # makes every cycle old unranked, while one with all but one is ranked,
+    # and the stand-in's wedges, listed without their targets, count as
+    # more old classes than there are cycles
+    _, _, pieces, fine = _slice((2, 2), 1, 2, DEFAULT_CAPACITY)
+    weight = (1, 1, 1, 1)
+    assert _block_new_dimension(fine, pieces, [], weight) == 1
+    assert _block_new_dimension(fine, pieces, [_ListsMiddleWedges(1, 4)], weight) == 0
+    with pytest.raises(ConsistencyError, match="old classes exceed cycles"):
+        _block_new_dimension(fine, pieces, [_ListsMiddleWedges(1, 3)], weight)
 
 
 def test_merged_blocks_table_only_the_factors_pieces():
-    # a merged ring of dims (16, 4, 4) has 326400 monomials of degree 3; the
-    # merged blocks walk only the wedges under each merged weight, and sum
-    # over the merged weights to as many elements as that ring pairs with
+    # a merged ring of dims (16, 4, 4) has 326400 monomials of degree 3; a
+    # merge lists only pairs of a fine block's wedges and the merged weights
+    # they fit under, as many as that ring pairs with over the weight
     tracemalloc.start()
     try:
         _, _, pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
         weight = (3, 3, 0, 0) * 4
-        sizes = []
-        for merge in pair_merges(fine):
-            blocks = [b for _, b in merged_blocks(fine, merge, pieces[1:], weight)]
-            sizes.append([sum(map(len, piece)) for piece in zip(*blocks)])
+        blocks = fine.blocks(pieces[1:], weight, _wedge_levels(fine.positions, weight, 4))
+        sizes = [[len(merge.fits(block, weight)) for block in blocks] for merge in pair_merges(fine)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

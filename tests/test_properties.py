@@ -6,8 +6,9 @@ permuted variables, the integer pole fractions
 behind them, the integer exponential kernel and tensor-Schur recurrence,
 the arithmetic of series, Schur-ring elements and polynomials that skips
 re-canonicalisation, fraction-free reconstruction over polynomial
-coefficients, the Schur peel of a dominant weight table, and the numbering
-of Koszul weight blocks and the packed walk that grows their wedges.
+coefficients, the Schur peel of a dominant weight table, the numbering of
+Koszul weight blocks, the packed walk that grows their wedges, and the
+wedges each merge of two factors lists under each merged weight.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same inputs.
@@ -16,7 +17,7 @@ checks the same inputs.
 import copy
 import tempfile
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, groupby, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 from math import factorial, prod
 
 from hypothesis import configuration, example, given, settings, strategies as st
@@ -28,7 +29,6 @@ from segre_syzygies.koszul import (
     _dimension_and_decomposition,
     _Merge,
     _slice,
-    _stack_order,
     _wedge_levels,
 )
 from segre_syzygies.linalg import rank
@@ -53,12 +53,14 @@ from segre_syzygies.series import (
 )
 
 from reference import (
+    _merged_maps,
     _unpack,
     columns,
     direct_multinomial_sum,
     filtered_wedges,
     gauss_jordan,
     kernel_basis,
+    merged_weights,
 )
 
 # Hypothesis caches the constants of local source files on disk even without
@@ -463,28 +465,23 @@ def test_schur_peel_inverts_a_dominant_table(data):
     st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 3), st.integers(0, 2)
 )
 def test_koszul_block_keys_are_in_position_order(dims, p, excess):
-    # every block of the fine complex and of each pair merge's merged
-    # weights, at every canonical weight: its elements are numbered in key
-    # order; and the stack numbers each merge's elements in a source or
-    # target piece once each
+    # every block of the fine complex at every canonical weight: its
+    # elements are numbered in key order; and each pair merge lists the
+    # elements of a source or target piece once each, by position in the
+    # block, then by merged weight
     d = p + excess
     _, _, pieces, fine = _slice(tuple(dims), p, d, DEFAULT_CAPACITY)
     merges = [_Merge(fine, i, j) for i, j in combinations(range(len(dims)), 2)]
     for weight in _canonical_weights(tuple(dims), d):
         flat = sum(weight, ())
-        fine_blocks = fine.blocks(pieces, flat, _wedge_levels(fine.positions, flat, p + 1))
-        blocks = list(fine_blocks)
-        for merge in merges:
-            merged = [
-                fine.blocks(pieces[1:], w, _wedge_levels(merge.positions, w, p))
-                for w in merge.weights(flat)
-            ]
-            for piece, fine_block in zip(zip(*merged), fine_blocks[1:]):
-                numbers = sorted(chain(*_stack_order(piece, fine_block)))
-                assert numbers == list(range(sum(map(len, piece)))), (dims, p, d, weight)
-            blocks += chain(*merged)
+        blocks = fine.blocks(pieces, flat, _wedge_levels(fine.positions, flat, p + 1))
         for block in blocks:
             assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
+        for merge in merges:
+            for block in blocks[1:]:
+                listed = merge.fits(block, flat)
+                assert listed == sorted(set(listed)), (dims, p, d, weight)
+                assert all(0 <= s < len(block) for s, _ in listed), (dims, p, d, weight)
 
 
 # dims with a flat weight whose entries lie on both sides of the digit
@@ -517,3 +514,49 @@ def test_packed_walk_matches_filtered_wedges(dims_and_weight, top):
     for j, level in enumerate(levels):
         walked = [(wedge, _unpack(left, len(weight))) for left, wedge in level]
         assert walked == filtered_wedges(positions, j, weight), (dims, weight, j)
+
+
+# a fine weight of 2-3 factors, either balanced (every factor's row sums to
+# one total, so that merged weights exist) or with rows of any sums
+SMALL_DIMS = st.lists(st.integers(1, 3), min_size=2, max_size=3)
+
+
+def _rows_summing_to(total, n):
+    return st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1).map(
+        lambda cuts: tuple(b - a for a, b in zip((0, *sorted(cuts)), (*sorted(cuts), total)))
+    )
+
+
+def _fine_weights(dims):
+    balanced = st.integers(0, 4).flatmap(
+        lambda total: st.tuples(*(_rows_summing_to(total, n) for n in dims)).map(
+            lambda rows: sum(rows, ())
+        )
+    )
+    free = st.lists(st.integers(0, 3), min_size=sum(dims), max_size=sum(dims)).map(tuple)
+    return st.one_of(balanced, free)
+
+
+@PROPERTY
+@given(SMALL_DIMS.flatmap(lambda dims: st.tuples(st.just(tuple(dims)), _fine_weights(dims))))
+@example(((3, 3), (2, 1, 1, 1, 1, 2)))
+@example(((1, 2, 3), (3, 2, 1, 1, 1, 1)))
+@example(((2, 2), (0, 0, 0, 0)))
+def test_merge_lists_the_wedges_that_fit_each_merged_weight(dims_and_weight):
+    # at each wedge level of a fine weight, the wedges that a merge lists
+    # under each merged weight are, W by W, every wedge that fits under W on
+    # the reference's merged labels, in its order
+    dims, weight = dims_and_weight
+    fine = _Complex(dims, DEFAULT_CAPACITY)
+    levels = _wedge_levels(fine.positions, weight, 4)
+    pairs = combinations(range(len(dims)), 2)
+    for pair, mm in zip(pairs, _merged_maps(fine)):
+        merge = _Merge(fine, *pair)
+        tables = merged_weights(dims, pair, weight)
+        for j, level in enumerate(levels):
+            wedges = [wedge for _, wedge in level]
+            listed = merge.fits(fine.level_block(level), weight)
+            for x, merged in enumerate(tables):
+                expected = [wedge for wedge, _ in filtered_wedges(mm.positions, j, merged)]
+                assert [wedges[s] for s, y in listed if y == x] == expected, (pair, j, merged)
+            assert all(x < len(tables) for _, x in listed), (pair, j)
