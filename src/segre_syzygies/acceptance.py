@@ -17,7 +17,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from operator import mul
 
 from .characters import character_table, kronecker_coefficient, mn_character
 from .koszul import koszul_homology, new_syzygy_dimension
@@ -26,7 +26,6 @@ from .rationality import (
     MPoly,
     divides_up_to_unit,
     geometric_torus_coefficients,
-    multinomial,
     multinomial_sum_rational,
     rational_reconstruct,
     weyl_series,
@@ -260,18 +259,49 @@ def criterion_10():
 
 def _direct_monomial_sums(expos, shifts, d, nterms) -> dict[tuple, dict[tuple, list[int]]]:
     """For each shift e and each monomial k^expo, the first nterms
-    coefficients of sum_k k^expo C_{k+e} t^{|k|}, by brute force: the k of
-    each total n are walked once, their monomials evaluated once, and
-    C_{k+e} times them added for every shift."""
-    sums = {e: {expo: [0] * nterms for expo in expos} for e in shifts}
+    coefficients of sum_k k^expo C_{k+e} t^{|k|}, by brute force on exact
+    ints, one column per quantity over the k of each total n.
+
+    The k of total n are listed once and transposed into one column per
+    coordinate.  A monomial's values are the product of its coordinates'
+    power columns.  Each (coordinate i, shift value s) pair has one column
+    of (k_i + s)!, 0 where k_i + s < 0, shared by every shift with e_i = s.
+    C_{k+e} is then the exact quotient (n + |e|)! // q over the product q
+    of e's factorial columns, 0 where q is 0 (a negative entry), and each
+    coefficient is one dot product of that column with a value column.
+    Every factorial comes from one table.
+    """
+    monomials = list(dict.fromkeys(expos))
+    sums = {e: {expo: [0] * nterms for expo in monomials} for e in shifts}
+    top = nterms + max([0, *(sum(e) for e in sums), *(s for e in sums for s in e)])
+    fact = list(itertools.accumulate(range(1, top), mul, initial=1))  # fact[m] = m!
+
+    powered = {(i, x) for expo in monomials for i, x in enumerate(expo) if x}
+    shifted = {(i, s) for e in sums for i, s in enumerate(e)}
+
+    def times(columns, ones):
+        return functools.reduce(lambda a, b: list(map(mul, a, b)), columns, ones)
+
     for n in range(nterms):
-        for k in compositions(n, d):
-            values = [prod(ki**xi for ki, xi in zip(k, expo)) for expo in expos]
-            for e, columns in sums.items():
-                c = multinomial(tuple(ki + ei for ki, ei in zip(k, e)))
-                if c:
-                    for column, value in zip(columns.values(), values):
-                        column[n] += c * value
+        ks = list(compositions(n, d))
+        ones = [1] * len(ks)
+        coords = list(zip(*ks))
+        powers = {(i, x): [k**x for k in coords[i]] for i, x in powered}
+        values = {
+            expo: times([powers[i, x] for i, x in enumerate(expo) if x], ones)
+            for expo in monomials
+        }
+        factorials = {
+            (i, s): [fact[k + s] if k + s >= 0 else 0 for k in coords[i]] for i, s in shifted
+        }
+        for e, columns in sums.items():
+            if n + sum(e) < 0:  # every k + e has a negative entry
+                continue
+            whole = fact[n + sum(e)]
+            q = times([factorials[i, s] for i, s in enumerate(e)], ones)
+            c = [whole // x if x else 0 for x in q]
+            for expo, column in columns.items():
+                column[n] = sum(map(mul, c, values[expo]))
     return sums
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import factorial, prod
 
@@ -346,14 +347,15 @@ class _Merge:
         self.margins = [range(offsets[f], offsets[f + 1]) for f in (i, j)]
         self.cells = [(qs[i] - offsets[i]) * dims[j] + qs[j] - offsets[j] for qs in fine.positions]
 
-    def fits(self, block: Block, weight: FlatWeight) -> list[tuple[int, int]]:
-        """The pairs (s, W) of a fine block's position s and merged weight
-        index W, in `_tables` order, where the wedge at s fits under W; by s,
-        then W.  A wedge that fits under the weight fits under W exactly
-        when it holds no more labels at each cell than W.  The tables are
-        packed as `_wedge_levels` packs a weight, and a wedge's content is a 1
-        in the digit of each label's cell; a cell holds no more labels than
-        the weight's entry at its row, so no digit borrows.  Each distinct
+    def fits(self, weight: FlatWeight) -> Callable[[Block], list[tuple[int, int]]]:
+        """The lister, for a fine weight, of the pairs (s, W) of a fine
+        block's position s and merged weight index W, in `_tables` order,
+        where the wedge at s fits under W; by s, then W.  A wedge that fits
+        under the weight fits under W exactly when it holds no more labels
+        at each cell than W.  The tables are packed once per weight, as
+        `_wedge_levels` packs a weight, and a wedge's content is a 1 in the
+        digit of each label's cell; a cell holds no more labels than the
+        weight's entry at its row, so no digit borrows.  Each distinct
         content is tested once."""
         rows, cols = ([weight[q] for q in margin] for margin in self.margins)
         width = max(weight).bit_length() + 1
@@ -361,13 +363,19 @@ class _Merge:
         tables = [_pack(table, width) for table in _tables(rows, cols)]
         cell = [1 << (width * c) for c in self.cells]
         fit: dict[int, list[int]] = {}  # content -> the tables it fits under
-        listed = []
-        for wedge in block:
-            content = sum([cell[k] for k in wedge])
-            if content not in fit:
-                fit[content] = [x for x, t in enumerate(tables) if (t - content) & guard == guard]
-            listed.append(fit[content])
-        return [(s, x) for s, xs in enumerate(listed) for x in xs]
+
+        def pairs(block: Block) -> list[tuple[int, int]]:
+            listed = []
+            for wedge in block:
+                content = sum([cell[k] for k in wedge])
+                if content not in fit:
+                    fit[content] = [
+                        x for x, t in enumerate(tables) if (t - content) & guard == guard
+                    ]
+                listed.append(fit[content])
+            return [(s, x) for s, xs in enumerate(listed) for x in xs]
+
+        return pairs
 
 
 def _block_new_dimension(
@@ -384,11 +392,12 @@ def _block_new_dimension(
     middle block's positions, then each merge's target elements; the columns
     are the boundaries, then each merge's source elements.  A merge's
     elements are the pairs that `_Merge.fits` lists over the middle and
-    right blocks, and its differential is the fine one restricted to each
-    W; a source element's column holds its chain map image, a 1 in the row
-    of its position, over its differential.  Every merge is stacked: one
-    with no cycles at the weight raises the stack's rank by exactly
-    rank D_k.  If one W holds every middle wedge, every cycle is old.
+    right blocks, from one packing of the Ws, and its differential is the
+    fine one restricted to each W; a source element's column holds its
+    chain map image, a 1 in the row of its position, over its
+    differential.  Every merge is stacked: one with no cycles at the
+    weight raises the stack's rank by exactly rank D_k.  If one W holds
+    every middle wedge, every cycle is old.
     """
     p = pieces[1][1]
     levels = _wedge_levels(fine.positions, weight, p + 1)
@@ -410,7 +419,8 @@ def _block_new_dimension(
     # the boundary rows grow in place into the stack, a merge at a time
     stack, offset, diff_ranks = boundaries, len(left), 0
     for merge in merges:
-        sources = merge.fits(mid, weight)
+        fits = merge.fits(weight)
+        sources = fits(mid)
         if len(mid) in Counter(x for _, x in sources).values():
             return 0
         column = {pair: offset + c for c, pair in enumerate(sources)}
@@ -418,7 +428,7 @@ def _block_new_dimension(
             stack[s][c] = 1
         diff = [
             {column[s, x]: e for s, e in differential[r].items() if (s, x) in column}
-            for r, x in merge.fits(right, weight)
+            for r, x in fits(right)
         ]
         stack += diff
         offset += len(column)

@@ -13,12 +13,13 @@ labels is tried on the weight's tuple of entries.  The library grows a
 Schur product strip by strip, building only the shapes that occur; here
 every partition of the right size is a candidate, and each one's lattice
 fillings are counted by backtracking, cell by cell.  The library sums a
-multinomial series in closed form; here its coefficients are added up term
-by term, by the gate's brute-force `_direct_monomial_sums`.  The library
-builds a merged Koszul complex at a fine weight as subcomplexes of the fine
-block, one per merged weight; here `_MergedMap` builds it on its own ring,
-pairing each wedge with every merged monomial over what it leaves, and
-merges any grouping of the factors, not only pairs.
+multinomial series in closed form, and the gate checks it against columns
+of factorials over all k of each total at once; here its coefficients are
+added up term by term, one multinomial from `math.factorial` per k.  The
+library builds a merged Koszul complex at a fine weight as subcomplexes of
+the fine block, one per merged weight; here `_MergedMap` builds it on its
+own ring, pairing each wedge with every merged monomial over what it
+leaves, and merges any grouping of the factors, not only pairs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
-from segre_syzygies.acceptance import _direct_monomial_sums
 from segre_syzygies.koszul import _Complex
 from segre_syzygies.partitions import compositions
 
@@ -177,14 +177,18 @@ def lr_product(lam, mu) -> dict:
 
 
 def direct_multinomial_sum(poly, e, d, nterms):
-    """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, by brute
-    force, for p given as {expo: coefficient}."""
-    e = tuple(e)
-    sums = _direct_monomial_sums(poly, [e], d, nterms)[e]
-    return [
-        sum((Fraction(c) * sums[expo][n] for expo, c in poly.items()), Fraction(0))
-        for n in range(nterms)
-    ]
+    """The first nterms coefficients of sum_k p(k) C_{k+e} t^{|k|}, term by
+    term, for p given as {expo: coefficient}."""
+    out = [Fraction(0)] * nterms
+    for n in range(nterms):
+        for k in compositions(n, d):
+            m = [ki + ei for ki, ei in zip(k, e)]
+            if any(x < 0 for x in m):
+                continue
+            c = factorial(sum(m)) // prod(factorial(x) for x in m)
+            for expo, coefficient in poly.items():
+                out[n] += c * Fraction(coefficient) * prod(ki**xi for ki, xi in zip(k, expo))
+    return out
 
 
 def _unpack(packed: int, n: int) -> tuple[int, ...]:

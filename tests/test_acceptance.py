@@ -6,11 +6,13 @@ a wall-clock budget from the contract, asserted here.
 
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import segre_syzygies
+from segre_syzygies import acceptance
 from segre_syzygies.acceptance import ALL_CRITERIA
 
 
@@ -79,6 +81,26 @@ acceptance.multinomial_sum_rational = numerator_off_by_one
 print(acceptance.criterion_11().line())
 """
 
+# Only the d = 3 sums at a shift with a negative entry are wrong, so the
+# reference's zero multinomials at k + e < 0 are what the closed forms meet.
+SABOTAGED_CRITERION_11_NEGATIVE_SHIFT = """
+from segre_syzygies import acceptance
+from segre_syzygies.rationality import RationalFunction
+
+real = acceptance.multinomial_sum_rational
+
+
+def numerator_off_by_one(poly, e, d):
+    rf = real(poly, e, d)
+    if d < 3 or min(e) >= 0:
+        return rf
+    return RationalFunction([rf.num[0] + 1] + rf.num[1:], rf.den)
+
+
+acceptance.multinomial_sum_rational = numerator_off_by_one
+print(acceptance.criterion_11().line())
+"""
+
 # One ordering of one triple is off by one, so only the symmetry loop sees it.
 SABOTAGED_CRITERION_10 = """
 from segre_syzygies import acceptance
@@ -117,9 +139,17 @@ print(acceptance.criterion_4().line())
         (5, SABOTAGED_CRITERION_5, "(2,2)"),
         (10, SABOTAGED_CRITERION_10, "at (3,), (2, 1), (2, 1)"),
         (11, SABOTAGED_CRITERION_11, "d=3"),
+        (11, SABOTAGED_CRITERION_11_NEGATIVE_SHIFT, "d=3, e=(-2, -2, -2)"),
         (12, SABOTAGED_CRITERION_12, "re-expansion disagrees"),
     ],
-    ids=["criterion_4", "criterion_5", "criterion_10", "criterion_11", "criterion_12"],
+    ids=[
+        "criterion_4",
+        "criterion_5",
+        "criterion_10",
+        "criterion_11",
+        "criterion_11_negative_shift",
+        "criterion_12",
+    ],
 )
 def test_gate_fails_under_optimize_flag(number, sabotage, named):
     # python -O strips assert statements; the gate must still catch a
@@ -134,3 +164,34 @@ def test_gate_fails_under_optimize_flag(number, sabotage, named):
     )
     assert out.stdout.startswith(f"FAIL {number:02d}"), out.stdout
     assert named in out.stdout, out.stdout
+
+
+def _global_names(code: types.CodeType) -> set[str]:
+    """The names a code object and the code nested in it look up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+def test_direct_monomial_sums_borrow_nothing_from_the_closed_forms():
+    # criterion 11's brute-force reference checks the closed forms of
+    # rationality, built on series; no global it reads, nor any global of
+    # an acceptance helper it calls, may come from either module
+    closed_forms = {"segre_syzygies.rationality", "segre_syzygies.series"}
+    seen, todo, borrowed = set(), [acceptance._direct_monomial_sums], []
+    while todo:
+        for name in _global_names(todo.pop().__code__) - seen:
+            seen.add(name)
+            obj = vars(acceptance).get(name)
+            if isinstance(obj, types.ModuleType):
+                home = obj.__name__
+            else:
+                home = getattr(obj, "__module__", None)
+            if home in closed_forms:
+                borrowed.append(name)
+            elif home == acceptance.__name__ and isinstance(obj, types.FunctionType):
+                todo.append(obj)
+    assert "compositions" in seen  # the names were resolved at all
+    assert not borrowed, borrowed

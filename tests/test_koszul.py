@@ -126,7 +126,7 @@ def merged_blocks(merge, fine_blocks, weight, count):
     out = [[{} for _ in fine_blocks] for _ in range(count)]
     for piece, fine_block in enumerate(fine_blocks):
         wedges = list(fine_block)
-        for s, x in merge.fits(fine_block, weight):
+        for s, x in merge.fits(weight)(fine_block):
             out[x][piece][wedges[s]] = len(out[x][piece])
     return out
 
@@ -556,7 +556,7 @@ def test_merged_blocks_keep_the_product_order():
                     for j, level in enumerate(levels):
                         fine_block = fine.level_block(level)
                         wedges = list(fine_block)
-                        listed = merge.fits(fine_block, w)
+                        listed = merge.fits(w)(fine_block)
                         assert listed == sorted(set(listed)), (dims, pair, w, j)
                         stacked = [(tables[x], wedges[s]) for s, x in listed]
                         (reference,) = mm.blocks([(total - j, j)], w, levels)
@@ -572,7 +572,10 @@ class _ListsMiddleWedges:
     def __init__(self, p, count):
         self.p, self.count = p, count
 
-    def fits(self, block, weight):
+    def fits(self, weight):
+        return self.pairs
+
+    def pairs(self, block):
         if len(next(iter(block), ())) != self.p:
             return []
         return [(s, 0) for s in range(min(self.count, len(block)))]
@@ -601,7 +604,8 @@ def test_merged_blocks_table_only_the_factors_pieces():
         _, _, pieces, fine = _slice((4, 4, 4, 4), 4, 6, DEFAULT_CAPACITY)
         weight = (3, 3, 0, 0) * 4
         blocks = fine.blocks(pieces[1:], weight, _wedge_levels(fine.positions, weight, 4))
-        sizes = [[len(merge.fits(block, weight)) for block in blocks] for merge in pair_merges(fine)]
+        listers = [merge.fits(weight) for merge in pair_merges(fine)]
+        sizes = [[len(fits(block)) for block in blocks] for fits in listers]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,7 +3,8 @@ sparse integer ranks of columns and of transposes with their columns
 numbered either way, the rank identity behind the new-syzygy dimension,
 the lowest-terms form of multinomial sums and their sharing across
 permuted variables, the integer pole fractions
-behind them, the integer exponential kernel and tensor-Schur recurrence,
+behind them, the gate's brute-force sums against a term-by-term loop,
+the integer exponential kernel and tensor-Schur recurrence,
 the arithmetic of series, Schur-ring elements and polynomials that skips
 re-canonicalisation, fraction-free reconstruction over polynomial
 coefficients, the Schur peel of a dominant weight table, the numbering of
@@ -22,6 +23,7 @@ from math import factorial, prod
 
 from hypothesis import configuration, example, given, settings, strategies as st
 
+from segre_syzygies.acceptance import _direct_monomial_sums
 from segre_syzygies.koszul import (
     DEFAULT_CAPACITY,
     _canonical_weights,
@@ -242,6 +244,32 @@ def test_multinomial_sum_is_shared_across_permuted_variables(data):
     assert (twin.num, twin.den) == (rf.num, rf.den)
     direct = direct_multinomial_sum({expo: 1}, e, d, 12)
     assert rf.coefficients(12) == twin.coefficients(12) == direct
+
+
+MONOMIAL_SUM_CALLS = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=3, unique=True),
+        st.lists(st.tuples(*[st.integers(-3, 6)] * d), min_size=1, max_size=4, unique=True),
+        st.integers(1, 16),
+    )
+)
+
+
+@PROPERTY
+@given(MONOMIAL_SUM_CALLS)
+@example((3, [(0, 0, 0), (2, 1, 0)], [(-3, -3, -3), (-3, 0, 6)], 12))
+@example((1, [(0,), (4,)], [(-3,)], 16))
+def test_gate_monomial_sums_match_the_term_by_term_reference(call):
+    # the gate's columns of factorials against one multinomial per k; at
+    # the shift of all -3, every k + e has a negative entry up to n = 3d - 1
+    d, expos, shifts, nterms = call
+    sums = _direct_monomial_sums(expos, shifts, d, nterms)
+    assert list(sums) == shifts
+    for e in shifts:
+        assert list(sums[e]) == expos, e
+        for expo in expos:
+            assert sums[e][expo] == direct_multinomial_sum({expo: 1}, e, d, nterms), (e, expo)
 
 
 pole_fractions = st.tuples(
@@ -479,7 +507,7 @@ def test_koszul_block_keys_are_in_position_order(dims, p, excess):
             assert list(block.values()) == list(range(len(block))), (dims, p, d, weight)
         for merge in merges:
             for block in blocks[1:]:
-                listed = merge.fits(block, flat)
+                listed = merge.fits(flat)(block)
                 assert listed == sorted(set(listed)), (dims, p, d, weight)
                 assert all(0 <= s < len(block) for s, _ in listed), (dims, p, d, weight)
 
@@ -555,7 +583,7 @@ def test_merge_lists_the_wedges_that_fit_each_merged_weight(dims_and_weight):
         tables = merged_weights(dims, pair, weight)
         for j, level in enumerate(levels):
             wedges = [wedge for _, wedge in level]
-            listed = merge.fits(fine.level_block(level), weight)
+            listed = merge.fits(weight)(fine.level_block(level))
             for x, merged in enumerate(tables):
                 expected = [wedge for wedge, _ in filtered_wedges(mm.positions, j, merged)]
                 assert [wedges[s] for s, y in listed if y == x] == expected, (pair, j, merged)
