@@ -7,7 +7,11 @@ with exterior powers of the space of degree-one coordinates.  Differentials
 never mix torus weights, so the slice splits into one block per weight, and
 every rank is taken there, exactly over Z, on the sparse rows of a transposed
 differential: one per target element, keyed by source position, with one
-entry +-1 per wedge label of each source element.
+entry +-1 per wedge label of each source element.  The outgoing
+differential is eliminated first, and the cycles are as many as the middle
+positions at which none of its pivots leads.  On the leads the pivots are
+triangular, so a cycle that vanishes at every free position vanishes, and
+the boundaries, which are cycles, are ranked on the free positions alone.
 
 Each block is built from its weight alone.  The wedges that fit under w grow
 level by level, degree j from degree j - 1, and each is paired with the one
@@ -37,6 +41,8 @@ is the inclusion of wedges.  If one W holds every middle wedge, every cycle
 is old.  Integer ranks of one stacked set of rows count the old classes,
 with no kernel basis, numbering a merge's elements by their wedge's position
 in the fine block, then by W, where elimination fills in less than W by W.
+The old classes are cycles too, so the stack also keeps only the free
+positions' rows.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 
 from .errors import CapacityError, ConsistencyError
-from .linalg import rank, whole, wholes
+from .linalg import leads, rank, whole, wholes
 from .partitions import Partition, _complete, compositions, gl_dimension, partitions_of
 
 DEFAULT_CAPACITY = 200_000
@@ -389,35 +395,44 @@ def _block_new_dimension(
     B + sum_k M_k ker D_k, of dimension
     rank [[B, M_1, M_2, ...], [0, D_1, 0, ...], [0, 0, D_2, ...], ...] - sum_k rank D_k.
     Each matrix is held as its rows, as `images` gives them: the rows are the
-    middle block's positions, then each merge's target elements; the columns
-    are the boundaries, then each merge's source elements.  A merge's
-    elements are the pairs that `_Merge.fits` lists over the middle and
-    right blocks, from one packing of the Ws, and its differential is the
-    fine one restricted to each W; a source element's column holds its
-    chain map image, a 1 in the row of its position, over its
-    differential.  Every merge is stacked: one with no cycles at the
-    weight raises the stack's rank by exactly rank D_k.  If one W holds
-    every middle wedge, every cycle is old.
+    middle block's free positions, then each merge's target elements; the
+    columns are the boundaries, then each merge's source elements.  A
+    merge's elements are the pairs that `_Merge.fits` lists over the middle
+    and right blocks, from one packing of the Ws, and its differential is
+    the fine one restricted to each W; a source element's column holds its
+    chain map image, a 1 in the row of its position, over its differential.
+    Every merge is stacked: one with no cycles at the weight raises the
+    stack's rank by exactly rank D_k.  If one W holds every middle wedge,
+    every cycle is old.
+
+    The free positions are those at which no pivot of the outgoing
+    differential leads, one per cycle.  On the leads its pivots are
+    triangular, so a cycle is fixed by its free coordinates.  Boundaries
+    are cycles, since the differential squares to zero, and so are the
+    stack's top parts over merged cycles, since the inclusion is a chain
+    map; so dropping the rows at the leads changes no rank, and neither
+    dimension can come out negative.
     """
     p = pieces[1][1]
     levels = _wedge_levels(fine.positions, weight, p + 1)
     left, mid, right = fine.blocks(pieces, weight, levels)
-    if not mid:
-        return 0
     differential = fine.images(mid, right)
-    cycles = len(mid) - rank(differential)
+    pivots = leads(differential)
+    cycles = len(mid) - len(pivots)
+    if not cycles:
+        return 0
+    # the kept boundary rows grow in place into the stack, a merge at a
+    # time; a chain-map 1 at a lead falls in a dropped row
     boundaries = fine.images(left, mid)
-    homology = cycles - rank(boundaries)
-    if homology < 0:
-        raise ConsistencyError(f"negative homology dimension at weight {weight}")
+    stack = [row for s, row in enumerate(boundaries) if s not in pivots]
+    homology = cycles - rank(stack)
     if not homology:  # new syzygies are a quotient of the homology
         return 0
     if not merges:
         return homology
     if not p:  # only the unit, at d = 0, has homology, and every merge has it
         return 0
-    # the boundary rows grow in place into the stack, a merge at a time
-    stack, offset, diff_ranks = boundaries, len(left), 0
+    offset, diff_ranks = len(left), 0
     for merge in merges:
         fits = merge.fits(weight)
         sources = fits(mid)
@@ -425,7 +440,7 @@ def _block_new_dimension(
             return 0
         column = {pair: offset + c for c, pair in enumerate(sources)}
         for (s, _), c in column.items():
-            stack[s][c] = 1
+            boundaries[s][c] = 1
         diff = [
             {column[s, x]: e for s, e in differential[r].items() if (s, x) in column}
             for r, x in fits(right)
@@ -433,11 +448,7 @@ def _block_new_dimension(
         stack += diff
         offset += len(column)
         diff_ranks += rank(diff)
-    old = rank(stack) - diff_ranks
-    new_dim = cycles - old
-    if new_dim < 0:
-        raise ConsistencyError(f"old classes exceed cycles at weight {weight}")
-    return new_dim
+    return cycles - (rank(stack) - diff_ranks)
 
 
 def new_syzygy_dimension(

@@ -1,10 +1,15 @@
 """The two exact cores the package shares: integer elimination and sparse
 combinations.
 
-`rank` eliminates sparse integer vectors over Z: it serves the Koszul
+`leads` eliminates sparse integer vectors over Z and returns the leading
+index of each pivot vector; `rank` is their number.  They serve the Koszul
 oracle, where every homology and new-syzygy dimension is a difference of
 ranks of the differentials' rows, one per target element keyed by source
-position, each with a few entries +-1.
+position, each with a few entries +-1.  The leads of a differential's rows
+are the coordinates that fix a vector of its kernel: on them the pivot
+vectors are triangular, so a kernel vector that vanishes off the leads
+vanishes, and the oracle ranks vectors of that kernel on the other
+coordinates alone.
 `echelon` is dense Bareiss elimination: every division in it is exact, so
 it runs on any integral domain whose `//` is exact division, and it serves
 rational reconstruction on integers or on multivariate polynomials.
@@ -30,8 +35,9 @@ from math import gcd, lcm
 from numbers import Number
 
 
-def rank(vectors: list[dict[int, int]]) -> int:
-    """Rank over Q of integer vectors, each a dict index -> entry.
+def leads(vectors: list[dict[int, int]]) -> set[int]:
+    """The leading indices of the pivot vectors of integer vectors, each a
+    dict index -> entry; there are as many as their rank over Q.
 
     Each vector, with its zero entries dropped, is reduced by its leading
     (largest) index against the pivot vectors found so far, until it is
@@ -43,7 +49,9 @@ def rank(vectors: list[dict[int, int]]) -> int:
     The largest index leads because the Koszul rows then lead at their
     latest source element, so pivots meet first the wedges that the blocks
     number last; elimination fills in several times less in this order than
-    with the rows led by their first source element.
+    with the rows led by their first source element.  Each pivot vector is
+    zero past its lead, so on the leads the pivots form a triangular matrix
+    with a non-zero diagonal.
     """
     pivots: dict[int, dict[int, int]] = {}
     for vector in vectors:
@@ -72,7 +80,13 @@ def rank(vectors: list[dict[int, int]]) -> int:
                 g = gcd(*v.values())
                 if g > 1:
                     v = {i: x // g for i, x in v.items()}
-    return len(pivots)
+    return set(pivots)
+
+
+def rank(vectors: list[dict[int, int]]) -> int:
+    """Rank over Q of integer vectors, each a dict index -> entry: the
+    number of their `leads`.  The input is not mutated."""
+    return len(leads(vectors))
 
 
 def echelon(rows: list[list], ncols: int) -> list[int]:

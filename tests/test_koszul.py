@@ -307,6 +307,46 @@ def test_weight_table_matches_every_block():
         assert report.weight_table == expected, (dims, p, d)
 
 
+def unrestricted_new_dimension(fine, pieces, merges, weight):
+    """`_block_new_dimension` with every middle row kept and no early exit:
+    the cycles less the rank of the whole stack of boundaries and merged
+    chain maps over their differentials, plus the differentials' ranks."""
+    levels = _wedge_levels(fine.positions, weight, pieces[1][1] + 1)
+    left, mid, right = fine.blocks(pieces, weight, levels)
+    differential = fine.images(mid, right)
+    stack = fine.images(left, mid)
+    offset, diff_ranks = len(left), 0
+    for merge in merges:
+        fits = merge.fits(weight)
+        column = {pair: offset + c for c, pair in enumerate(fits(mid))}
+        for (s, _), c in column.items():
+            stack[s][c] = 1
+        diff = [
+            {column[s, x]: e for s, e in differential[r].items() if (s, x) in column}
+            for r, x in fits(right)
+        ]
+        stack += diff
+        offset += len(column)
+        diff_ranks += rank(diff)
+    return len(mid) - rank(differential) - rank(stack) + diff_ranks
+
+
+def test_ranks_on_free_coordinates_match_the_unrestricted_ranks():
+    # the library ranks the boundaries, and the cosocle's stack, only at the
+    # middle positions where no pivot of the outgoing differential leads;
+    # every rank, and so every dimension, is that of the whole rows: for the
+    # homology on the grid, and for the cosocle of two factors or more in
+    # the grid's first degree, d = p + 1, and at (2, 2, 2), p = 2, d = 3
+    for dims, p, d in [*symmetry_guard_cases(), ((2, 2, 2), 2, 3)]:
+        _, _, pieces, fine = _slice(dims, p, d, DEFAULT_CAPACITY)
+        stacks = [[], pair_merges(fine)] if len(dims) > 1 and d == p + 1 else [[]]
+        for w in all_weights(dims, d):
+            for merges in stacks:
+                expected = unrestricted_new_dimension(fine, pieces, merges, w)
+                got = _block_new_dimension(fine, pieces, merges, w)
+                assert got == expected, (dims, p, d, w, len(merges))
+
+
 def test_new_syzygies_agree_at_non_dominant_weights():
     for dims in [(2, 3), (2, 2, 2)]:
         _, _, pieces, fine = _slice(dims, 2, 3, DEFAULT_CAPACITY)
@@ -567,16 +607,20 @@ def test_merged_blocks_keep_the_product_order():
 
 class _ListsMiddleWedges:
     """A stand-in merge that lists the first `count` wedges of a middle block
-    of wedge degree p under one merged weight, and no target wedge."""
+    of wedge degree p under one merged weight, and no target wedge.  It
+    records the wedge degree of each block its lister is called on."""
 
     def __init__(self, p, count):
         self.p, self.count = p, count
+        self.listed = []
 
     def fits(self, weight):
         return self.pairs
 
     def pairs(self, block):
-        if len(next(iter(block), ())) != self.p:
+        degree = len(next(iter(block), ()))
+        self.listed.append(degree)
+        if degree != self.p:
             return []
         return [(s, 0) for s in range(min(self.count, len(block)))]
 
@@ -584,15 +628,17 @@ class _ListsMiddleWedges:
 def test_only_a_merged_weight_holding_every_middle_wedge_skips_the_ranks():
     # at (1, 1, 1, 1) of the quadric's slice the homology is one class in 3
     # cycles of 4 middle wedges; a merged weight with every middle wedge
-    # makes every cycle old unranked, while one with all but one is ranked,
-    # and the stand-in's wedges, listed without their targets, count as
-    # more old classes than there are cycles
+    # makes every cycle old before the right block is listed, while one
+    # with all but one goes on to list it and rank the stack
     _, _, pieces, fine = _slice((2, 2), 1, 2, DEFAULT_CAPACITY)
     weight = (1, 1, 1, 1)
     assert _block_new_dimension(fine, pieces, [], weight) == 1
-    assert _block_new_dimension(fine, pieces, [_ListsMiddleWedges(1, 4)], weight) == 0
-    with pytest.raises(ConsistencyError, match="old classes exceed cycles"):
-        _block_new_dimension(fine, pieces, [_ListsMiddleWedges(1, 3)], weight)
+    every = _ListsMiddleWedges(1, 4)
+    assert _block_new_dimension(fine, pieces, [every], weight) == 0
+    assert every.listed == [1]
+    all_but_one = _ListsMiddleWedges(1, 3)
+    _block_new_dimension(fine, pieces, [all_but_one], weight)
+    assert all_but_one.listed == [1, 0]
 
 
 def test_merged_blocks_table_only_the_factors_pieces():

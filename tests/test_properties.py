@@ -1,6 +1,7 @@
 """Property tests of the exact core: polynomial pseudo-division, torus characters,
 sparse integer ranks of columns and of transposes with their columns
-numbered either way, the rank identity behind the new-syzygy dimension,
+numbered either way, the rank of kernel vectors off the leads of a matrix's
+pivots, the rank identity behind the new-syzygy dimension,
 the lowest-terms form of multinomial sums and their sharing across
 permuted variables, the integer pole fractions
 behind them, the gate's brute-force sums against a term-by-term loop,
@@ -19,7 +20,7 @@ import copy
 import tempfile
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, groupby, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from hypothesis import configuration, example, given, settings, strategies as st
 
@@ -33,7 +34,7 @@ from segre_syzygies.koszul import (
     _slice,
     _wedge_levels,
 )
-from segre_syzygies.linalg import rank
+from segre_syzygies.linalg import leads, rank
 from segre_syzygies.partitions import gl_dimension, kostka, partitions_of, schur_product
 from segre_syzygies.rationality import (
     MPoly,
@@ -142,6 +143,33 @@ def test_stacked_rank_counts_images_of_kernels(data):
     assert rank(columns(stacked, b + s)) - rank(columns(D, s)) == len(
         gauss_jordan(span, b + len(kernel))
     )
+
+
+@PROPERTY
+@given(st.data())
+def test_kernel_vectors_keep_their_rank_off_the_leads(data):
+    # the columns of B lie in the kernel of A, as the boundaries lie in the
+    # kernel of the outgoing differential; B's rows at the indices where no
+    # pivot of A's rows leads have B's rank, and the leads count A's rank
+    t, m, b = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 4), (1, 6), (0, 4)))
+    A = data.draw(int_matrix(t, m))
+    kernel = []
+    for vec in kernel_basis(A, m):
+        scale = lcm(*(x.denominator for x in vec))
+        kernel.append([int(x * scale) for x in vec])
+    coefficients = data.draw(int_matrix(b, len(kernel)))
+    B = [[sum(c * vec[i] for c, vec in zip(cs, kernel)) for cs in coefficients] for i in range(m)]
+    # sparse rows keep their zero entries, so that `leads` must drop them
+    a_rows, b_rows = ([dict(enumerate(row)) for row in M] for M in (A, B))
+    before = copy.deepcopy((a_rows, b_rows))
+    pivots = leads(a_rows)
+    free = [row for i, row in enumerate(b_rows) if i not in pivots]
+    a_rank, b_rank = (
+        len(gauss_jordan([[Fraction(x) for x in row] for row in M], n)) for M, n in ((A, m), (B, b))
+    )
+    assert len(pivots) == rank(a_rows) == a_rank
+    assert rank(free) == rank(b_rows) == b_rank
+    assert (a_rows, b_rows) == before
 
 
 # sparse vectors over 6 indices, with non-unit entries, explicit zeros and
